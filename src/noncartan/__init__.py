@@ -15,7 +15,7 @@ from .jet import (
 )
 from .linalg import (
     InconsistentSystemError, linear_equations_in_params, nullspace, rank,
-    solve, solve_symbolic,
+    solve,
 )
 from .symmetry import (
     ContextMismatchError, DeterminingSystem, LieAlgebraReport,
@@ -25,11 +25,11 @@ from .symmetry import (
 )
 from .catalog import (
     IterativeOperator, NormalFormCoefficients, SourceEquation,
-    c1_symmetry_pde_residual, canonical_basis, equivalence_transformation,
-    free_fall_symmetries, isotropic_system, iterative_power,
-    non_cartan_family, non_cartan_generators, nonlinear_counterexample,
-    normal_form_coeffs, normalize_s, reduction_transformation,
-    scalar_context, scalar_non_cartan, source_solution_basis,
+    c1_symmetry_pde_residual, canonical_basis, free_fall_symmetries,
+    isotropic_system, iterative_power, non_cartan_family,
+    non_cartan_generators, nonlinear_counterexample, normal_form_coeffs,
+    normalize_s, reduction_transformation, scalar_context, scalar_non_cartan,
+    source_solution_basis,
 )
 from .classify import (
     ClassificationVerdict, LinearSystemSpec, NotInNormalFormError,

@@ -23,7 +23,7 @@ __all__ = [
     "normal_form_coeffs", "source_solution_basis", "isotropic_system",
     "reduction_transformation", "non_cartan_family",
     "nonlinear_counterexample", "c1_symmetry_pde_residual",
-    "scalar_context", "equivalence_transformation",
+    "scalar_context",
 ]
 
 
@@ -364,20 +364,6 @@ def scalar_non_cartan(src: SourceEquation, ctx: JetContext = None) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Transformations
-
-
-def equivalence_transformation(rho: Expression, pi: Expression,
-                               sigma: Expression,
-                               inverse: tuple,
-                               old_ctx: JetContext = None,
-                               new_ctx: JetContext = None,
-                               rules: tuple = ()) -> PointTransformation:
-    """The scalar equivalence transformation x = rho(t), y = pi(t) u +
-    sigma(t), expressed as a forward map (t(x, y), u(x, y)) with a
-    declared inverse."""
-    old_ctx = old_ctx or scalar_context()
-    new_ctx = new_ctx or JetContext(1, 2, indep_name="t", dep_names=("u",))
-    return PointTransformation(old_ctx, new_ctx, (rho, pi), inverse, rules)
 
 
 def reduction_transformation(src: SourceEquation, n: int,

@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import linalg
 from .expr import (
     Call, Expression, OpaqueArgumentError, Symbol, ZeroStatus, call, collect,
-    const, differentiate, func, is_zero, one, param, sym, zero, zero_status,
+    differentiate, func, is_zero, one, param, sym, zero, zero_status,
 )
 from .jet import JetContext, VectorField
 from .symmetry import (
@@ -161,9 +161,9 @@ def cubic_in_p_test(f: Expression, p: Symbol = None) -> bool:
 # Isotropy and trace removal
 
 
-def isotropy_test(spec: LinearSystemSpec, rules=()) -> bool:
-    """True iff the normal-form system y'' = M y is isotropic, i.e. M is
-    a scalar multiple of the identity."""
+def _isotropy_defects(spec: LinearSystemSpec, rules=()):
+    """The scalar part q = tr(A_0) / m of the normal-form system and a lazy
+    iterator over the entries (i, j) where A_0 - q I is not zero."""
     if spec.n != 2:
         raise NotInNormalFormError("isotropy test requires a second-order system")
     for row in spec.a1:
@@ -175,13 +175,18 @@ def isotropy_test(spec: LinearSystemSpec, rules=()) -> bool:
     trace = zero()
     for i in range(m):
         trace = trace + spec.a0[i][i]
-    mean = trace / m
-    for i in range(m):
-        for j in range(m):
-            entry = spec.a0[i][j] - (mean if i == j else zero())
-            if zero_status(entry, rules) is ZeroStatus.NONZERO:
-                return False
-    return True
+    q = trace / m
+    defects = ((i, j) for i in range(m) for j in range(m)
+               if zero_status(spec.a0[i][j] - (q if i == j else zero()), rules)
+               is ZeroStatus.NONZERO)
+    return q, defects
+
+
+def isotropy_test(spec: LinearSystemSpec, rules=()) -> bool:
+    """True iff the normal-form system y'' = M y is isotropic, i.e. M is
+    a scalar multiple of the identity."""
+    _, defects = _isotropy_defects(spec, rules)
+    return next(defects, None) is None
 
 
 def trace_free_reduce(spec: LinearSystemSpec, q: Expression, rules=()):
@@ -286,27 +291,13 @@ def classify_linear_system(spec: LinearSystemSpec, rules=()) -> ClassificationVe
     """Canonical-class membership for second-order linear systems in
     normal form, via the isotropy test; witnesses are the non-Cartan
     generators built from the common scalar coefficient."""
-    if not isotropy_test(spec, rules):
-        reasons = []
-        m = spec.m
-        trace = zero()
-        for i in range(m):
-            trace = trace + spec.a0[i][i]
-        mean = trace / m
-        for i in range(m):
-            for j in range(m):
-                entry = spec.a0[i][j] - (mean if i == j else zero())
-                if zero_status(entry, rules) is ZeroStatus.NONZERO:
-                    reasons.append("non-isotropic at entry (%d,%d)"
-                                   % (i + 1, j + 1))
-        return ClassificationVerdict(False, None, tuple(reasons))
-    m = spec.m
-    trace = zero()
-    for i in range(m):
-        trace = trace + spec.a0[i][i]
-    q = trace / m          # convention y'' + q y = 0
+    q, defects = _isotropy_defects(spec, rules)   # convention y'' + q y = 0
+    reasons = tuple("non-isotropic at entry (%d,%d)" % (i + 1, j + 1)
+                    for i, j in defects)
+    if reasons:
+        return ClassificationVerdict(False, None, reasons)
     src = SourceEquation.for_q(q)
-    witnesses = non_cartan_generators(m, src, spec.ctx)
+    witnesses = non_cartan_generators(spec.m, src, spec.ctx)
     system = spec.ode_system(src.rules)
     for wfield in witnesses:
         for r in invariance_residual(wfield, system):

@@ -10,8 +10,8 @@ import os
 import sys
 
 from .expr import (
-    Call, CollectError, Expression, OpaqueArgumentError, ParseContext,
-    ParseError, Symbol, ZeroStatus, call, collect, format_expression, func,
+    CollectError, Expression, OpaqueArgumentError, ParseContext, ParseError,
+    ZeroStatus, call, collect, format_expression, format_monomial, func,
     param, parse, sym, zero, zero_status,
 )
 from .jet import JetContext, VectorField
@@ -415,11 +415,11 @@ def cmd_determining(args) -> int:
     # print in the order: per equation slice, highest-degree monomials
     # first, so the purely structural constraints lead
     entries = sorted(
-        ds.monomial_index.items(),
-        key=lambda kv: (kv[0][0], -_monomial_degree(kv[0][1]), kv[0][1]))
+        (nu, -sum(k for _a, k in mon), format_monomial(mon), pos)
+        for (nu, mon), pos in ds.monomial_index.items())
     printed = []
     seen = set()
-    for (nu, mon), pos in entries:
+    for nu, _neg_degree, mon, pos in entries:
         if pos not in seen:
             seen.add(pos)
             printed.append((nu, mon, pos))
@@ -443,19 +443,6 @@ def cmd_determining(args) -> int:
     }
     _emit(report, args.format, lines)
     return EXIT_OK
-
-
-def _monomial_degree(mon_text: str) -> int:
-    # degrees recovered from the printed monomial form
-    if mon_text == "1":
-        return 0
-    deg = 0
-    for factor in mon_text.split("*"):
-        if "^" in factor:
-            deg += int(factor.rsplit("^", 1)[1])
-        else:
-            deg += 1
-    return deg
 
 
 def _linear_normal_form(system: OdeSystem):

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Symbol", "Call", "Expression", "RewriteRule", "ZeroStatus",
-    "indep", "dep", "jet", "param", "func", "call",
+    "indep", "dep", "jet", "param", "func", "call", "default_dep_names",
     "const", "atom_expr", "sym", "zero", "one",
     "monomial_expression", "format_monomial",
     "normalize", "differentiate", "substitute", "replace_atoms",
@@ -110,6 +110,16 @@ def dep(index: int, name: str = None) -> Symbol:
 
 def jet(index: int, order: int, name: str = None) -> Symbol:
     return Symbol(name or "y%d" % index, JET, index=index, order=order)
+
+
+def default_dep_names(m: int) -> tuple:
+    """Names of m dependent variables: `y` for m == 1, `y` and `w` for
+    m == 2, y1..ym otherwise."""
+    if m == 1:
+        return ("y",)
+    if m == 2:
+        return ("y", "w")
+    return tuple("y%d" % i for i in range(1, m + 1))
 
 
 def param(name: str) -> Symbol:
@@ -451,6 +461,37 @@ def normalize(e: Expression) -> Expression:
 
 
 # ---------------------------------------------------------------------------
+# Rebuilding
+
+
+def _sum(pieces: Iterable[Expression]) -> Expression:
+    """The pieces added left to right, structurally equal to folding them
+    with `+` from zero.  Adding a polynomial (denominator one) to a
+    polynomial cancels, rescales and collapses nothing, so the leading
+    run of polynomial pieces goes into one term dict that is normalized
+    once; from the first other piece on, the sum goes through `+`."""
+    acc = {}
+    pieces = iter(pieces)
+    for piece in pieces:
+        if piece.den != _ONE_TERMS:
+            total = Expression._make(acc, _ONE_TERMS) + piece
+            for piece in pieces:
+                total = total + piece
+            return total
+        _tadd(acc, piece.num)
+    return Expression._make(acc, _ONE_TERMS)
+
+
+def _product(c, mon, image) -> Expression:
+    """const(c) times image(a) ** k for each (a, k) of the monomial, in
+    order."""
+    out = const(c)
+    for a, k in mon:
+        out = out * image(a) ** k
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Differentiation
 
 
@@ -472,29 +513,23 @@ def differentiate(e: Expression, s: Symbol) -> Expression:
 
 
 def _diff_poly(terms, s: Symbol) -> Expression:
-    total = _ZERO
-    for mon, c in terms:
-        for i, (a, k) in enumerate(mon):
-            da = _diff_atom(a, s)
-            if da.is_rational_zero():
-                continue
-            rest = {b: e for b, e in mon}
-            rest[a] -= 1
-            piece = Expression(((_mk_mon(rest), c * k),), _ONE_TERMS)
-            total = total + piece * da
-    return total
+    def pieces():
+        for mon, c in terms:
+            for a, k in mon:
+                da = _diff_atom(a, s)
+                if not da.is_rational_zero():
+                    lowered = _mon_sub(mon, ((a, 1),))
+                    yield Expression(((lowered, c * k),), _ONE_TERMS) * da
+
+    return _sum(pieces())
 
 
 def _diff_atom(a: Atom, s: Symbol) -> Expression:
     if isinstance(a, Symbol):
         return _ONE if a == s else _ZERO
-    total = _ZERO
-    for slot, arg in enumerate(a.args):
-        darg = differentiate(arg, s)
-        if darg.is_rational_zero():
-            continue
-        total = total + atom_expr(Call(a.head.d(slot), a.args)) * darg
-    return total
+    return _sum(atom_expr(Call(a.head.d(slot), a.args)) * darg
+                for slot, arg in enumerate(a.args)
+                if not (darg := differentiate(arg, s)).is_rational_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +543,7 @@ def substitute(e: Expression, bindings: Mapping[Symbol, Expression]) -> Expressi
         return e
     bindings = {s: Expression._coerce(v) for s, v in bindings.items()}
     _check_acyclic(bindings)
-    return _subst(e, bindings)
+    return _replace(e, bindings)
 
 
 def _check_acyclic(bindings):
@@ -533,52 +568,31 @@ def _check_acyclic(bindings):
             visit(node)
 
 
-def _subst(e: Expression, bindings) -> Expression:
-    def poly(terms):
-        total = _ZERO
-        for mon, c in terms:
-            piece = const(c)
-            for a, k in mon:
-                piece = piece * _subst_atom(a, bindings) ** k
-            total = total + piece
-        return total
-
-    n = poly(e.num)
-    if e.den == _ONE_TERMS:
-        return n
-    return n / poly(e.den)
-
-
-def _subst_atom(a: Atom, bindings) -> Expression:
-    if isinstance(a, Symbol):
-        return bindings.get(a, atom_expr(a))
-    args = tuple(_subst(arg, bindings) for arg in a.args)
-    return atom_expr(Call(a.head, args))
-
-
 def replace_atoms(e: Expression, mapping: Mapping[Atom, Expression]) -> Expression:
     """Replace whole atoms (including opaque calls) by expressions."""
-    def poly(terms):
-        total = _ZERO
-        for mon, c in terms:
-            piece = const(c)
-            for a, k in mon:
-                piece = piece * rep(a) ** k
-            total = total + piece
-        return total
+    return _replace(e, mapping)
 
-    def rep(a):
+
+def _replace(e: Expression, mapping) -> Expression:
+    """Map every atom through `mapping` and rebuild e from the images.
+    An atom the mapping lacks stands for itself, except that an opaque
+    call has its arguments rebuilt the same way."""
+    def image(a):
         if a in mapping:
             return mapping[a]
         if isinstance(a, Call):
-            args = tuple(replace_atoms(arg, mapping) for arg in a.args)
+            args = tuple(rebuild(arg) for arg in a.args)
             return atom_expr(Call(a.head, args))
         return atom_expr(a)
 
-    n = poly(e.num)
-    if e.den == _ONE_TERMS:
-        return n
-    return n / poly(e.den)
+    def poly(terms):
+        return _sum(_product(c, mon, image) for mon, c in terms)
+
+    def rebuild(x):
+        n = poly(x.num)
+        return n if x.den == _ONE_TERMS else n / poly(x.den)
+
+    return rebuild(e)
 
 
 # ---------------------------------------------------------------------------
@@ -665,22 +679,18 @@ def collect(e: Expression, variables: Sequence[Symbol]) -> dict:
                 var_part[a] = k
             else:
                 rest[a] = k
-        key = _mk_mon(var_part)
-        piece = Expression(((_mk_mon(rest), c),), _ONE_TERMS)
-        groups[key] = groups.get(key, _ZERO) + piece
+        groups.setdefault(_mk_mon(var_part), []).append(
+            Expression(((_mk_mon(rest), c),), _ONE_TERMS))
     out = {}
     for key in sorted(groups, key=_mon_key):
-        coeff = groups[key] / den
+        coeff = _sum(groups[key]) / den
         if not coeff.is_rational_zero():
             out[key] = coeff
     return out
 
 
 def monomial_expression(mon) -> Expression:
-    out = _ONE
-    for a, k in mon:
-        out = out * atom_expr(a) ** k
-    return out
+    return _product(1, mon, atom_expr)
 
 
 def format_monomial(mon) -> str:
@@ -815,14 +825,8 @@ class ParseContext:
     def __init__(self, m: int = 1, dep_names: Sequence[str] = None,
                  indep_name: str = "x", vector_field: bool = False):
         self.m = m
-        if dep_names is None:
-            if m == 1:
-                dep_names = ("y",)
-            elif m == 2:
-                dep_names = ("y", "w")
-            else:
-                dep_names = tuple("y%d" % i for i in range(1, m + 1))
-        self.dep_names = tuple(dep_names)
+        self.dep_names = tuple(default_dep_names(m) if dep_names is None
+                               else dep_names)
         self.indep_name = indep_name
         self.vector_field = vector_field
         self.func_arities: dict = {}

@@ -3,11 +3,11 @@ vector fields."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    DEP, JET, Expression, Symbol, dep, differentiate, indep, jet, sym, zero,
+    Expression, Symbol, default_dep_names, dep, differentiate, indep, jet, sym,
 )
 
 __all__ = ["JetContext", "VectorField", "ProlongedField",
@@ -34,14 +34,7 @@ class JetContext:
     def __post_init__(self):
         if self.m < 1 or self.order < 1:
             raise ValueError("need m >= 1 and order >= 1")
-        names = self.dep_names
-        if not names:
-            if self.m == 1:
-                names = ("y",)
-            elif self.m == 2:
-                names = ("y", "w")
-            else:
-                names = tuple("y%d" % i for i in range(1, self.m + 1))
+        names = self.dep_names or default_dep_names(self.m)
         if len(names) != self.m:
             raise ValueError("expected %d dependent names" % self.m)
         object.__setattr__(self, "dep_names", tuple(names))

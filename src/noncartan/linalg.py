@@ -5,12 +5,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import (
-    Expression, Symbol, collect, is_zero, zero,
-)
+from .expr import Expression, Symbol
 
 __all__ = ["rank", "nullspace", "solve", "linear_equations_in_params",
-           "solve_symbolic", "InconsistentSystemError"]
+           "InconsistentSystemError"]
 
 
 class InconsistentSystemError(ValueError):
@@ -112,67 +110,3 @@ def linear_equations_in_params(e: Expression, params):
         out.append((lin, cst[0]))
     return out
 
-
-def solve_symbolic(equations, unknowns, rules=()):
-    """Solve a system of Expressions that are affine in the given
-    opaque-call or symbol unknown atoms, using Expression arithmetic.
-
-    `unknowns` is a list of Expressions, each a single atom.  Returns a
-    list of Expressions.  Raises InconsistentSystemError when the system
-    has no solution, ValueError when it is underdetermined.
-    """
-    from .expr import replace_atoms, apply_rules
-
-    n = len(unknowns)
-    matrix = []
-    rhs = []
-    zero_map = {_single_atom(u): zero() for u in unknowns}
-    for eq in equations:
-        row = []
-        base = apply_rules(replace_atoms(eq, zero_map), rules)
-        for u in unknowns:
-            m = dict(zero_map)
-            m[_single_atom(u)] = Expression(((tuple(), Fraction(1)),),
-                                            ((tuple(), Fraction(1)),))
-            coeff = apply_rules(replace_atoms(eq, m), rules) - base
-            row.append(coeff)
-        matrix.append(row)
-        rhs.append(-base)
-    # Gaussian elimination over the expression field
-    sol = [None] * n
-    rows = [r[:] + [b] for r, b in zip(matrix, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows))
-                    if not is_zero(rows[i][c], rules)), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_rational_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if not is_zero(rows[i][n], rules):
-            raise InconsistentSystemError("inconsistent symbolic system")
-    if len(pivots) < n:
-        raise ValueError("underdetermined symbolic system")
-    for i, c in enumerate(pivots):
-        sol[c] = apply_rules(rows[i][n], rules)
-    return sol
-
-
-def _single_atom(u: Expression):
-    if len(u.num) != 1 or u.den != ((tuple(), Fraction(1)),):
-        raise ValueError("unknown must be a bare atom")
-    mon, c = u.num[0]
-    if c != 1 or len(mon) != 1 or mon[0][1] != 1:
-        raise ValueError("unknown must be a bare atom")
-    return mon[0][0]

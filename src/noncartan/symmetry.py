@@ -9,10 +9,10 @@ from fractions import Fraction
 
 from . import linalg
 from .expr import (
-    DEP, Call, Expression, RewriteRule, Symbol, apply_rules, collect,
-    differentiate, format_monomial, is_zero, substitute, sym, zero,
+    DEP, Call, Expression, Symbol, apply_rules, collect, is_zero, substitute,
+    sym, zero,
 )
-from .jet import JetContext, ProlongedField, VectorField, prolong
+from .jet import JetContext, VectorField, prolong
 
 __all__ = [
     "OdeSystem", "PointTransformation", "DeterminingSystem",
@@ -180,7 +180,7 @@ def determining_equations(system: OdeSystem, ansatz: VectorField) -> Determining
             except ValueError:
                 pos = len(equations)
                 equations.append(eq)
-            index[(nu, format_monomial(mon))] = pos
+            index[(nu, mon)] = pos
     unknowns = []
     for comp in ansatz.components():
         for a in comp.atoms():

@@ -1,9 +1,14 @@
-"""Shared generators for the randomized property suites."""
+"""Shared generators and reference implementations for the randomized
+property suites."""
 
 import random
 
 from noncartan import (
-    JetContext, VectorField, const, indep, jet, param, scalar_context, sym,
+    Call, Expression, JetContext, Symbol, VectorField, const, indep, jet, one,
+    param, scalar_context, sym, zero,
+)
+from noncartan.expr import (
+    _ONE_TERMS, _check_acyclic, _mk_mon, _mon_key, atom_expr,
 )
 
 X = indep("x")
@@ -46,3 +51,132 @@ def random_point_field(rng: random.Random, ctx: JetContext = None):
 
     return VectorField(component(), tuple(component()
                                           for _ in range(ctx.m)), ctx)
+
+
+# ---------------------------------------------------------------------------
+# Reference rebuild loops: the term-by-term `total = total + piece` forms
+# of substitute, replace_atoms, differentiate and collect.  The library
+# folds them into one exact sum; tests assert structural equality with
+# these.
+
+
+def reference_substitute(e, bindings):
+    if not bindings:
+        return e
+    bindings = {s: Expression._coerce(v) for s, v in bindings.items()}
+    _check_acyclic(bindings)
+
+    def subst(x):
+        def poly(terms):
+            total = zero()
+            for mon, c in terms:
+                piece = const(c)
+                for a, k in mon:
+                    piece = piece * subst_atom(a) ** k
+                total = total + piece
+            return total
+
+        n = poly(x.num)
+        if x.den == _ONE_TERMS:
+            return n
+        return n / poly(x.den)
+
+    def subst_atom(a):
+        if isinstance(a, Symbol):
+            return bindings.get(a, atom_expr(a))
+        return atom_expr(Call(a.head, tuple(subst(arg) for arg in a.args)))
+
+    return subst(e)
+
+
+def reference_replace_atoms(e, mapping):
+    def poly(terms):
+        total = zero()
+        for mon, c in terms:
+            piece = const(c)
+            for a, k in mon:
+                piece = piece * rep(a) ** k
+            total = total + piece
+        return total
+
+    def rep(a):
+        if a in mapping:
+            return mapping[a]
+        if isinstance(a, Call):
+            return atom_expr(Call(a.head, tuple(
+                reference_replace_atoms(arg, mapping) for arg in a.args)))
+        return atom_expr(a)
+
+    n = poly(e.num)
+    if e.den == _ONE_TERMS:
+        return n
+    return n / poly(e.den)
+
+
+def reference_differentiate(e, s):
+    if not e.contains(s):
+        return zero()
+    n = Expression(e.num, _ONE_TERMS)
+    d = Expression(e.den, _ONE_TERMS)
+    dn = _reference_diff_poly(e.num, s)
+    if e.den == _ONE_TERMS:
+        return dn
+    dd = _reference_diff_poly(e.den, s)
+    return (dn * d - n * dd) / (d * d)
+
+
+def _reference_diff_poly(terms, s):
+    total = zero()
+    for mon, c in terms:
+        for a, k in mon:
+            da = _reference_diff_atom(a, s)
+            if da.is_rational_zero():
+                continue
+            rest = dict(mon)
+            rest[a] -= 1
+            piece = Expression(((_mk_mon(rest), c * k),), _ONE_TERMS)
+            total = total + piece * da
+    return total
+
+
+def _reference_diff_atom(a, s):
+    if isinstance(a, Symbol):
+        return one() if a == s else zero()
+    total = zero()
+    for slot, arg in enumerate(a.args):
+        darg = reference_differentiate(arg, s)
+        if darg.is_rational_zero():
+            continue
+        total = total + atom_expr(Call(a.head.d(slot), a.args)) * darg
+    return total
+
+
+def reference_collect(e, variables):
+    """The grouping of `collect` for inputs it accepts (no error checks)."""
+    vset = set(variables)
+    den = Expression(e.den, _ONE_TERMS)
+    groups = {}
+    for mon, c in e.num:
+        var_part = {}
+        rest = {}
+        for a, k in mon:
+            if isinstance(a, Symbol) and a in vset:
+                var_part[a] = k
+            else:
+                rest[a] = k
+        key = _mk_mon(var_part)
+        piece = Expression(((_mk_mon(rest), c),), _ONE_TERMS)
+        groups[key] = groups.get(key, zero()) + piece
+    out = {}
+    for key in sorted(groups, key=_mon_key):
+        coeff = groups[key] / den
+        if not coeff.is_rational_zero():
+            out[key] = coeff
+    return out
+
+
+def reference_monomial_expression(mon):
+    out = one()
+    for a, k in mon:
+        out = out * atom_expr(a) ** k
+    return out

@@ -9,8 +9,13 @@ from noncartan import (
     evaluate, format_expression, func, indep, is_zero, jet, normalize, one,
     param, parse, replace_atoms, substitute, sym, zero, zero_status,
 )
+from noncartan.expr import monomial_expression
 
-from helpers import random_expression
+from helpers import (
+    random_expression, reference_collect, reference_differentiate,
+    reference_monomial_expression, reference_replace_atoms,
+    reference_substitute,
+)
 
 X = indep("x")
 Y = jet(1, 0, "y")
@@ -187,3 +192,58 @@ def test_numeric_evaluation():
     x = sym(X)
     e = (x + 1) ** 2
     assert abs(evaluate(e, {X: 2.0}) - 9.0) < 1e-12
+
+
+def _assert_same(fn, reference, *args):
+    try:
+        expected = reference(*args)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            fn(*args)
+        return
+    assert fn(*args) == expected
+
+
+def test_rebuild_matches_reference_loops_randomized():
+    """The one-sum rebuild equals, structurally, the term-by-term loops
+    it replaced, also for images with non-monomial denominators and for
+    atoms inside opaque-call arguments."""
+    rng = random.Random(11)
+    A = param("a")
+    x, y, p, a, b = sym(X), sym(Y), sym(P), sym(A), sym(param("b"))
+    q = call(func("q"), x)
+    h = call(func("H", 2), x - y / p, a)
+    g = call(func("G"), y + b)
+    calls = [c.num[0][0][0][0] for c in (q, h, g)]
+    # images free of y and p, so bindings for Y and P are acyclic
+    free = [x, a, b, q, call(func("G"), a / (x + 1))]
+    # p only polynomially and outside call arguments, for collect
+    coefficients = [x, y, a, q, g]
+    # the pieces come in the order y, -p, a: the running sum
+    # (x^2-1)/(x-1) - (x+1) is zero before 1/(x+1) is added
+    e = y - p + a
+    bindings = {Y: (x ** 2 - 1) / (x - 1), P: x + 1, A: 1 / (x + 1)}
+    assert substitute(e, bindings) == 1 / (x + 1)
+    _assert_same(substitute, reference_substitute, e, bindings)
+
+    def image():
+        # half of the images carry the uncancelled factor x + 1, so sums
+        # of pieces collapse at points that depend on the order of adding
+        r = random_expression(rng, 2, free)
+        return r * (x + 1) / (x + 1) if rng.random() < 0.5 else r
+
+    for _ in range(150):
+        e = random_expression(rng, 3, [x, y, p, a, b, q, h, g])
+        bindings = {Y: image(), P: image()}
+        _assert_same(substitute, reference_substitute, e, bindings)
+        mapping = {c: image() for c in calls}
+        mapping[A] = image()
+        _assert_same(replace_atoms, reference_replace_atoms, e, mapping)
+        for s in (X, Y, P, A):
+            _assert_same(differentiate, reference_differentiate, e, s)
+        poly_in_p = sum((random_expression(rng, 2, coefficients) * p ** k
+                         for k in range(3)), zero())
+        _assert_same(collect, reference_collect, poly_in_p, [P])
+        for mon, _c in e.num:
+            expected = reference_monomial_expression(mon)
+            assert monomial_expression(mon) == expected
