@@ -161,7 +161,7 @@ def cubic_in_p_test(f: Expression, p: Symbol = None) -> bool:
 # Isotropy and trace removal
 
 
-def _isotropy_defects(spec: LinearSystemSpec, rules=()):
+def _isotropy_defects(spec: LinearSystemSpec, rules=(), seed: int = 0):
     """The scalar part q = tr(A_0) / m of the normal-form system and a lazy
     iterator over the entries (i, j) where A_0 - q I is not zero."""
     if spec.n != 2:
@@ -177,8 +177,8 @@ def _isotropy_defects(spec: LinearSystemSpec, rules=()):
         trace = trace + spec.a0[i][i]
     q = trace / m
     defects = ((i, j) for i in range(m) for j in range(m)
-               if zero_status(spec.a0[i][j] - (q if i == j else zero()), rules)
-               is ZeroStatus.NONZERO)
+               if zero_status(spec.a0[i][j] - (q if i == j else zero()), rules,
+                              seed) is ZeroStatus.NONZERO)
     return q, defects
 
 
@@ -229,10 +229,10 @@ def _normal_form_2x2(a: Expression, b: Expression, c: Expression,
 
 
 def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
-                             rules=()) -> ClassificationVerdict:
+                             rules=(), seed: int = 0) -> ClassificationVerdict:
     """A trace-free 2x2 normal form admits a non-Cartan symmetry iff it
-    is the trivial system (A = B = C = 0)."""
-    statuses = [(name, zero_status(e, rules))
+    is the trivial system (A = B = C = 0).  `seed` seeds every zero test."""
+    statuses = [(name, zero_status(e, rules, seed))
                 for name, e in (("A", a), ("B", b), ("C", c))]
     obstructions = [name for name, st in statuses if st is ZeroStatus.NONZERO]
     if obstructions:
@@ -247,7 +247,8 @@ def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
     witnesses = non_cartan_generators(2, src, ctx)
     system = _normal_form_2x2(zero(), zero(), zero())
     for wfield in witnesses:
-        if not all(is_zero(r) for r in invariance_residual(wfield, system)):
+        if not all(is_zero(r, seed=seed)
+                   for r in invariance_residual(wfield, system)):
             raise AssertionError("witness failed re-verification")
     return ClassificationVerdict(True, tuple(witnesses), tuple(reason))
 
@@ -287,11 +288,13 @@ def determining_system_2x2(a: Expression, b: Expression, c: Expression,
     return determining_equations(system, ansatz)
 
 
-def classify_linear_system(spec: LinearSystemSpec, rules=()) -> ClassificationVerdict:
+def classify_linear_system(spec: LinearSystemSpec, rules=(),
+                           seed: int = 0) -> ClassificationVerdict:
     """Canonical-class membership for second-order linear systems in
     normal form, via the isotropy test; witnesses are the non-Cartan
-    generators built from the common scalar coefficient."""
-    q, defects = _isotropy_defects(spec, rules)   # convention y'' + q y = 0
+    generators built from the common scalar coefficient.  `seed` seeds
+    every zero test."""
+    q, defects = _isotropy_defects(spec, rules, seed)   # convention y'' + q y = 0
     reasons = tuple("non-isotropic at entry (%d,%d)" % (i + 1, j + 1)
                     for i, j in defects)
     if reasons:
@@ -301,7 +304,7 @@ def classify_linear_system(spec: LinearSystemSpec, rules=()) -> ClassificationVe
     system = spec.ode_system(src.rules)
     for wfield in witnesses:
         for r in invariance_residual(wfield, system):
-            if zero_status(r, src.rules) is ZeroStatus.NONZERO:
+            if zero_status(r, src.rules, seed) is ZeroStatus.NONZERO:
                 raise AssertionError("witness failed re-verification")
     return ClassificationVerdict(True, tuple(witnesses), ())
 

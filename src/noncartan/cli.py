@@ -485,7 +485,7 @@ def cmd_classify(args) -> int:
         a0 = tuple(tuple(-matrix[i][j] for j in range(m)) for i in range(m))
         zrow = tuple(tuple(zero() for _ in range(m)) for _ in range(m))
         spec = _classify.LinearSystemSpec(m, 2, (zrow, a0), ctx=ctx)
-        verdict = _classify.classify_linear_system(spec)
+        verdict = _classify.classify_linear_system(spec, seed=args.seed)
         results = [{
             "kind": "linear",
             "in-canonical-class": verdict.in_canonical_class,

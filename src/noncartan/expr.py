@@ -60,7 +60,11 @@ class OpaqueArgumentError(ValueError):
 
 @dataclass(frozen=True)
 class Symbol:
-    """A named atomic symbol; structural identity on all fields."""
+    """A named atomic symbol; structural identity on all fields.
+
+    The sort key and the hash are computed once, at construction (after
+    a jet of order zero has become a dependent variable), and stored.
+    Equality stays the structural comparison of the fields."""
 
     name: str
     kind: str
@@ -79,10 +83,24 @@ class Symbol:
                 raise ValueError("opaque function arity must be >= 1")
             if len(self.dorders) != self.arity or any(d < 0 for d in self.dorders):
                 raise ValueError("bad derivative orders %r" % (self.dorders,))
+        object.__setattr__(self, "_key", (
+            _KIND_RANK[self.kind], self.index, self.order, self.name,
+            self.dorders, ()))
+        object.__setattr__(self, "_hash", hash((
+            self.name, self.kind, self.index, self.order, self.arity,
+            self.dorders)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: a stored string hash is only
+        # valid in the process that computed it.
+        return (Symbol, (self.name, self.kind, self.index, self.order,
+                         self.arity, self.dorders))
 
     def sort_key(self):
-        return (_KIND_RANK[self.kind], self.index, self.order,
-                self.name, self.dorders, ())
+        return self._key
 
     def d(self, slot: int = 0) -> "Symbol":
         """The function symbol with the derivative order of one argument
@@ -133,7 +151,10 @@ def func(name: str, arity: int = 1, dorders: tuple = None) -> Symbol:
 
 @dataclass(frozen=True)
 class Call:
-    """An opaque function symbol applied to expression arguments."""
+    """An opaque function symbol applied to expression arguments.
+
+    Like `Symbol`, the sort key and the hash are computed once, at
+    construction, and stored; equality stays structural."""
 
     head: Symbol
     args: tuple
@@ -144,10 +165,19 @@ class Call:
         if len(self.args) != self.head.arity:
             raise ValueError("arity mismatch for %s: expected %d args, got %d"
                              % (self.head.name, self.head.arity, len(self.args)))
+        object.__setattr__(self, "_key", (
+            4, 0, 0, self.head.name, self.head.dorders,
+            tuple(a.sort_key() for a in self.args)))
+        object.__setattr__(self, "_hash", hash((self.head, self.args)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return (Call, (self.head, self.args))
 
     def sort_key(self):
-        return (4, 0, 0, self.head.name, self.head.dorders,
-                tuple(a.sort_key() for a in self.args))
+        return self._key
 
 
 Atom = Union[Symbol, Call]
@@ -290,9 +320,14 @@ class Expression:
                 yield a
 
     def contains(self, s: Symbol) -> bool:
+        # a call matches s when its head is s or has s as its base()
+        s_is_base = (s.kind == OPAQUE and s.index == 0 and s.order == 0
+                     and not any(s.dorders))
         for a in self.atoms():
             if isinstance(a, Call):
-                if a.head == s or a.head.base() == s:
+                h = a.head
+                if h == s or (s_is_base and h.name == s.name
+                              and h.arity == s.arity):
                     return True
             elif a == s:
                 return True

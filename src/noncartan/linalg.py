@@ -1,5 +1,12 @@
 """Exact linear algebra over rationals, plus helpers for extracting
-linear systems in unknown parameters from symbolic identities."""
+linear systems in unknown parameters from symbolic identities.
+
+`rank`, `nullspace` and `solve` share one sparse Gauss-Jordan routine,
+`_rref`, which keeps each row as a dict of its nonzero Fraction entries:
+the determining systems it serves are large and mostly zeros.  Inputs are
+dense rows and outputs dense Fraction vectors.  The reduced row echelon
+form is unique, so the bases and solutions do not depend on the order in
+which rows are eliminated."""
 
 from __future__ import annotations
 
@@ -15,34 +22,45 @@ class InconsistentSystemError(ValueError):
     pass
 
 
-def _echelon(rows):
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
+def _rref(rows) -> dict:
+    """Reduced row echelon form as {pivot column: row}, each row a dict
+    {column: Fraction} of its nonzero entries.
+
+    Each incoming row is reduced by the pivot rows so far, scaled to a
+    leading 1, and subtracted from the earlier pivot rows that have an
+    entry in its pivot column.  Every pivot row stays 1 in its own pivot
+    column and 0 in the others, so the reductions of one row commute and
+    no pivot row gains an entry left of its pivot."""
+    pivots = {}
+    for row in rows:
+        r = {c: v for c, v in enumerate(row) if v}
+        for c in pivots.keys() & r.keys():
+            _axpy(r, -r[c], pivots[c])
+        if not r:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        pc = min(r)
+        inv = Fraction(1) / r[pc]
+        r = {c: v * inv for c, v in r.items()}
+        for prow in pivots.values():
+            f = prow.get(pc)
+            if f is not None:
+                _axpy(prow, -f, r)
+        pivots[pc] = r
+    return pivots
+
+
+def _axpy(target: dict, f, row: dict) -> None:
+    """target += f * row, dropping the entries that become zero."""
+    for c, v in row.items():
+        t = target.get(c, 0) + f * v
+        if t:
+            target[c] = t
+        else:
+            del target[c]
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = _echelon(rows)
-    return len(pivots)
+    return len(_rref(rows))
 
 
 def nullspace(rows, ncols: int = None):
@@ -51,14 +69,15 @@ def nullspace(rows, ncols: int = None):
         return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
                 for j in range(ncols or 0)]
     ncols = ncols or len(rows[0])
-    red, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    red = _rref(rows)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in red:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+        for pc, prow in red.items():
+            vec[pc] = -prow.get(fc, Fraction(0))
         basis.append(vec)
     return basis
 
@@ -69,13 +88,12 @@ def solve(rows, rhs):
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = _echelon(aug)
+    red = _rref(list(r) + [b] for r, b in zip(rows, rhs))
+    if ncols in red:
+        raise InconsistentSystemError("inconsistent linear system")
     sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            raise InconsistentSystemError("inconsistent linear system")
-        sol[pc] = red[r][ncols]
+    for pc, prow in red.items():
+        sol[pc] = prow.get(ncols, Fraction(0))
     return sol
 
 

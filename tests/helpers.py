@@ -2,14 +2,16 @@
 property suites."""
 
 import random
+from fractions import Fraction
 
 from noncartan import (
     Call, Expression, JetContext, Symbol, VectorField, const, indep, jet, one,
     param, scalar_context, sym, zero,
 )
 from noncartan.expr import (
-    _ONE_TERMS, _check_acyclic, _mk_mon, _mon_key, atom_expr,
+    _KIND_RANK, _ONE_TERMS, _check_acyclic, _mk_mon, _mon_key, atom_expr,
 )
+from noncartan.linalg import InconsistentSystemError
 
 X = indep("x")
 
@@ -180,3 +182,89 @@ def reference_monomial_expression(mon):
     for a, k in mon:
         out = out * atom_expr(a) ** k
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference atom keys and predicates: the sort keys recomputed from the
+# fields on every call, and `contains` through a freshly built `base()`.
+
+
+def reference_sort_key(a):
+    if isinstance(a, Symbol):
+        return (_KIND_RANK[a.kind], a.index, a.order, a.name, a.dorders, ())
+    return (4, 0, 0, a.head.name, a.head.dorders,
+            tuple(arg.sort_key() for arg in a.args))
+
+
+def reference_contains(e, s):
+    for a in e.atoms():
+        if isinstance(a, Call):
+            if a.head == s or a.head.base() == s:
+                return True
+        elif a == s:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# Reference linear algebra: dense Gauss-Jordan elimination over Fraction
+# rows, column by column.  The library eliminates over sparse rows; tests
+# assert equal ranks, bases and solutions.
+
+
+def reference_echelon(rows):
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_rank(rows):
+    if not rows:
+        return 0
+    return len(reference_echelon(rows)[1])
+
+
+def reference_nullspace(rows, ncols=None):
+    if not rows:
+        return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
+                for j in range(ncols or 0)]
+    ncols = ncols or len(rows[0])
+    red, pivots = reference_echelon(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def reference_solve(rows, rhs):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = reference_echelon([list(r) + [b] for r, b in zip(rows, rhs)])
+    sol = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        if pc == ncols:
+            raise InconsistentSystemError("inconsistent linear system")
+        sol[pc] = red[r][ncols]
+    return sol

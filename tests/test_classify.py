@@ -211,3 +211,48 @@ def test_brute_force_oracle_small():
     assert not brute_force_non_cartan_search(z, z, const(-2), degree_cap=2)
     x = sym(X)
     assert not brute_force_non_cartan_search(x, z, z, degree_cap=2)
+
+
+def test_linear_classify_path_honours_seed(monkeypatch):
+    import contextlib
+    import io
+
+    from noncartan import classify as classify_module
+    from noncartan.cli import main
+
+    seeds = []
+    real_zero_status = classify_module.zero_status
+    real_is_zero = classify_module.is_zero
+
+    def recording_zero_status(e, rules=(), seed=0):
+        seeds.append(seed)
+        return real_zero_status(e, rules, seed)
+
+    def recording_is_zero(e, rules=(), seed=0):
+        seeds.append(seed)
+        return real_is_zero(e, rules, seed)
+
+    monkeypatch.setattr(classify_module, "zero_status", recording_zero_status)
+    monkeypatch.setattr(classify_module, "is_zero", recording_is_zero)
+    x = sym(X)
+    q = call(func("q"), x)
+    z = zero()
+
+    def seeds_of(run):
+        seeds.clear()
+        run()
+        assert seeds
+        return set(seeds)
+
+    assert seeds_of(lambda: classify_linear_system(_spec2(q, z, z, q))) == {0}
+    assert seeds_of(lambda: classify_linear_system(_spec2(q, z, z, q),
+                                                   seed=5)) == {5}
+    assert seeds_of(lambda: classify_linear_system(_spec2(one(), z, const(2),
+                                                          one()), seed=6)) == {6}
+    assert seeds_of(lambda: non_cartan_existence_2x2(z, z, z, seed=3)) == {3}
+    assert seeds_of(lambda: non_cartan_existence_2x2(one(), z, const(2),
+                                                     seed=4)) == {4}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert seeds_of(lambda: main([
+            "classify", "--system", "y''+q(x)*y=0; w''+q(x)*w=0",
+            "--seed", "7"])) == {7}

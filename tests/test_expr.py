@@ -1,20 +1,27 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import noncartan
 from noncartan import (
-    CollectError, CyclicBindingError, Expression, ParseContext, ParseError,
-    RewriteRule, ZeroStatus, apply_rules, call, collect, const, differentiate,
-    evaluate, format_expression, func, indep, is_zero, jet, normalize, one,
-    param, parse, replace_atoms, substitute, sym, zero, zero_status,
+    Call, CollectError, CyclicBindingError, Expression, ParseContext,
+    ParseError, RewriteRule, Symbol, ZeroStatus, apply_rules, call, collect,
+    const, dep, differentiate, evaluate, format_expression, func, indep,
+    is_zero, jet, normalize, one, param, parse, replace_atoms, substitute,
+    sym, zero, zero_status,
 )
-from noncartan.expr import monomial_expression
+from noncartan.expr import JET, OPAQUE, atom_expr, monomial_expression
 
 from helpers import (
-    random_expression, reference_collect, reference_differentiate,
-    reference_monomial_expression, reference_replace_atoms,
-    reference_substitute,
+    random_expression, reference_collect, reference_contains,
+    reference_differentiate, reference_monomial_expression,
+    reference_replace_atoms, reference_sort_key, reference_substitute,
 )
 
 X = indep("x")
@@ -247,3 +254,91 @@ def test_rebuild_matches_reference_loops_randomized():
         for mon, _c in e.num:
             expected = reference_monomial_expression(mon)
             assert monomial_expression(mon) == expected
+
+
+# ---------------------------------------------------------------------------
+# Atoms: cached sort keys and hashes, structural equality
+
+
+def _random_head(rng):
+    arity = rng.randint(1, 2)
+    dorders = tuple(rng.choice((0, 0, 1, 2)) for _ in range(arity))
+    if rng.random() < 0.15:
+        # index and order play no part in base(), which resets them
+        return Symbol(rng.choice("fg"), OPAQUE, index=1,
+                      order=rng.randint(0, 1), arity=arity, dorders=dorders)
+    return func(rng.choice("fg"), arity, dorders)
+
+
+def _random_atoms(rng, n):
+    atoms = [X, Y, P, param("a"), dep(2, "w"), jet(2, 3, "w")]
+    while len(atoms) < n:
+        head = _random_head(rng)
+        args = tuple(random_expression(rng, 1, [atom_expr(a) for a in atoms])
+                     for _ in range(head.arity))
+        atoms.append(Call(head, args))
+    return atoms
+
+
+def test_atom_keys_cached_and_structural():
+    x = sym(X)
+    assert Symbol("y", JET, index=1, order=2) == jet(1, 2, "y")
+    assert hash(Symbol("y", JET, index=1, order=2)) == hash(jet(1, 2, "y"))
+    # a jet of order zero is the dependent variable, in key and hash too
+    y0 = Symbol("y", JET, order=0)
+    assert y0 == dep(0, "y")
+    assert hash(y0) == hash(dep(0, "y"))
+    assert y0.sort_key() == dep(0, "y").sort_key() == reference_sort_key(y0)
+    c1 = Call(func("f", 2, (1, 0)), (x + 1, call(func("g"), x / 3)))
+    c2 = Call(func("f", 2, (1, 0)), (x + 1, call(func("g"), x / 3)))
+    assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
+    assert c1 != Call(func("f", 2, (0, 1)), c1.args)
+    for a in (X, y0, c1):
+        # the dataclass hash of the fields, so set orders are unchanged
+        fields = tuple(getattr(a, f) for f in a.__dataclass_fields__)
+        assert hash(a) == hash(fields)
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and hash(b) == hash(a)
+            assert b.sort_key() == a.sort_key()
+            assert {a: 1}[b] == 1
+    rng = random.Random(5)
+    for a in _random_atoms(rng, 60):
+        assert a.sort_key() == reference_sort_key(a)
+
+
+def test_atom_hash_survives_pickle_across_processes():
+    """A hash stored in a pickle would be stale in a process with another
+    string-hash seed; unpickling rebuilds the atoms instead."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(noncartan.__file__)))
+    code = ("import pickle, sys\n"
+            "from noncartan import call, func, indep, sym\n"
+            "x = sym(indep('x'))\n"
+            "e = call(func('f', 2, (1, 0)), x + 1, call(func('g'), x / 3))\n"
+            "sys.stdout.buffer.write(pickle.dumps((indep('x'), e)))\n")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True, timeout=60).stdout
+    s, e = pickle.loads(out)
+    x = sym(indep("x"))
+    here = call(func("f", 2, (1, 0)), x + 1, call(func("g"), x / 3))
+    assert s == X and hash(s) == hash(X)
+    assert e == here and hash(e) == hash(here)
+    assert {here: 1}[e] == 1
+
+
+def test_contains_matches_reference_randomized():
+    rng = random.Random(13)
+    hits = base_hits = 0
+    for _ in range(300):
+        atoms = _random_atoms(rng, 9)
+        e = random_expression(rng, 3, [atom_expr(a) for a in atoms])
+        for s in [_random_head(rng), func(rng.choice("fg"), rng.randint(1, 2)),
+                  rng.choice([X, Y, P, param("a")])]:
+            found = e.contains(s)
+            assert found == reference_contains(e, s)
+            hits += found
+            base_hits += found and all(
+                a != s and not (isinstance(a, Call) and a.head == s)
+                for a in e.atoms())
+    assert hits > 100 and base_hits > 30

@@ -1,0 +1,112 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from noncartan.linalg import (
+    InconsistentSystemError, _rref, nullspace, rank, solve,
+)
+
+from helpers import reference_nullspace, reference_rank, reference_solve
+
+
+def _entry(rng, density):
+    if rng.random() >= density:
+        return 0
+    if rng.random() < 0.5:
+        return rng.choice([-3, -2, -1, 1, 2, 5])
+    return Fraction(rng.choice([-7, -2, -1, 1, 3, 4]), rng.randint(1, 6))
+
+
+def random_matrix(rng, nrows, ncols):
+    """Rows of int and Fraction entries at a random density, with zero
+    rows and duplicated (possibly rescaled) rows mixed in."""
+    density = rng.choice([0.05, 0.2, 0.5, 0.9])
+    rows = [[_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows):
+        u = rng.random()
+        if u < 0.1:
+            rows[i] = [0] * ncols
+        elif u < 0.25 and i:
+            k = rng.choice([1, -1, Fraction(2, 3)])
+            rows[i] = [k * v for v in rows[rng.randrange(i)]]
+    return rows
+
+
+def _solve_or_error(fn, rows, rhs):
+    try:
+        return fn(rows, rhs)
+    except InconsistentSystemError:
+        return InconsistentSystemError
+
+
+def _dense_fraction_vectors(vecs, ncols):
+    return all(len(v) == ncols and all(type(c) is Fraction for c in v)
+               for v in vecs)
+
+
+def test_linalg_matches_dense_reference_randomized():
+    rng = random.Random(7)
+    raised = 0
+    for case in range(400):
+        nrows = rng.randint(1, 12)
+        ncols = rng.randint(1, 12)    # wide, square and tall shapes
+        rows = random_matrix(rng, nrows, ncols)
+        assert rank(rows) == reference_rank(rows), case
+        basis = nullspace(rows)
+        assert basis == reference_nullspace(rows), case
+        assert _dense_fraction_vectors(basis, ncols), case
+        assert nullspace(rows, ncols=ncols) == basis, case
+        # the reduced form is unique: the row order does not matter
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert nullspace(shuffled) == basis, case
+        rhs = [_entry(rng, 0.7) for _ in range(nrows)]
+        got = _solve_or_error(solve, rows, rhs)
+        assert got == _solve_or_error(reference_solve, rows, rhs), case
+        if got is InconsistentSystemError:
+            raised += 1
+        else:
+            assert _dense_fraction_vectors([got], ncols), case
+    assert 20 < raised < 380
+
+
+def test_linalg_empty_and_degenerate():
+    assert rank([]) == 0
+    assert nullspace([], ncols=3) == reference_nullspace([], ncols=3)
+    assert nullspace([], ncols=0) == []
+    assert solve([], []) == []
+    zero_rows = [[0, 0, 0], [0, 0, 0]]
+    assert rank(zero_rows) == 0
+    assert nullspace(zero_rows) == reference_nullspace(zero_rows)
+    assert solve(zero_rows, [0, 0]) == [Fraction(0)] * 3
+    with pytest.raises(InconsistentSystemError):
+        solve(zero_rows, [0, 1])
+    # a duplicated row with a different right-hand side
+    with pytest.raises(InconsistentSystemError):
+        solve([[1, 2], [1, 2]], [Fraction(1, 2), 1])
+    assert solve([[2, 4], [1, 2]], [2, 1]) == [Fraction(1), Fraction(0)]
+
+
+def test_linalg_matches_sympy_randomized():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+
+    def frac(v):
+        return Fraction(int(v.p), int(v.q))
+
+    for case in range(60):
+        nrows = rng.randint(1, 9)
+        ncols = rng.randint(1, 9)
+        rows = random_matrix(rng, nrows, ncols)
+        m = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                           for v in map(Fraction, row)] for row in rows])
+        red, pivots = m.rref()
+        ours = _rref(rows)
+        assert sorted(ours) == list(pivots), case
+        assert [[ours[pc].get(c, 0) for c in range(ncols)]
+                for pc in pivots] == [[frac(v) for v in red.row(i)]
+                                      for i in range(len(pivots))], case
+        assert rank(rows) == len(pivots), case
+        assert nullspace(rows) == [[frac(v) for v in vec]
+                                   for vec in m.nullspace()], case
