@@ -229,10 +229,10 @@ def _normal_form_2x2(a: Expression, b: Expression, c: Expression,
 
 
 def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
-                             rules=(), seed: int = 0) -> ClassificationVerdict:
+                             rules=()) -> ClassificationVerdict:
     """A trace-free 2x2 normal form admits a non-Cartan symmetry iff it
-    is the trivial system (A = B = C = 0).  `seed` seeds every zero test."""
-    statuses = [(name, zero_status(e, rules, seed))
+    is the trivial system (A = B = C = 0)."""
+    statuses = [(name, zero_status(e, rules))
                 for name, e in (("A", a), ("B", b), ("C", c))]
     obstructions = [name for name, st in statuses if st is ZeroStatus.NONZERO]
     if obstructions:
@@ -247,8 +247,7 @@ def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
     witnesses = non_cartan_generators(2, src, ctx)
     system = _normal_form_2x2(zero(), zero(), zero())
     for wfield in witnesses:
-        if not all(is_zero(r, seed=seed)
-                   for r in invariance_residual(wfield, system)):
+        if not all(is_zero(r) for r in invariance_residual(wfield, system)):
             raise AssertionError("witness failed re-verification")
     return ClassificationVerdict(True, tuple(witnesses), tuple(reason))
 
