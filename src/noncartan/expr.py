@@ -213,22 +213,21 @@ def _terms_from_dict(d: dict) -> tuple:
 
 
 def _tadd(a: dict, b: Iterable) -> dict:
+    """Add the terms b into the term dict a, dropping terms that cancel."""
     for m, c in b:
-        a[m] = a.get(m, Fraction(0)) + c
-        if a[m] == 0:
-            del a[m]
+        old = a.get(m)
+        if old is not None:
+            c += old
+            if not c:
+                del a[m]
+                continue
+        a[m] = c
     return a
 
 
 def _tmul(a, b) -> dict:
-    out = {}
-    for m1, c1 in a:
-        for m2, c2 in b:
-            m = _mon_mul(m1, m2)
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-            if out[m] == 0:
-                del out[m]
-    return out
+    return _tadd({}, ((_mon_mul(m1, m2), c1 * c2)
+                      for m1, c1 in a for m2, c2 in b))
 
 
 _ONE_TERMS = ((_ONE_MON, Fraction(1)),)
@@ -427,8 +426,12 @@ class Expression:
 
 
 def _cancel_monomial_gcd(num, den):
-    """Divide out the largest monomial (and rational content) common to
-    every term of both numerator and denominator."""
+    """Divide out the largest monomial common to every term of both
+    numerator and denominator."""
+    if not den[0][0]:
+        # the empty monomial sorts first; a denominator with a constant
+        # term shares no monomial with anything, so nothing is scanned
+        return num, den
     common = dict(num[0][0])
     for terms in (num, den):
         for mon, _ in terms:
@@ -519,10 +522,39 @@ def _sum(pieces: Iterable[Expression]) -> Expression:
 
 def _product(c, mon, image) -> Expression:
     """const(c) times image(a) ** k for each (a, k) of the monomial, in
-    order."""
-    out = const(c)
-    for a, k in mon:
-        out = out * image(a) ** k
+    order, structurally equal to folding with `*` from const(c).
+    Multiplying polynomials (denominator one) cancels, rescales and
+    collapses nothing, and their product is exact and commutative, so the
+    leading run of polynomial factors is multiplied in one term dict:
+    one-term factors go straight into one monomial and coefficient, then
+    the dict is multiplied by each multi-term factor, k times for the
+    power k.  From the first other factor on, the product goes through
+    `*`."""
+    coeff = Fraction(c)
+    powers = {}
+    polys = []
+    rational = None
+    factors = iter(mon)
+    for a, k in factors:
+        f = image(a)
+        if f.den != _ONE_TERMS:
+            rational = f ** k
+            break
+        if len(f.num) == 1:
+            (m, fc), = f.num
+            coeff *= fc ** k
+            for b, e in m:
+                powers[b] = powers.get(b, 0) + e * k
+        else:
+            polys.extend([f.num] * k)
+    acc = {_mk_mon(powers): coeff}
+    for p in polys:
+        acc = _tmul(acc.items(), p)
+    out = Expression._make(acc, _ONE_TERMS)
+    if rational is not None:
+        out = out * rational
+        for a, k in factors:
+            out = out * image(a) ** k
     return out
 
 
@@ -554,7 +586,8 @@ def _diff_poly(terms, s: Symbol) -> Expression:
                 da = _diff_atom(a, s)
                 if not da.is_rational_zero():
                     lowered = _mon_sub(mon, ((a, 1),))
-                    yield Expression(((lowered, c * k),), _ONE_TERMS) * da
+                    term = Expression(((lowered, c * k),), _ONE_TERMS)
+                    yield term if da is _ONE else term * da
 
     return _sum(pieces())
 
@@ -609,16 +642,23 @@ def replace_atoms(e: Expression, mapping: Mapping[Atom, Expression]) -> Expressi
 
 
 def _replace(e: Expression, mapping) -> Expression:
-    """Map every atom through `mapping` and rebuild e from the images.
-    An atom the mapping lacks stands for itself, except that an opaque
-    call has its arguments rebuilt the same way."""
+    """Map every atom through `mapping` and rebuild e from the images,
+    each term through `_product` and the terms through `_sum`.  An atom
+    the mapping lacks stands for itself, except that an opaque call has
+    its arguments rebuilt the same way.  Each atom's image is computed
+    once per call."""
+    images = dict(mapping)
+
     def image(a):
-        if a in mapping:
-            return mapping[a]
-        if isinstance(a, Call):
-            args = tuple(rebuild(arg) for arg in a.args)
-            return atom_expr(Call(a.head, args))
-        return atom_expr(a)
+        f = images.get(a)
+        if f is None:
+            if isinstance(a, Call):
+                f = atom_expr(Call(a.head, tuple(rebuild(arg)
+                                                 for arg in a.args)))
+            else:
+                f = atom_expr(a)
+            images[a] = f
+        return f
 
     def poly(terms):
         return _sum(_product(c, mon, image) for mon, c in terms)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Expression, Symbol, default_dep_names, dep, differentiate, indep, jet, sym,
+    Expression, Symbol, _sum, default_dep_names, dep, differentiate, indep,
+    jet, sym,
 )
 
 __all__ = ["JetContext", "VectorField", "ProlongedField",
@@ -77,10 +78,10 @@ class VectorField:
     def apply_to(self, e: Expression) -> Expression:
         """The field acting as a derivation on a function of the point
         coordinates."""
-        out = self.xi * differentiate(e, self.context.x)
-        for j in range(1, self.context.m + 1):
-            out = out + self.phi[j - 1] * differentiate(e, self.context.y(j))
-        return out
+        ctx = self.context
+        return _sum([self.xi * differentiate(e, ctx.x)]
+                    + [self.phi[j - 1] * differentiate(e, ctx.y(j))
+                       for j in range(1, ctx.m + 1)])
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.context != other.context:
@@ -112,11 +113,10 @@ class ProlongedField:
 
     def apply_to(self, e: Expression) -> Expression:
         ctx = self.base.context
-        out = self.base.xi * differentiate(e, ctx.x)
-        for j in range(1, ctx.m + 1):
-            for k in range(0, self.p + 1):
-                out = out + self.coeff(j, k) * differentiate(e, ctx.jet(j, k))
-        return out
+        return _sum([self.base.xi * differentiate(e, ctx.x)]
+                    + [self.coeff(j, k) * differentiate(e, ctx.jet(j, k))
+                       for j in range(1, ctx.m + 1)
+                       for k in range(0, self.p + 1)])
 
 
 def total_derivative(e: Expression, ctx: JetContext) -> Expression:
@@ -125,13 +125,13 @@ def total_derivative(e: Expression, ctx: JetContext) -> Expression:
     if top > ctx.order:
         raise JetOrderError(
             "total derivative would exceed jet order %d" % (ctx.order + 1))
-    out = differentiate(e, ctx.x)
+    pieces = [differentiate(e, ctx.x)]
     for j in range(1, ctx.m + 1):
         for k in range(0, max(top, 0) + 1):
             d = differentiate(e, ctx.jet(j, k))
             if not d.is_rational_zero():
-                out = out + sym(ctx.jet(j, k + 1)) * d
-    return out
+                pieces.append(sym(ctx.jet(j, k + 1)) * d)
+    return _sum(pieces)
 
 
 def prolong(v: VectorField, p: int, max_order: int = MAX_PROLONGATION) -> ProlongedField:

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 from noncartan import (
-    Call, Expression, JetContext, Symbol, VectorField, const, indep, jet, one,
-    param, scalar_context, sym, zero,
+    Call, Expression, JetContext, JetOrderError, Symbol, VectorField, const,
+    differentiate, indep, jet, one, param, scalar_context, sym, zero,
 )
 from noncartan.expr import (
-    _KIND_RANK, _ONE_TERMS, _check_acyclic, _mk_mon, _mon_key, atom_expr,
+    _KIND_RANK, _ONE_TERMS, _check_acyclic, _mk_mon, _mon_key, _mon_sub,
+    _terms_from_dict, atom_expr,
 )
 from noncartan.linalg import InconsistentSystemError
 
@@ -182,6 +183,77 @@ def reference_monomial_expression(mon):
     for a, k in mon:
         out = out * atom_expr(a) ** k
     return out
+
+
+def reference_cancel_monomial_gcd(num, den):
+    """The monomial-GCD cancellation that scans every term of both sides,
+    also when the denominator has a constant term."""
+    common = dict(num[0][0])
+    for terms in (num, den):
+        for mon, _ in terms:
+            if not common:
+                break
+            powers = dict(mon)
+            for a in list(common):
+                if a in powers:
+                    common[a] = min(common[a], powers[a])
+                else:
+                    del common[a]
+    if common:
+        g = _mk_mon(common)
+        num = _terms_from_dict(dict((_mon_sub(m, g), c) for m, c in num))
+        den = _terms_from_dict(dict((_mon_sub(m, g), c) for m, c in den))
+    return num, den
+
+
+# ---------------------------------------------------------------------------
+# Reference jet-layer loops: the running `out = out + piece` forms of
+# total_derivative and of both apply_to methods.  The library sums the
+# pieces with one exact sum; tests assert structural equality with these.
+
+
+def reference_total_derivative(e, ctx):
+    top = e.max_jet_order()
+    if top > ctx.order:
+        raise JetOrderError("total derivative would exceed jet order")
+    out = differentiate(e, ctx.x)
+    for j in range(1, ctx.m + 1):
+        for k in range(0, max(top, 0) + 1):
+            d = differentiate(e, ctx.jet(j, k))
+            if not d.is_rational_zero():
+                out = out + sym(ctx.jet(j, k + 1)) * d
+    return out
+
+
+def reference_field_apply(v, e):
+    out = v.xi * differentiate(e, v.context.x)
+    for j in range(1, v.context.m + 1):
+        out = out + v.phi[j - 1] * differentiate(e, v.context.y(j))
+    return out
+
+
+def reference_prolonged_apply(pf, e):
+    ctx = pf.base.context
+    out = pf.base.xi * differentiate(e, ctx.x)
+    for j in range(1, ctx.m + 1):
+        for k in range(0, pf.p + 1):
+            out = out + pf.coeff(j, k) * differentiate(e, ctx.jet(j, k))
+    return out
+
+
+def reference_prolong_coefficients(v, p):
+    """phi^(k+1) = D_x phi^(k) - y^(k+1) D_x xi through the reference
+    total derivative, on a context of order at least p."""
+    ctx = v.context
+    work = JetContext(ctx.m, max(ctx.order, p), ctx.indep_name, ctx.dep_names)
+    dxi = reference_total_derivative(v.xi, work)
+    coeffs = {}
+    for j in range(1, ctx.m + 1):
+        coeffs[(j, 0)] = v.phi[j - 1]
+        for k in range(0, p):
+            coeffs[(j, k + 1)] = (reference_total_derivative(coeffs[(j, k)], work)
+                                  - sym(work.jet(j, k + 1)) * dxi)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

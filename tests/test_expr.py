@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -16,12 +17,16 @@ from noncartan import (
     is_zero, jet, normalize, one, param, parse, replace_atoms, substitute,
     sym, zero, zero_status,
 )
-from noncartan.expr import JET, OPAQUE, atom_expr, monomial_expression
+from noncartan.expr import (
+    JET, OPAQUE, _ONE_MON, _cancel_monomial_gcd, _mk_mon, _terms_from_dict,
+    atom_expr, monomial_expression,
+)
 
 from helpers import (
-    random_expression, reference_collect, reference_contains,
-    reference_differentiate, reference_monomial_expression,
-    reference_replace_atoms, reference_sort_key, reference_substitute,
+    random_expression, reference_cancel_monomial_gcd, reference_collect,
+    reference_contains, reference_differentiate,
+    reference_monomial_expression, reference_replace_atoms,
+    reference_sort_key, reference_substitute,
 )
 
 X = indep("x")
@@ -254,6 +259,104 @@ def test_rebuild_matches_reference_loops_randomized():
         for mon, _c in e.num:
             expected = reference_monomial_expression(mon)
             assert monomial_expression(mon) == expected
+
+
+def _random_polynomial(rng, atoms, terms, degree):
+    """A sum of `terms` random monomials in `atoms`, each of total degree
+    at most `degree`, with small nonzero integer coefficients."""
+    out = zero()
+    for _ in range(terms):
+        term = const(rng.choice((-3, -2, -1, 1, 2, 3)))
+        for _ in range(rng.randint(0, degree)):
+            term = term * rng.choice(atoms)
+        out = out + term
+    return out
+
+
+def test_polynomial_rebuild_matches_reference_randomized():
+    """Substituting polynomial and rational images into monomials with
+    exponents up to 4 equals, structurally, multiplying the images one at
+    a time.  A rational image may come before, between or after the
+    polynomial ones in a monomial; from it on the product must go through
+    `*` in order, because (x + 1) * (1/(x + 1)) collapses to 1 before a
+    later polynomial factor is multiplied in."""
+    rng = random.Random(17)
+    A, B = param("a"), param("b")
+    x, y, p, a, b = sym(X), sym(Y), sym(P), sym(A), sym(B)
+    g = call(func("G"), y + b)          # argument holds the bound y
+    h = call(func("H", 2), x - p, a)     # argument holds the bound p
+    calls = [c.num[0][0][0][0] for c in (g, h)]
+    free = [x, b, call(func("q"), x)]
+    # a monomial in y, p and a takes its factors in that order; every
+    # assignment of these images puts a rational one first, between or
+    # last, and many make a partial product collapse
+    family = [x + 1, -2 / (x + 1), 3 * (x + 1) ** 2, 1 / (x + 1) ** 2,
+              x ** 2 - b]
+    for iy, ip, ia in itertools.product(family, repeat=3):
+        for e in (y * p * a, 3 * y ** 2 * p * a ** 2 - y * p):
+            _assert_same(substitute, reference_substitute, e,
+                         {Y: iy, P: ip, A: ia})
+    assert substitute(y ** 2 * p * a, {Y: x + 1, P: 1 / (x + 1) ** 2,
+                                       A: x + 2}) == x + 2
+    for case in range(80):
+        e = zero()
+        for _ in range(rng.randint(1, 4)):
+            term = const(rng.choice((-2, -1, 1, 3)))
+            for atom in rng.sample([x, y, p, a, b, g, h], rng.randint(1, 4)):
+                term = term * atom ** rng.randint(1, 4)
+            e = e + term
+        images = {}
+        for s in (Y, P, A):
+            kind = rng.random()
+            if kind < 0.4:
+                # multi-term, with x + 1 as a factor half of the time
+                img = _random_polynomial(rng, free, rng.randint(2, 3), 2)
+                if rng.random() < 0.5:
+                    img = img * (x + 1)
+            elif kind < 0.55:
+                # the product (x + b)(x - b) cancels its cross terms
+                img = (x + b) * (x - b)
+            elif kind < 0.6:
+                img = zero()
+            else:
+                img = (_random_polynomial(rng, free, 1, 2)
+                       / (x + 1) ** rng.randint(1, 2))
+            images[s] = img
+        _assert_same(substitute, reference_substitute, e, images)
+        mapping = dict(images)
+        mapping[X] = x                  # an atom mapped to itself
+        mapping[calls[case % 2]] = images[(Y, P, A)[case % 3]]
+        _assert_same(replace_atoms, reference_replace_atoms, e, mapping)
+
+
+def test_cancel_monomial_gcd_matches_reference_randomized():
+    rng = random.Random(19)
+    atoms = [X, Y, P, param("a"), Call(func("f"), (sym(X),))]
+
+    def terms(n, constant):
+        d = {}
+        if constant:
+            d[()] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        shared = {a: rng.randint(1, 2) for a in rng.sample(atoms, 2)}
+        for _ in range(n):
+            powers = dict(shared) if rng.random() < 0.7 else {}
+            for a in rng.sample(atoms, rng.randint(1, 3)):
+                powers[a] = powers.get(a, 0) + rng.randint(1, 3)
+            d[_mk_mon(powers)] = Fraction(rng.choice((-3, -1, 1, 2)),
+                                          rng.randint(1, 4))
+        return _terms_from_dict(d)
+
+    cancelled = with_constant = 0
+    for _ in range(400):
+        num = terms(rng.randint(1, 4), rng.random() < 0.2)
+        den = terms(rng.randint(0, 3), rng.random() < 0.5)
+        if not den:
+            den = ((_ONE_MON, Fraction(1)),)
+        got = _cancel_monomial_gcd(num, den)
+        assert got == reference_cancel_monomial_gcd(num, den)
+        cancelled += got != (num, den)
+        with_constant += not den[0][0]
+    assert cancelled > 50 and 100 < with_constant < 300
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
+import random
+
 import pytest
 
 from noncartan import (
-    JetContext, JetOrderError, VectorField, one, prolong, scalar_context, sym,
-    total_derivative, zero,
+    JetContext, JetOrderError, VectorField, call, func, one, prolong,
+    scalar_context, sym, total_derivative, zero,
+)
+
+from helpers import (
+    random_expression, random_point_field, reference_field_apply,
+    reference_prolong_coefficients, reference_prolonged_apply,
+    reference_total_derivative,
 )
 
 
@@ -83,3 +91,47 @@ def test_apply_to():
     y = sym(ctx.y(1))
     v = VectorField(x, (y,), ctx)
     assert v.apply_to(x * y) == 2 * x * y
+
+
+def test_jet_sums_match_reference_loops_randomized():
+    """total_derivative, both apply_to methods and prolong (through
+    total_derivative) sum their pieces in one exact sum; the results equal,
+    structurally, the running `out = out + piece` loops."""
+    # (x^2 - 1)/(x - 1) - (x + 1) is zero before 1/(x + 1) is added; in
+    # another order the pieces would sum to a larger, unequal quotient
+    ctx = JetContext(2, 4)
+    x = sym(ctx.x)
+    v = VectorField((x ** 2 - 1) / (x - 1), (-(x + 1), 1 / (x + 1)), ctx)
+    e = x + sym(ctx.y(1)) + sym(ctx.y(2))
+    assert v.apply_to(e) == prolong(v, 2).apply_to(e) == 1 / (x + 1)
+    rng = random.Random(23)
+
+    def component(ctx, coords, p):
+        poly = random_point_field(rng, ctx).xi
+        kind = rng.random()
+        if kind < 0.3:
+            return poly
+        # an opaque call with a rational argument; a non-monomial
+        # denominator only at order one, since without polynomial GCDs
+        # it grows with every derivative
+        f = call(func(rng.choice("fg")), rng.choice(coords) / rng.choice(coords))
+        if kind < 0.8 or p > 1:
+            return poly + f * rng.choice(coords)
+        return f / (coords[0] + 1)
+
+    for case in range(32):
+        ctx = JetContext(1 + case // 4 % 2, 4)
+        coords = [sym(s) for s in ctx.point_symbols()]
+        p = 1 + case % 4
+        v = VectorField(component(ctx, coords, p),
+                        tuple(component(ctx, coords, p)
+                              for _ in range(ctx.m)), ctx)
+        e = random_expression(rng, 3, coords + [component(ctx, coords, p)])
+        assert v.apply_to(e) == reference_field_apply(v, e)
+        pf = prolong(v, p)
+        assert pf.coefficients == reference_prolong_coefficients(v, p)
+        jets = [sym(ctx.jet(j, k)) for j in range(1, ctx.m + 1)
+                for k in range(1, p + 1)]
+        je = random_expression(rng, 2, coords + jets)
+        assert pf.apply_to(je) == reference_prolonged_apply(pf, je)
+        assert total_derivative(je, ctx) == reference_total_derivative(je, ctx)
