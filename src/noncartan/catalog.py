@@ -6,7 +6,6 @@ nonlinear family admitting them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .expr import (
@@ -244,7 +243,7 @@ def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
             resid = resid + ansatz[j - 2] * src.d(s_k, n - j)
         resid = apply_rules(resid, src.rules)
         for lin, cst in linalg.linear_equations_in_params(resid, params):
-            rows.append([lin.get(p, Fraction(0)) for p in params])
+            rows.append([lin.get(p, 0) for p in params])
             rhs.append(-cst)
     if params:
         sol = linalg.solve(rows, rhs)

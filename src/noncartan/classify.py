@@ -6,12 +6,12 @@ for 2x2 systems."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .expr import (
-    Call, Expression, OpaqueArgumentError, Symbol, ZeroStatus, call, collect,
-    differentiate, func, is_zero, one, param, sym, zero, zero_status,
+    _ONE_TERMS, Call, Expression, OpaqueArgumentError, Symbol, ZeroStatus,
+    call, collect, differentiate, func, is_zero, one, param, sym, zero,
+    zero_status,
 )
 from .jet import JetContext, VectorField
 from .symmetry import (
@@ -127,8 +127,8 @@ def cubic_in_p_test(f: Expression, p: Symbol = None) -> bool:
                     raise OpaqueArgumentError(
                         "p occurs inside an opaque argument; "
                         "the cubic test does not apply")
-    num = Expression(f.num, ((tuple(), Fraction(1)),))
-    den = Expression(f.den, ((tuple(), Fraction(1)),))
+    num = Expression(f.num, _ONE_TERMS)
+    den = Expression(f.den, _ONE_TERMS)
     ncoef = _poly_coeffs(num, p)
     dcoef = _poly_coeffs(den, p)
     ddeg = max(dcoef) if dcoef else 0
@@ -354,7 +354,7 @@ def brute_force_non_cartan_search(a: Expression, b: Expression, c: Expression,
         for lin, cst in linalg.linear_equations_in_params(res, params):
             if cst != 0:
                 raise AssertionError("homogeneous system expected")
-            rows.append([lin.get(p, Fraction(0)) for p in params])
+            rows.append([lin.get(p, 0) for p in params])
     basis = linalg.nullspace(rows, ncols=len(params))
     for vec in basis:
         if any(vec[i] != 0 for i in noncartan_slots):

@@ -1,19 +1,24 @@
 """Minimal exact computer-algebra core.
 
 Expressions are kept in a canonical rational normal form: a pair of
-multivariate polynomials (numerator, denominator) with Fraction
+multivariate polynomials (numerator, denominator) with exact rational
 coefficients over a vocabulary of atoms.  Atoms are either plain symbols
 (independent variable, dependent variables, jet derivatives, parameters)
 or applications of opaque function symbols whose arguments are again
-expressions.  Exponents are positive integers; negative powers live in
-the denominator.  The zero test is decidable on the opaque-free
-fragment; a seeded numeric-sampling fallback covers identities involving
-opaque functions.
+expressions.  A coefficient is an `int` while its value is integral and a
+`Fraction` otherwise; since `Fraction(n) == n`, `hash(Fraction(n)) ==
+hash(n)` and `str(Fraction(n)) == str(n)`, the choice shows in neither
+equality, hashing nor printing, and ints are far cheaper to compute
+with.  Exponents are positive integers; negative powers live in the
+denominator.  The zero test is decidable on the opaque-free fragment; a
+seeded numeric-sampling fallback covers identities involving opaque
+functions.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import random
 import zlib
@@ -183,19 +188,19 @@ class Call:
 Atom = Union[Symbol, Call]
 
 # A monomial is a tuple of (atom, positive-exponent) pairs sorted by the
-# atom sort key; terms are a tuple of (monomial, Fraction) pairs sorted
-# by monomial key.
+# atom sort key; terms are a tuple of (monomial, coefficient) pairs
+# sorted by monomial key, each coefficient an int or a Fraction.
 
 _ONE_MON = ()
 
 
 def _mon_key(mon):
-    return tuple((a.sort_key(), e) for a, e in mon)
+    return tuple([(a._key, e) for a, e in mon])
 
 
 def _mk_mon(powers: dict) -> tuple:
     items = [(a, e) for a, e in powers.items() if e != 0]
-    items.sort(key=lambda ae: ae[0].sort_key())
+    items.sort(key=lambda ae: ae[0]._key)
     return tuple(items)
 
 
@@ -230,7 +235,16 @@ def _tmul(a, b) -> dict:
                       for m1, c1 in a for m2, c2 in b))
 
 
-_ONE_TERMS = ((_ONE_MON, Fraction(1)),)
+_ONE_TERMS = ((_ONE_MON, 1),)
+
+
+def _quo(a, b):
+    """The exact quotient a / b of two coefficients: an int when it is
+    integral, else a Fraction (`/` on two ints would give a float)."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +274,8 @@ class Expression:
         # make the denominator's leading coefficient one
         lead = den[0][1]
         if lead != 1:
-            num = tuple((m, c / lead) for m, c in num)
-            den = tuple((m, c / lead) for m, c in den)
+            num = tuple((m, _quo(c, lead)) for m, c in num)
+            den = tuple((m, _quo(c, lead)) for m, c in den)
         # constant-multiple collapse: num == k * den
         if len(num) == len(den) and den != _ONE_TERMS:
             ratio = None
@@ -269,7 +283,7 @@ class Expression:
                 if mn != md:
                     ratio = None
                     break
-                r = cn / cd
+                r = _quo(cn, cd)
                 if ratio is None:
                     ratio = r
                 elif r != ratio:
@@ -291,7 +305,7 @@ class Expression:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant: %s" % format_expression(self))
-        return self.num[0][1] if self.num else Fraction(0)
+        return Fraction(self.num[0][1]) if self.num else Fraction(0)
 
     # -- traversal ----------------------------------------------------
 
@@ -472,14 +486,19 @@ def one() -> Expression:
 
 
 def const(v) -> Expression:
-    c = Fraction(v)
+    if type(v) is int:
+        c = v
+    else:
+        c = Fraction(v)
+        if c.denominator == 1:
+            c = c.numerator
     if c == 0:
         return _ZERO
     return Expression(((_ONE_MON, c),), _ONE_TERMS)
 
 
 def atom_expr(a: Atom) -> Expression:
-    return Expression(((((a, 1),), Fraction(1)),), _ONE_TERMS)
+    return Expression(((((a, 1),), 1),), _ONE_TERMS)
 
 
 def sym(s: Symbol) -> Expression:
@@ -508,8 +527,12 @@ def _sum(pieces: Iterable[Expression]) -> Expression:
     polynomial cancels, rescales and collapses nothing, so the leading
     run of polynomial pieces goes into one term dict that is normalized
     once; from the first other piece on, the sum goes through `+`."""
-    acc = {}
-    pieces = iter(pieces)
+    return _sum_into({}, iter(pieces))
+
+
+def _sum_into(acc: dict, pieces: Iterator[Expression]) -> Expression:
+    """`_sum` of the polynomial whose terms are in the term dict acc,
+    followed by the pieces."""
     for piece in pieces:
         if piece.den != _ONE_TERMS:
             total = Expression._make(acc, _ONE_TERMS) + piece
@@ -517,6 +540,24 @@ def _sum(pieces: Iterable[Expression]) -> Expression:
                 total = total + piece
             return total
         _tadd(acc, piece.num)
+    return Expression._make(acc, _ONE_TERMS)
+
+
+def _dot(pairs: Iterable[tuple]) -> Expression:
+    """The sum of f * g over the pairs (f, g), structurally equal to
+    `_sum(f * g for f, g in pairs)`.  The product of two polynomials is
+    their term products, with nothing to cancel, rescale or collapse, so
+    while both factors are polynomials those go straight into the sum's
+    term dict; from the first pair with a rational factor on, each
+    product goes through `*` and the sum continues as in `_sum`."""
+    acc = {}
+    pairs = iter(pairs)
+    for f, g in pairs:
+        if f.den != _ONE_TERMS or g.den != _ONE_TERMS:
+            return _sum_into(acc, itertools.chain(
+                [f * g], (f * g for f, g in pairs)))
+        _tadd(acc, ((_mon_mul(m1, m2), c1 * c2)
+                    for m1, c1 in f.num for m2, c2 in g.num))
     return Expression._make(acc, _ONE_TERMS)
 
 
@@ -530,7 +571,7 @@ def _product(c, mon, image) -> Expression:
     the dict is multiplied by each multi-term factor, k times for the
     power k.  From the first other factor on, the product goes through
     `*`."""
-    coeff = Fraction(c)
+    coeff = c
     powers = {}
     polys = []
     rational = None

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Expression, Symbol, _sum, default_dep_names, dep, differentiate, indep,
-    jet, sym,
+    Expression, Symbol, _dot, default_dep_names, dep, differentiate, indep,
+    jet, one, sym,
 )
 
 __all__ = ["JetContext", "VectorField", "ProlongedField",
@@ -79,8 +79,8 @@ class VectorField:
         """The field acting as a derivation on a function of the point
         coordinates."""
         ctx = self.context
-        return _sum([self.xi * differentiate(e, ctx.x)]
-                    + [self.phi[j - 1] * differentiate(e, ctx.y(j))
+        return _dot([(self.xi, differentiate(e, ctx.x))]
+                    + [(self.phi[j - 1], differentiate(e, ctx.y(j)))
                        for j in range(1, ctx.m + 1)])
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -113,8 +113,8 @@ class ProlongedField:
 
     def apply_to(self, e: Expression) -> Expression:
         ctx = self.base.context
-        return _sum([self.base.xi * differentiate(e, ctx.x)]
-                    + [self.coeff(j, k) * differentiate(e, ctx.jet(j, k))
+        return _dot([(self.base.xi, differentiate(e, ctx.x))]
+                    + [(self.coeff(j, k), differentiate(e, ctx.jet(j, k)))
                        for j in range(1, ctx.m + 1)
                        for k in range(0, self.p + 1)])
 
@@ -125,13 +125,13 @@ def total_derivative(e: Expression, ctx: JetContext) -> Expression:
     if top > ctx.order:
         raise JetOrderError(
             "total derivative would exceed jet order %d" % (ctx.order + 1))
-    pieces = [differentiate(e, ctx.x)]
+    pairs = [(one(), differentiate(e, ctx.x))]
     for j in range(1, ctx.m + 1):
         for k in range(0, max(top, 0) + 1):
             d = differentiate(e, ctx.jet(j, k))
             if not d.is_rational_zero():
-                pieces.append(sym(ctx.jet(j, k + 1)) * d)
-    return _sum(pieces)
+                pairs.append((sym(ctx.jet(j, k + 1)), d))
+    return _dot(pairs)
 
 
 def prolong(v: VectorField, p: int, max_order: int = MAX_PROLONGATION) -> ProlongedField:

@@ -2,11 +2,11 @@
 linear systems in unknown parameters from symbolic identities.
 
 `rank`, `nullspace` and `solve` share one sparse Gauss-Jordan routine,
-`_rref`, which keeps each row as a dict of its nonzero Fraction entries:
-the determining systems it serves are large and mostly zeros.  Inputs are
-dense rows and outputs dense Fraction vectors.  The reduced row echelon
-form is unique, so the bases and solutions do not depend on the order in
-which rows are eliminated."""
+`_rref`, which keeps each row as a dict of its nonzero entries: the
+determining systems it serves are large and mostly zeros.  Inputs are
+dense rows of ints and Fractions, outputs dense Fraction vectors.  The
+reduced row echelon form is unique, so the bases and solutions do not
+depend on the order in which rows are eliminated."""
 
 from __future__ import annotations
 
@@ -103,23 +103,24 @@ def linear_equations_in_params(e: Expression, params):
 
     The expression's numerator is expanded; grouping by the monomials in
     everything except the parameters yields one equation per group, each
-    returned as (coefficient map param -> Fraction, constant Fraction),
-    meaning sum(coeff * param) + constant = 0.
+    returned as (coefficient map param -> coefficient, constant),
+    meaning sum(coeff * param) + constant = 0.  The values are exact:
+    an int where integral, else a Fraction, like the expression's own
+    coefficients.
     """
     params = list(params)
     pset = set(params)
-    num = Expression(e.num, ((tuple(), Fraction(1)),))
     groups = {}
-    for mon, c in num.num:
+    for mon, c in e.num:
         pvars = [(a, k) for a, k in mon if isinstance(a, Symbol) and a in pset]
         if sum(k for _, k in pvars) > 1:
             raise ValueError("expression is not affine in the parameters")
         rest = tuple((a, k) for a, k in mon
                      if not (isinstance(a, Symbol) and a in pset))
-        lin, cst = groups.setdefault(rest, ({}, [Fraction(0)]))
+        lin, cst = groups.setdefault(rest, ({}, [0]))
         if pvars:
             p = pvars[0][0]
-            lin[p] = lin.get(p, Fraction(0)) + c
+            lin[p] = lin.get(p, 0) + c
         else:
             cst[0] += c
     out = []

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from . import linalg
 from .expr import (
-    DEP, Call, Expression, Symbol, apply_rules, collect, is_zero, substitute,
-    sym, zero,
+    _ONE_TERMS, DEP, Call, Expression, Symbol, apply_rules, collect, is_zero,
+    substitute, sym, zero,
 )
 from .jet import JetContext, VectorField, prolong
 
@@ -246,7 +246,7 @@ class LieAlgebraReport:
 
 def _flatten_fields(component_lists):
     """Given per-field component tuples, clear denominators per slot and
-    return Fraction coefficient vectors over a shared monomial basis."""
+    return exact coefficient vectors over a shared monomial basis."""
     nslots = len(component_lists[0])
     slot_polys = []
     for s in range(nslots):
@@ -258,10 +258,10 @@ def _flatten_fields(component_lists):
         polys = []
         for comps in component_lists:
             e = comps[s]
-            scaled = Expression(e.num, ((tuple(), Fraction(1)),))
+            scaled = Expression(e.num, _ONE_TERMS)
             for d in dens:
                 if d != e.den:
-                    scaled = scaled * Expression(d, ((tuple(), Fraction(1)),))
+                    scaled = scaled * Expression(d, _ONE_TERMS)
             polys.append(scaled)
         slot_polys.append(polys)
     monomials = []

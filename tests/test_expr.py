@@ -18,8 +18,8 @@ from noncartan import (
     sym, zero, zero_status,
 )
 from noncartan.expr import (
-    JET, OPAQUE, _ONE_MON, _cancel_monomial_gcd, _mk_mon, _terms_from_dict,
-    atom_expr, monomial_expression,
+    JET, OPAQUE, _ONE_MON, _cancel_monomial_gcd, _dot, _mk_mon, _sum,
+    _terms_from_dict, atom_expr, monomial_expression,
 )
 
 from helpers import (
@@ -445,3 +445,171 @@ def test_contains_matches_reference_randomized():
                 a != s and not (isinstance(a, Call) and a.head == s)
                 for a in e.atoms())
     assert hits > 100 and base_hits > 30
+
+
+# ---------------------------------------------------------------------------
+# Coefficient domain: an int while integral, a Fraction otherwise
+
+
+_FRACTION_ONE = ((_ONE_MON, Fraction(1)),)
+
+
+def _fraction_number(v):
+    """The constant v with its coefficient stored as a Fraction, integral
+    or not, and a Fraction unit denominator."""
+    return Expression(((_ONE_MON, Fraction(v)),) if v else (), _FRACTION_ONE)
+
+
+def _fraction_atom(a):
+    return Expression(((((a, 1),), Fraction(1)),), _FRACTION_ONE)
+
+
+def _coefficients(e):
+    """Every coefficient of e, including those in opaque-call arguments."""
+    args = [arg for a in e.atoms() if isinstance(a, Call) for arg in a.args]
+    for x in [e] + args:
+        for terms in (x.num, x.den):
+            for _mon, c in terms:
+                yield c
+
+
+def _assert_same_value(a, b):
+    """a and b are equal, hash alike and print alike, and each of their
+    coefficients is an int or a Fraction (never a float or a bool)."""
+    assert a == b and hash(a) == hash(b)
+    assert format_expression(a) == format_expression(b)
+    for c in itertools.chain(_coefficients(a), _coefficients(b)):
+        assert type(c) in (int, Fraction), (type(c), format_expression(a))
+
+
+def _domain_build(rng, number, atom, atoms, depth):
+    """A random expression over `atoms` from the recipe that rng draws:
+    constants come from number(v), atoms from atom(a), and some atoms are
+    calls q(arg) with a random argument built the same way."""
+    if depth == 0 or rng.random() < 0.3:
+        u = rng.random()
+        if u < 0.3:
+            return number(Fraction(rng.randint(-4, 4),
+                                   rng.choice((1, 1, 2, 3))))
+        if u < 0.4:
+            arg = _domain_build(rng, number, atom, atoms, 1)
+            return atom(Call(func("q"), (arg,)))
+        return atom(rng.choice(atoms))
+    left = _domain_build(rng, number, atom, atoms, depth - 1)
+    right = _domain_build(rng, number, atom, atoms, depth - 1)
+    op = rng.random()
+    if op < 0.3:
+        return left + right
+    if op < 0.5:
+        return left - right
+    if op < 0.75:
+        return left * right
+    if op < 0.85 and not left.is_rational_zero():
+        return left ** rng.choice((2, 3, -1, -2))
+    return left / right if not right.is_rational_zero() else left
+
+
+def _or_zero_division(fn, *args):
+    """fn(*args), or zero() when an image of zero meets a denominator."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return zero()
+
+
+def test_coefficient_domain_randomized():
+    """Expressions built from int inputs and the same expressions built
+    with every input coefficient stored as a Fraction stay equal, hash
+    alike and print alike through every operation, and no operation
+    produces a float or a bool coefficient."""
+    A, B = param("a"), param("b")
+    atoms = [X, Y, P, A, B, Call(func("q"), (sym(X),))]
+    free = [X, A, B]
+    builds = [(const, atom_expr), (_fraction_number, _fraction_atom)]
+    q_prime = Call(func("q", 1, (1,)), (sym(X),))
+    kinds = set()
+    for case in range(120):
+        per_build = []
+        for number, atom in builds:
+            rng = random.Random(case)
+            e = _domain_build(rng, number, atom, atoms, 3)
+            g = _domain_build(rng, number, atom, atoms, 2)
+            images = [_domain_build(rng, number, atom, free, 2)
+                      for _ in range(3)]
+            rule = RewriteRule(
+                func("q", 1, (1,)),
+                number(Fraction(2, 3)) * atom(Call(func("q"), (sym(X),)))
+                - atom(X), X)
+            results = [e, g, e + g, e - g, e * g, e ** 2, -e]
+            if not g.is_rational_zero():
+                results += [e / g, g ** -1]
+            results += [differentiate(e, s) for s in (X, Y, P)]
+            results.append(_or_zero_division(
+                substitute, e, {Y: images[0], P: images[1]}))
+            results.append(_or_zero_division(
+                replace_atoms, e, {atoms[-1]: images[2], A: images[0]}))
+            results.append(apply_rules(differentiate(e, X) + atom(q_prime),
+                                       (rule,)))
+            try:
+                groups = collect(e, [P])
+            except CollectError:
+                groups = {}
+            results.extend(groups.values())
+            results.append(parse(format_expression(e), ParseContext(1)))
+            per_build.append(results)
+        ints, fractions = per_build
+        assert len(ints) == len(fractions)
+        for a, b in zip(ints, fractions):
+            _assert_same_value(a, b)
+            kinds.update(type(c) for c in _coefficients(a))
+        assert ints[-1] == ints[0]
+        kinds.update(type(c) for c in _coefficients(fractions[0]))
+    assert kinds == {int, Fraction}
+
+
+def test_coefficient_domain_fixed_cases():
+    x = sym(X)
+    for v in (3, Fraction(6, 2), True, 3.0):
+        assert type(const(v).num[0][1]) is int
+    assert type(const(Fraction(1, 2)).num[0][1]) is Fraction
+    assert type((x * True).num[0][1]) is int
+    # rescaling by the leading denominator coefficient and the collapse
+    # ratio are exact quotients
+    half = x / (2 * x + 2)
+    assert [type(c) for _m, c in half.num] == [Fraction]
+    assert [type(c) for _m, c in half.den] == [int, int]
+    assert (4 * x + 2) / (2 * x + 1) == const(2)
+    assert type(((4 * x + 2) / (2 * x + 1)).num[0][1]) is int
+    assert type(((2 * x + 2) / (4 * x + 4)).num[0][1]) is Fraction
+    # an integral quotient of two Fractions is an int too
+    e = (x / 2) / (const(Fraction(1, 2)) + x / 3)
+    assert [type(c) for _m, c in e.num] == [int]
+    assert [type(c) for _m, c in e.den] == [int, Fraction]
+    for e in (const(3), zero(), x / x, const(Fraction(5, 2)),
+              _fraction_number(4), (6 * x) / (4 * x)):
+        assert type(e.constant_value()) is Fraction
+    assert (6 * x / (4 * x)).constant_value() == Fraction(3, 2)
+
+
+def test_dot_matches_sum_of_products():
+    """_dot equals, structurally, _sum(f * g for f, g in pairs): rational
+    pairs come first, in the middle or last, some products cancel each
+    other, and some rational pairs have polynomial products."""
+    x, y, a = sym(X), sym(Y), sym(param("a"))
+    family = [
+        (x + 1, y - a), (y - a, -(x + 1)), (x + 1, const(-1)), (x, const(3)),
+        (zero(), x + y), ((x + a) * (x - a), y),
+        (one(), (x ** 2 - 1) / (x - 1)), (one(), 1 / (x + 1)),
+        (1 / (x + 1), y / (x - a)), (x / (y + 1), const(-1)),
+        (x + 1, 1 / (x + 1)),
+    ]
+    assert _dot([]) == zero()
+    # the running sum (x^2-1)/(x-1) - (x+1) is zero before 1/(x+1) is added
+    assert _dot([family[6], family[2], family[7]]) == 1 / (x + 1)
+    for pairs in itertools.product(family, repeat=3):
+        assert _dot(pairs) == _sum(f * g for f, g in pairs)
+    rng = random.Random(31)
+    for _ in range(200):
+        pairs = [(random_expression(rng, 2), random_expression(rng, 2))
+                 for _ in range(rng.randint(0, 5))]
+        assert _dot(iter(pairs)) == _sum(f * g for f, g in pairs)

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from noncartan import Expression, const, indep, jet, param, sym
+from noncartan.expr import _ONE_TERMS, monomial_expression
 from noncartan.linalg import (
-    InconsistentSystemError, _rref, nullspace, rank, solve,
+    InconsistentSystemError, _rref, linear_equations_in_params, nullspace,
+    rank, solve,
 )
 
 from helpers import reference_nullspace, reference_rank, reference_solve
@@ -86,6 +89,61 @@ def test_linalg_empty_and_degenerate():
     with pytest.raises(InconsistentSystemError):
         solve([[1, 2], [1, 2]], [Fraction(1, 2), 1])
     assert solve([[2, 4], [1, 2]], [2, 1]) == [Fraction(1), Fraction(0)]
+
+
+def test_linalg_int_rows_give_fraction_vectors():
+    """Rows of plain ints, with a shared int zero as the brute-force
+    search builds them, still give dense Fraction vectors."""
+    rng = random.Random(29)
+    for case in range(150):
+        nrows = rng.randint(1, 10)
+        ncols = rng.randint(1, 10)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        basis = nullspace(rows, ncols=ncols)
+        assert basis == reference_nullspace(rows), case
+        assert _dense_fraction_vectors(basis, ncols), case
+        rhs = [rng.randint(-3, 3) for _ in range(nrows)]
+        got = _solve_or_error(solve, rows, rhs)
+        assert got == _solve_or_error(reference_solve, rows, rhs), case
+        if got is not InconsistentSystemError:
+            assert _dense_fraction_vectors([got], ncols), case
+    assert _dense_fraction_vectors(nullspace([], ncols=3), 3)
+
+
+def test_linear_equations_in_params_exact():
+    """The coefficient maps and constants are ints or Fractions, and
+    they rebuild the expression's numerator."""
+    rng = random.Random(37)
+    x, y, p = sym(indep("x")), sym(jet(1, 0, "y")), sym(jet(1, 1, "y"))
+    params = [param("c%d" % i) for i in range(4)]
+    kinds = set()
+    for case in range(60):
+        e = const(0)
+        for _ in range(rng.randint(1, 6)):
+            term = const(Fraction(rng.randint(-5, 5),
+                                  rng.choice((1, 1, 2, 3))))
+            for _ in range(rng.randint(0, 2)):
+                term = term * rng.choice((x, y, p))
+            if rng.random() < 0.7:
+                term = term * sym(rng.choice(params))
+            e = e + term
+        if rng.random() < 0.3:
+            e = e / (x + 1)
+        groups = linear_equations_in_params(e, params)
+        rests = sorted({tuple((a, k) for a, k in mon if a not in params)
+                        for mon, _c in e.num},
+                       key=lambda m: tuple((a.sort_key(), k) for a, k in m))
+        assert len(rests) == len(groups), case
+        rebuilt = const(0)
+        for rest, (lin, cst) in zip(rests, groups):
+            for c in list(lin.values()) + [cst]:
+                assert type(c) in (int, Fraction), (case, type(c))
+                kinds.add(type(c))
+            part = sum((sym(q) * c for q, c in lin.items()), const(cst))
+            rebuilt = rebuilt + part * monomial_expression(rest)
+        assert rebuilt == Expression(e.num, _ONE_TERMS), case
+    assert kinds == {int, Fraction}
 
 
 def test_linalg_matches_sympy_randomized():
