@@ -5,6 +5,7 @@ for 2x2 systems."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import linalg
@@ -13,9 +14,10 @@ from .expr import (
     call, collect, differentiate, func, is_zero, one, param, sym, zero,
     zero_status,
 )
-from .jet import JetContext, VectorField
+from .jet import JetContext, VectorField, prolong
 from .symmetry import (
-    DeterminingSystem, OdeSystem, determining_equations, invariance_residual,
+    DeterminingSystem, OdeSystem, _prolonged_residuals, determining_equations,
+    invariance_residual,
 )
 from .catalog import SourceEquation, non_cartan_generators
 
@@ -312,16 +314,16 @@ def classify_linear_system(spec: LinearSystemSpec, rules=(),
 # Brute-force restricted-ansatz search (independent route)
 
 
-def brute_force_non_cartan_search(a: Expression, b: Expression, c: Expression,
-                                  degree_cap: int = 4) -> bool:
-    """Search for a non-Cartan symmetry of the trace-free 2x2 normal
-    form with xi = alpha(x) y + beta(x) w + gamma(x) and polynomial
-    coefficient functions of degree <= degree_cap; the remaining
-    components are general quadratics in (y, w) with polynomial
-    x-coefficients.  Returns True when some solution of the determining
-    equations has alpha != 0 or beta != 0."""
-    system = _normal_form_2x2(a, b, c)
-    ctx = system.ctx
+_ORACLE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
+def _oracle_ansatz(degree_cap: int):
+    """The system-independent part of the brute-force search: the
+    parameter tuple, the indices of the non-Cartan slots (the alpha and
+    beta coefficients) and the second prolongation of the ansatz in the
+    context of the trace-free 2x2 normal form."""
+    ctx = JetContext(2, 2, dep_names=("y", "w"))
     x = sym(ctx.x)
     y = sym(ctx.y(1))
     w = sym(ctx.y(2))
@@ -347,8 +349,26 @@ def brute_force_non_cartan_search(a: Expression, b: Expression, c: Expression,
     for i, j in names:
         eta = eta + poly("e%d%d" % (i, j), comp_deg) * y ** i * w ** j
         phi = phi + poly("f%d%d" % (i, j), comp_deg) * y ** i * w ** j
-    ansatz = VectorField(xi, (eta, phi), ctx)
-    residuals = invariance_residual(ansatz, system)
+    pf = prolong(VectorField(xi, (eta, phi), ctx), 2)
+    return tuple(params), tuple(noncartan_slots), pf
+
+
+def brute_force_non_cartan_search(a: Expression, b: Expression, c: Expression,
+                                  degree_cap: int = 4) -> bool:
+    """Search for a non-Cartan symmetry of the trace-free 2x2 normal
+    form with xi = alpha(x) y + beta(x) w + gamma(x) and polynomial
+    coefficient functions of degree <= degree_cap; the remaining
+    components are general quadratics in (y, w) with polynomial
+    x-coefficients.  Returns True when some solution of the determining
+    equations has alpha != 0 or beta != 0.  The ansatz and its
+    prolongation depend only on degree_cap, so they are built once per
+    degree cap per process."""
+    if (not isinstance(degree_cap, int) or isinstance(degree_cap, bool)
+            or degree_cap < 0):
+        raise ValueError("degree_cap must be a non-negative int, got %r"
+                         % (degree_cap,))
+    params, noncartan_slots, pf = _oracle_ansatz(degree_cap)
+    residuals = _prolonged_residuals(pf, _normal_form_2x2(a, b, c))
     rows = []
     for res in residuals:
         for lin, cst in linalg.linear_equations_in_params(res, params):

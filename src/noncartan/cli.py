@@ -65,10 +65,17 @@ def _scan_dependents(equations):
     primed = []
     orders = {}
     for text in equations:
-        try:
-            tokens = _tokenize(text.replace("=", " "))
-        except ParseError as exc:
-            raise CliError("cannot read equation %r: %s" % (text, exc))
+        # each side on its own, so that `y''=(x+1)*y` does not read as a
+        # call of y''; every side's list ends in an "end" token, and the
+        # padding keeps error positions relative to the whole equation
+        tokens = []
+        start = 0
+        for side in text.split("="):
+            try:
+                tokens += _tokenize(" " * start + side)
+            except ParseError as exc:
+                raise CliError("cannot read equation %r: %s" % (text, exc))
+            start += len(side) + 1
         for i, tok in enumerate(tokens):
             if tok[0] != "ident":
                 continue
@@ -411,7 +418,11 @@ def cmd_determining(args) -> int:
         ansatz = _restricted_ansatz(ctx)
     else:
         ansatz = _custom_ansatz(_read_source(spec), ctx)
-    ds = determining_equations(system, ansatz)
+    try:
+        ds = determining_equations(system, ansatz)
+    except CollectError as exc:
+        raise CliError("cannot split the invariance condition into "
+                       "determining equations: %s" % exc)
     # print in the order: per equation slice, highest-degree monomials
     # first, so the purely structural constraints lead
     entries = sorted(

@@ -12,7 +12,7 @@ from .expr import (
     _ONE_TERMS, DEP, Call, Expression, Symbol, apply_rules, collect, is_zero,
     substitute, sym, zero,
 )
-from .jet import JetContext, VectorField, prolong
+from .jet import JetContext, ProlongedField, VectorField, prolong
 
 __all__ = [
     "OdeSystem", "PointTransformation", "DeterminingSystem",
@@ -149,7 +149,14 @@ def invariance_residual(v: VectorField, system: OdeSystem) -> list:
     n = system.ctx.order
     ctx = system.ctx
     vv = v if v.context == ctx else VectorField(v.xi, v.phi, ctx)
-    pf = prolong(vv, n, max_order=max(n, 4))
+    return _prolonged_residuals(prolong(vv, n, max_order=max(n, 4)), system)
+
+
+def _prolonged_residuals(pf: ProlongedField, system: OdeSystem) -> list:
+    """The residuals of `invariance_residual` from a field already
+    prolonged to the system's order in the system's context."""
+    ctx = system.ctx
+    n = ctx.order
     residuals = []
     for j in range(1, ctx.m + 1):
         delta = sym(ctx.jet(j, n)) - system.rhs[j - 1]

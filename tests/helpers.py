@@ -6,13 +6,16 @@ from fractions import Fraction
 
 from noncartan import (
     Call, Expression, JetContext, JetOrderError, Symbol, VectorField, const,
-    differentiate, indep, jet, one, param, scalar_context, sym, zero,
+    differentiate, indep, invariance_residual, jet, one, param,
+    scalar_context, sym, zero,
 )
 from noncartan.expr import (
     _KIND_RANK, _ONE_TERMS, _check_acyclic, _mk_mon, _mon_key, _mon_sub,
     _terms_from_dict, atom_expr,
 )
-from noncartan.linalg import InconsistentSystemError
+from noncartan.linalg import (
+    InconsistentSystemError, linear_equations_in_params, nullspace,
+)
 
 X = indep("x")
 
@@ -340,3 +343,53 @@ def reference_solve(rows, rhs):
             raise InconsistentSystemError("inconsistent linear system")
         sol[pc] = red[r][ncols]
     return sol
+
+
+# ---------------------------------------------------------------------------
+# Reference brute-force oracle: the ansatz built and prolonged afresh for
+# every system, then `invariance_residual` on the full field.  The library
+# builds the ansatz and its prolongation once per degree cap; tests assert
+# structural equality of the prolongation and the residuals, and equal
+# search results.
+
+
+def reference_oracle_ansatz(degree_cap):
+    """(params, non-Cartan slot indices, ansatz field) of the brute-force
+    search at this degree cap, built from scratch."""
+    ctx = JetContext(2, 2, dep_names=("y", "w"))
+    x = sym(ctx.x)
+    y = sym(ctx.y(1))
+    w = sym(ctx.y(2))
+    params = []
+    slots = []
+
+    def poly(tag, deg, flag=False):
+        e = zero()
+        for d in range(deg + 1):
+            if flag:
+                slots.append(len(params))
+            pv = param("_%s%d" % (tag, d))
+            params.append(pv)
+            e = e + sym(pv) * x ** d
+        return e
+
+    xi = (poly("al", degree_cap, True) * y + poly("be", degree_cap, True) * w
+          + poly("ga", degree_cap))
+    eta = zero()
+    phi = zero()
+    for i in range(3):
+        for j in range(3 - i):
+            eta = eta + poly("e%d%d" % (i, j), degree_cap + 2) * y ** i * w ** j
+            phi = phi + poly("f%d%d" % (i, j), degree_cap + 2) * y ** i * w ** j
+    return tuple(params), tuple(slots), VectorField(xi, (eta, phi), ctx)
+
+
+def reference_brute_force_search(system, degree_cap):
+    params, slots, ansatz = reference_oracle_ansatz(degree_cap)
+    rows = []
+    for res in invariance_residual(ansatz, system):
+        for lin, cst in linear_equations_in_params(res, params):
+            assert cst == 0
+            rows.append([lin.get(p, 0) for p in params])
+    return any(any(vec[i] != 0 for i in slots)
+               for vec in nullspace(rows, ncols=len(params)))

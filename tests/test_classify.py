@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from noncartan import (
@@ -7,8 +10,13 @@ from noncartan import (
     const, cubic_in_p_test, determining_system_2x2, func, indep,
     invariance_residual, is_non_cartan, is_zero, non_cartan_existence_2x2,
     nonlinear_counterexample, scalar_context, sym, trace_free_reduce, zero,
-    one, zero_status, isotropy_test,
+    one, zero_status, isotropy_test, prolong,
 )
+from noncartan.classify import _normal_form_2x2, _oracle_ansatz
+from noncartan.expr import format_expression
+from noncartan.symmetry import _prolonged_residuals
+
+from helpers import reference_brute_force_search, reference_oracle_ansatz
 
 X = indep("x")
 
@@ -211,6 +219,112 @@ def test_brute_force_oracle_small():
     assert not brute_force_non_cartan_search(z, z, const(-2), degree_cap=2)
     x = sym(X)
     assert not brute_force_non_cartan_search(x, z, z, degree_cap=2)
+
+
+def test_brute_force_rejects_bad_degree_cap():
+    z = zero()
+    for cap in (-1, True, False, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            brute_force_non_cartan_search(z, z, z, degree_cap=cap)
+
+
+def _trace_free_corpus(seed, count):
+    """The trivial system, the opaque system (A(x), B(x), C(x)) and
+    `count` seeded trace-free (A, B, C) with entries polynomial in x with
+    rational coefficients, some of them zero."""
+    rng = random.Random(seed)
+    x = sym(X)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return zero()
+        e = zero()
+        for k in range(rng.randint(0, 2)):
+            e = e + Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * x ** k
+        e = e + rng.choice((-2, -1, 1, 2)) * x ** rng.randint(0, 2)
+        return e
+
+    z = zero()
+    opaque = tuple(call(func(name), x) for name in "ABC")
+    return [(z, z, z), opaque] + [(entry(), entry(), entry())
+                                  for _ in range(count)]
+
+
+def _snapshot(pf):
+    return {key: (format_expression(c), c.num, c.den)
+            for key, c in pf.coefficients.items()}
+
+
+def test_oracle_ansatz_matches_fresh_prolongation():
+    for cap in (0, 1, 2):
+        params, slots, pf = _oracle_ansatz(cap)
+        ref_params, ref_slots, ansatz = reference_oracle_ansatz(cap)
+        assert params == ref_params
+        assert slots == ref_slots
+        assert pf.base == ansatz
+        fresh = prolong(ansatz, 2)
+        assert pf.p == fresh.p == 2
+        assert list(pf.coefficients) == list(fresh.coefficients)
+        for key, coeff in fresh.coefficients.items():
+            cached = pf.coefficients[key]
+            assert cached.num == coeff.num and cached.den == coeff.den
+            assert ([type(c) for _, c in cached.num]
+                    == [type(c) for _, c in coeff.num])
+        assert _oracle_ansatz(cap) is _oracle_ansatz(cap)
+
+
+def test_oracle_residuals_match_invariance_residual():
+    for cap in (0, 1):
+        _params, _slots, pf = _oracle_ansatz(cap)
+        _ref_params, _ref_slots, ansatz = reference_oracle_ansatz(cap)
+        for a, b, c in _trace_free_corpus(11 + cap, 8):
+            system = _normal_form_2x2(a, b, c)
+            assert (_prolonged_residuals(pf, system)
+                    == invariance_residual(ansatz, system))
+
+
+def test_oracle_cache_reuse_keeps_answers_and_coefficients():
+    x = sym(X)
+    z = zero()
+    cap = 1
+    before = _snapshot(_oracle_ansatz(cap)[2])
+    s1 = (z, z, z)
+    s2 = (x, const(2), z)
+    s3 = (z, z, const(-2))
+    answers = [brute_force_non_cartan_search(*s, degree_cap=cap)
+               for s in (s1, s2, s1, s3, s2)]
+    assert answers == [True, False, True, False, False]
+    assert answers == [reference_brute_force_search(_normal_form_2x2(*s), cap)
+                       for s in (s1, s2, s1, s3, s2)]
+    after = _oracle_ansatz(cap)[2]
+    assert _snapshot(after) == before
+    fresh = prolong(reference_oracle_ansatz(cap)[2], 2)
+    assert after.coefficients == fresh.coefficients
+
+
+def test_oracle_cache_fills_lazily_per_degree_cap():
+    import os
+    import subprocess
+    import sys
+
+    import noncartan
+    src = os.path.dirname(os.path.dirname(noncartan.__file__))
+    probe = ("import sys; sys.path.insert(0, %r); "
+             "import noncartan.classify as c; "
+             "print(c._oracle_ansatz.cache_info().currsize)" % src)
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
+    z = zero()
+    _oracle_ansatz.cache_clear()
+    for cap in (0, 2, 0):
+        assert brute_force_non_cartan_search(z, z, z, degree_cap=cap)
+    info = _oracle_ansatz.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+    for cap in (0, 2):
+        _oracle_ansatz(cap)
+    assert _oracle_ansatz.cache_info().hits == 3
 
 
 def test_linear_classify_path_honours_seed(monkeypatch):

@@ -100,6 +100,34 @@ def test_usage_error_exit_code():
     assert code2 == 2
 
 
+def test_parenthesised_right_hand_side():
+    # `y''` followed by `(` across the `=` is not a function call
+    for fmt in ("text", "json"):
+        for left, right in (("y''=(x+1)*y", "y''=y*(x+1)"),
+                            ("y''=(x+1)*y; w''=(2)*w",
+                             "y''=y*(x+1); w''=2*w")):
+            expected = run(["classify", "--system", right, "--format", fmt])
+            assert expected[0] in (0, 1)
+            assert run(["classify", "--system", left,
+                        "--format", fmt]) == expected
+
+
+def test_scan_error_positions_count_from_equation_start():
+    with pytest.raises(CliError, match="position 6"):
+        parse_system("y''=y+$")
+
+
+def test_determining_non_polynomial_residual_is_usage_error():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run(["determining", "--system", "eq14"])
+    assert code == 2
+    assert out == ""
+    assert err.getvalue().startswith("error: ")
+    assert "non-polynomial" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_determining_first_equations():
     code, out = run(["determining", "--system",
                      "y''=A(x)*y+B(x)*w; w''=C(x)*y-A(x)*w"])
