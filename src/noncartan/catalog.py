@@ -82,12 +82,6 @@ class SourceEquation:
         return SourceEquation(zero(), one(), sym(x), (), x)
 
     @staticmethod
-    def harmonic(x: Symbol = None) -> "SourceEquation":
-        """q = 1; numerically u and v behave as cos and sin."""
-        x = x or indep()
-        return SourceEquation._opaque_pair(one(), x)
-
-    @staticmethod
     def _opaque_pair(q: Expression, x: Symbol) -> "SourceEquation":
         ex = sym(x)
         u = call(func("u"), ex)

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from . import linalg
 from .expr import (
     _ONE_TERMS, Call, Expression, OpaqueArgumentError, Symbol, ZeroStatus,
-    call, collect, differentiate, func, is_zero, one, param, sym, zero,
-    zero_status,
+    call, collect, differentiate, func, is_zero, param, sym, zero, zero_status,
 )
 from .jet import JetContext, VectorField, prolong
 from .symmetry import (
@@ -42,13 +41,12 @@ class TraceReductionError(ValueError):
 
 @dataclass(frozen=True)
 class LinearSystemSpec:
-    """y^(n) + A_{n-1} y^(n-1) + ... + A_0 y = b with matrix
+    """y^(n) + A_{n-1} y^(n-1) + ... + A_0 y = 0 with matrix
     coefficients depending on x only."""
 
     m: int
     n: int
     matrices: tuple      # (A_{n-1}, ..., A_0), each an m x m tuple of tuples
-    forcing: tuple = None
     ctx: JetContext = None
 
     def __post_init__(self):
@@ -84,8 +82,6 @@ class LinearSystemSpec:
                 order = self.n - 1 - k
                 for j in range(self.m):
                     f = f - mat[i][j] * sym(ctx.jet(j + 1, order))
-            if self.forcing is not None:
-                f = f + self.forcing[i]
             rhs.append(f)
         return OdeSystem(ctx, tuple(rhs), rules)
 
@@ -163,9 +159,8 @@ def cubic_in_p_test(f: Expression, p: Symbol = None) -> bool:
 # Isotropy and trace removal
 
 
-def _isotropy_defects(spec: LinearSystemSpec, rules=(), seed: int = 0):
-    """The scalar part q = tr(A_0) / m of the normal-form system and a lazy
-    iterator over the entries (i, j) where A_0 - q I is not zero."""
+def _require_normal_form(spec: LinearSystemSpec) -> None:
+    """Raise NotInNormalFormError unless spec is y'' + A_0 y = 0."""
     if spec.n != 2:
         raise NotInNormalFormError("isotropy test requires a second-order system")
     for row in spec.a1:
@@ -173,6 +168,12 @@ def _isotropy_defects(spec: LinearSystemSpec, rules=(), seed: int = 0):
             if not entry.is_rational_zero():
                 raise NotInNormalFormError(
                     "system is not in normal form (first-order term present)")
+
+
+def _isotropy_defects(spec: LinearSystemSpec, rules=(), seed: int = 0):
+    """The scalar part q = tr(A_0) / m of the normal-form system and a lazy
+    iterator over the entries (i, j) where A_0 - q I is not zero."""
+    _require_normal_form(spec)
     m = spec.m
     trace = zero()
     for i in range(m):
@@ -198,10 +199,7 @@ def trace_free_reduce(spec: LinearSystemSpec, q: Expression, rules=()):
     original variable (divide by q^2)."""
     if spec.m != 2 or spec.n != 2:
         raise ValueError("trace removal is implemented for 2 x 2 systems")
-    for row in spec.a1:
-        for entry in row:
-            if not entry.is_rational_zero():
-                raise NotInNormalFormError("system is not in normal form")
+    _require_normal_form(spec)
     x = spec.ctx.x
     # y'' = M y with M = -A_0
     m11, m12 = -spec.a0[0][0], -spec.a0[0][1]
@@ -218,16 +216,61 @@ def trace_free_reduce(spec: LinearSystemSpec, q: Expression, rules=()):
 
 
 # ---------------------------------------------------------------------------
-# The 2x2 decision and its determining system
+# Symmetry ansatze, witnesses and the 2x2 decision
 
 
-def _normal_form_2x2(a: Expression, b: Expression, c: Expression,
-                     rules=()) -> OdeSystem:
+def _component_names(m: int) -> tuple:
+    """Names of the components after xi: phi; eta, phi; phi1..phim."""
+    if m == 1:
+        return ("phi",)
+    if m == 2:
+        return ("eta", "phi")
+    return tuple("phi%d" % j for j in range(1, m + 1))
+
+
+def _full_ansatz(ctx: JetContext) -> VectorField:
+    """Every component an unknown function of all point coordinates."""
+    args = [sym(s) for s in ctx.point_symbols()]
+    comps = [call(func(name, ctx.m + 1), *args)
+             for name in ("xi",) + _component_names(ctx.m)]
+    return VectorField(comps[0], tuple(comps[1:]), ctx)
+
+
+def _restricted_ansatz(ctx: JetContext) -> VectorField:
+    """xi = alpha(x) y + beta(x) w + gamma(x) with the induced forms of the
+    other components, for a pair of second-order equations."""
+    if ctx.m != 2 or ctx.order != 2:
+        raise ValueError("the restricted ansatz applies to pairs of "
+                         "second-order equations")
+    x, y, w = (sym(s) for s in ctx.point_symbols())
+    alp = call(func("alpha", 1, (1,)), x)
+    bep = call(func("beta", 1, (1,)), x)
+    xi = (call(func("alpha"), x) * y + call(func("beta"), x) * w
+          + call(func("gamma"), x))
+    eta = (bep * y * w + sym(param("k2")) * w + alp * y ** 2
+           + call(func("b1"), x) * y + call(func("b2"), x))
+    phi = (alp * y * w + sym(param("k1")) * y + bep * w ** 2
+           + call(func("s1"), x) * w + call(func("s2"), x))
+    return VectorField(xi, (eta, phi), ctx)
+
+
+def _verified_witnesses(src: SourceEquation, system: OdeSystem, seed=0):
+    """The non-Cartan generators built from src in the system's context,
+    each residual rechecked under the system's rules."""
+    witnesses = tuple(non_cartan_generators(system.ctx.m, src, system.ctx))
+    for wfield in witnesses:
+        for r in invariance_residual(wfield, system):
+            if zero_status(r, system.rules, seed) is ZeroStatus.NONZERO:
+                raise AssertionError("witness failed re-verification")
+    return witnesses
+
+
+def _normal_form_2x2(a: Expression, b: Expression, c: Expression) -> OdeSystem:
     """The trace-free normal form y'' = A y + B w, w'' = C y - A w."""
     ctx = JetContext(2, 2, dep_names=("y", "w"))
     y = sym(ctx.y(1))
     w = sym(ctx.y(2))
-    return OdeSystem(ctx, (a * y + b * w, c * y - a * w), rules)
+    return OdeSystem(ctx, (a * y + b * w, c * y - a * w))
 
 
 def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
@@ -244,14 +287,9 @@ def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
     for name, st in statuses:
         if st is ZeroStatus.NUMERIC_ZERO:
             reason.append("%s is zero (numeric sampling)" % name)
-    src = SourceEquation.trivial()
-    ctx = JetContext(2, 2, dep_names=("y", "w"))
-    witnesses = non_cartan_generators(2, src, ctx)
-    system = _normal_form_2x2(zero(), zero(), zero())
-    for wfield in witnesses:
-        if not all(is_zero(r) for r in invariance_residual(wfield, system)):
-            raise AssertionError("witness failed re-verification")
-    return ClassificationVerdict(True, tuple(witnesses), tuple(reason))
+    witnesses = _verified_witnesses(SourceEquation.trivial(),
+                                    _normal_form_2x2(zero(), zero(), zero()))
+    return ClassificationVerdict(True, witnesses, tuple(reason))
 
 
 def determining_system_2x2(a: Expression, b: Expression, c: Expression,
@@ -260,33 +298,8 @@ def determining_system_2x2(a: Expression, b: Expression, c: Expression,
     form; when restricted, the xi-component is alpha(x) y + beta(x) w +
     gamma(x) with the induced forms of the other components."""
     system = _normal_form_2x2(a, b, c)
-    ctx = system.ctx
-    x = sym(ctx.x)
-    y = sym(ctx.y(1))
-    w = sym(ctx.y(2))
-    if not restricted:
-        args = (x, y, w)
-        xi = call(func("xi", 3), *args)
-        eta = call(func("eta", 3), *args)
-        phi = call(func("phi", 3), *args)
-        ansatz = VectorField(xi, (eta, phi), ctx)
-        return determining_equations(system, ansatz)
-    al = call(func("alpha"), x)
-    be = call(func("beta"), x)
-    ga = call(func("gamma"), x)
-    alp = call(func("alpha", 1, (1,)), x)
-    bep = call(func("beta", 1, (1,)), x)
-    b1 = call(func("b1"), x)
-    b2 = call(func("b2"), x)
-    s1 = call(func("s1"), x)
-    s2 = call(func("s2"), x)
-    k1 = sym(param("k1"))
-    k2 = sym(param("k2"))
-    xi = al * y + be * w + ga
-    eta = bep * y * w + k2 * w + alp * y ** 2 + b1 * y + b2
-    phi = alp * y * w + k1 * y + bep * w ** 2 + s1 * w + s2
-    ansatz = VectorField(xi, (eta, phi), ctx)
-    return determining_equations(system, ansatz)
+    build = _restricted_ansatz if restricted else _full_ansatz
+    return determining_equations(system, build(system.ctx))
 
 
 def classify_linear_system(spec: LinearSystemSpec, rules=(),
@@ -301,13 +314,8 @@ def classify_linear_system(spec: LinearSystemSpec, rules=(),
     if reasons:
         return ClassificationVerdict(False, None, reasons)
     src = SourceEquation.for_q(q)
-    witnesses = non_cartan_generators(spec.m, src, spec.ctx)
-    system = spec.ode_system(src.rules)
-    for wfield in witnesses:
-        for r in invariance_residual(wfield, system):
-            if zero_status(r, src.rules, seed) is ZeroStatus.NONZERO:
-                raise AssertionError("witness failed re-verification")
-    return ClassificationVerdict(True, tuple(witnesses), ())
+    witnesses = _verified_witnesses(src, spec.ode_system(src.rules), seed)
+    return ClassificationVerdict(True, witnesses, ())
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +332,7 @@ def _oracle_ansatz(degree_cap: int):
     beta coefficients) and the second prolongation of the ansatz in the
     context of the trace-free 2x2 normal form."""
     ctx = JetContext(2, 2, dep_names=("y", "w"))
-    x = sym(ctx.x)
-    y = sym(ctx.y(1))
-    w = sym(ctx.y(2))
+    x, y, w = (sym(s) for s in ctx.point_symbols())
     params = []
     noncartan_slots = []
 

@@ -11,8 +11,8 @@ import sys
 
 from .expr import (
     CollectError, Expression, OpaqueArgumentError, ParseContext, ParseError,
-    ZeroStatus, call, collect, format_expression, format_monomial, func,
-    param, parse, sym, zero, zero_status,
+    ZeroStatus, collect, format_expression, format_monomial, param, parse,
+    zero, zero_status,
 )
 from .jet import JetContext, VectorField
 from .symmetry import (
@@ -221,28 +221,32 @@ def format_vector_field(v: VectorField) -> str:
 
 
 def _generator_set(key: str, ctx: JetContext, m: int = None, n: int = None):
-    """Named families of vector fields, built in the given context when
-    the shapes agree."""
+    """Named families of vector fields, built in the given context, which
+    must have the family's number m of dependent variables, or else in a
+    fresh context of the requested shape."""
+    if key not in ("free-fall", "non-cartan", "canonical"):
+        raise CliError("unknown catalog key %r" % key)
+    if ctx is not None:
+        want = 1 if key == "free-fall" else m
+        if want is not None and want != ctx.m:
+            raise CliError("catalog %r has m = %d, the system has m = %d"
+                           % (key, want, ctx.m))
+        if key == "canonical" and n is None and ctx.order < 2:
+            raise CliError("catalog 'canonical' needs order 2 or more; "
+                           "the system has order %d" % ctx.order)
     if key == "free-fall":
         return ["S1", "S2", "Fz", "Fm", "Fp", "H", "C1", "C2"], \
             free_fall_symmetries(ctx if ctx is not None else scalar_context())
+    mm = m if m is not None else (ctx.m if ctx is not None else 2)
+    src = SourceEquation.symbolic()
     if key == "non-cartan":
-        mm = m if m is not None else (ctx.m if ctx is not None else 2)
         cc = ctx if ctx is not None else JetContext(mm, 2)
-        src = SourceEquation.symbolic()
-        fields = non_cartan_generators(mm, src, cc)
-        labels = ["C%d%d" % (i, k) for i in range(1, mm + 1)
-                  for k in range(1, 3)]
-        return labels, list(fields)
-    if key == "canonical":
-        mm = m if m is not None else (ctx.m if ctx is not None else 2)
-        nn = n if n is not None else (ctx.order if ctx is not None else 2)
-        cc = ctx if ctx is not None else JetContext(mm, nn)
-        src = SourceEquation.symbolic()
-        fields = canonical_basis(mm, nn, src, cc)
-        labels = ["G%d" % (i + 1) for i in range(len(fields))]
-        return labels, list(fields)
-    raise CliError("unknown catalog key %r" % key)
+        labels = ["C%d%d" % (i, k) for i in range(1, mm + 1) for k in (1, 2)]
+        return labels, list(non_cartan_generators(mm, src, cc))
+    nn = n if n is not None else (ctx.order if ctx is not None else 2)
+    cc = ctx if ctx is not None else JetContext(mm, nn)
+    fields = canonical_basis(mm, nn, src, cc)
+    return ["G%d" % (i + 1) for i in range(len(fields))], list(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +260,6 @@ def _emit(report: dict, fmt: str, lines) -> None:
     else:
         for line in lines:
             sys.stdout.write(line + "\n")
-
-
-def _status_str(st: ZeroStatus) -> str:
-    return st.value
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def cmd_verify(args) -> int:
             "generator": format_vector_field(v),
             "label": label,
             "non-cartan": is_non_cartan(v),
-            "residual-status": [_status_str(st) for st in statuses],
+            "residual-status": [st.value for st in statuses],
             "pass": ok,
         })
         lines.append("%-4s %s  %s%s" % (
@@ -322,39 +322,6 @@ def _engine_info(args, results) -> dict:
             modes.add("numeric" if st == "numeric-zero" else "symbolic")
     return {"seed": args.seed,
             "zero-test-modes": sorted(modes) if modes else ["symbolic"]}
-
-
-def _full_ansatz(ctx: JetContext) -> VectorField:
-    args = [sym(ctx.x)] + [sym(ctx.y(j)) for j in range(1, ctx.m + 1)]
-    arity = ctx.m + 1
-    if ctx.m == 1:
-        names = ["xi", "phi"]
-    elif ctx.m == 2:
-        names = ["xi", "eta", "phi"]
-    else:
-        names = ["xi"] + ["phi%d" % j for j in range(1, ctx.m + 1)]
-    comps = [call(func(name, arity), *args) for name in names]
-    return VectorField(comps[0], tuple(comps[1:]), ctx)
-
-
-def _restricted_ansatz(ctx: JetContext) -> VectorField:
-    if ctx.m != 2 or ctx.order != 2:
-        raise CliError("the restricted ansatz applies to pairs of "
-                       "second-order equations")
-    x = sym(ctx.x)
-    y = sym(ctx.y(1))
-    w = sym(ctx.y(2))
-    al = call(func("alpha"), x)
-    be = call(func("beta"), x)
-    ga = call(func("gamma"), x)
-    alp = call(func("alpha", 1, (1,)), x)
-    bep = call(func("beta", 1, (1,)), x)
-    xi = al * y + be * w + ga
-    eta = (bep * y * w + sym(param("k2")) * w + alp * y ** 2
-           + call(func("b1"), x) * y + call(func("b2"), x))
-    phi = (alp * y * w + sym(param("k1")) * y + bep * w ** 2
-           + call(func("s1"), x) * w + call(func("s2"), x))
-    return VectorField(xi, (eta, phi), ctx)
 
 
 def _split_top_level(text: str):
@@ -390,10 +357,11 @@ def _custom_ansatz(spec: str, ctx: JetContext) -> VectorField:
                            % (part, exc))
     xi = comps.pop("xi", zero())
     phi = []
+    names = _classify._component_names(ctx.m)
+    # component j is phi<j>, its variable's name (m > 1) or its name in
+    # the full ansatz
     for j, dname in enumerate(ctx.dep_names, start=1):
-        for key in ("phi%d" % j, dname if ctx.m > 1 else "phi",
-                    "eta" if (ctx.m == 2 and j == 1) else None,
-                    "phi" if (ctx.m == 2 and j == 2) else None):
+        for key in ("phi%d" % j, dname if ctx.m > 1 else None, names[j - 1]):
             if key is not None and key in comps:
                 phi.append(comps.pop(key))
                 break
@@ -413,9 +381,12 @@ def cmd_determining(args) -> int:
     ctx = system.ctx
     spec = (args.ansatz or "full").strip()
     if spec == "full":
-        ansatz = _full_ansatz(ctx)
+        ansatz = _classify._full_ansatz(ctx)
     elif spec == "restricted":
-        ansatz = _restricted_ansatz(ctx)
+        try:
+            ansatz = _classify._restricted_ansatz(ctx)
+        except ValueError as exc:
+            raise CliError(str(exc))
     else:
         ansatz = _custom_ansatz(_read_source(spec), ctx)
     try:
@@ -583,11 +554,13 @@ def _p_degree(f: Expression, p) -> int:
 
 def cmd_catalog(args) -> int:
     key = args.key
-    fmt = args.format
+    if key == "commutators":
+        return cmd_commutators(args)
+    inputs = {"key": key}
+    lines = []
+    results = []
     if key in ("free-fall", "non-cartan", "canonical"):
         labels, fields = _generator_set(key, None, args.m, args.n)
-        lines = []
-        results = []
         for label, v in zip(labels, fields):
             text = format_vector_field(v)
             lines.append("%-4s %s%s" % (label, text,
@@ -595,45 +568,26 @@ def cmd_catalog(args) -> int:
                                         if is_non_cartan(v) else ""))
             results.append({"label": label, "field": text,
                             "non-cartan": is_non_cartan(v)})
-        report = {"command": "catalog", "inputs": {"key": key},
-                  "results": results,
-                  "engine-info": {"seed": args.seed,
-                                  "zero-test-modes": ["symbolic"]}}
-        _emit(report, fmt, lines)
-        return EXIT_OK
-    if key == "commutators":
-        return cmd_commutators(args)
-    if key == "normal-form-coeffs":
-        n = args.n if args.n is not None else 3
-        src = SourceEquation.symbolic()
-        nf = normal_form_coeffs(src, n)
-        lines = []
-        results = []
+    elif key == "normal-form-coeffs":
+        n = inputs["n"] = args.n if args.n is not None else 3
+        nf = normal_form_coeffs(SourceEquation.symbolic(), n)
         for j in range(2, n + 1):
             text = format_expression(nf.coefficient(j))
             lines.append("A_%d^%d = %s" % (n, j, text))
             results.append({"n": n, "j": j, "coefficient": text})
-        report = {"command": "catalog", "inputs": {"key": key, "n": n},
-                  "results": results,
-                  "engine-info": {"seed": args.seed,
-                                  "zero-test-modes": ["symbolic"]}}
-        _emit(report, fmt, lines)
-        return EXIT_OK
-    if key in _SYSTEM_KEYS:
+    elif key in _SYSTEM_KEYS:
         system = _SYSTEM_KEYS[key]()
-        lines = []
         for j, f in enumerate(system.rhs, start=1):
             name = system.ctx.dep_names[j - 1]
             lines.append("%s%s = %s" % (name, "'" * system.ctx.order,
                                         format_expression(f)))
-        report = {"command": "catalog", "inputs": {"key": key},
-                  "results": [{"system": [format_expression(f)
-                                          for f in system.rhs]}],
-                  "engine-info": {"seed": args.seed,
-                                  "zero-test-modes": ["symbolic"]}}
-        _emit(report, fmt, lines)
-        return EXIT_OK
-    raise CliError("unknown catalog key %r" % key)
+        results.append({"system": [format_expression(f) for f in system.rhs]})
+    else:
+        raise CliError("unknown catalog key %r" % key)
+    report = {"command": "catalog", "inputs": inputs, "results": results,
+              "engine-info": _engine_info(args, [])}
+    _emit(report, args.format, lines)
+    return EXIT_OK
 
 
 def cmd_commutators(args) -> int:
@@ -663,14 +617,25 @@ def cmd_commutators(args) -> int:
     report = {"command": "commutators",
               "inputs": {"set": key},
               "results": results,
-              "engine-info": {"seed": args.seed,
-                              "zero-test-modes": ["symbolic"]}}
+              "engine-info": _engine_info(args, [])}
     _emit(report, args.format, lines)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                             % (low, value))
+        return value
+    convert.__name__ = "int"    # argparse names it in "invalid int value"
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -682,8 +647,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--m", type=_int_at_least(1), default=None)
+        p.add_argument("--n", type=_int_at_least(2), default=None)
 
     pv = sub.add_parser("verify", help="check invariance of generators")
     pv.add_argument("--system", required=True)
@@ -726,6 +691,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return EXIT_USAGE
+    except RecursionError:
+        sys.stderr.write("error: input nested too deeply\n")
         return EXIT_USAGE
 
 

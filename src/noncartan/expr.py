@@ -1,8 +1,12 @@
 """Minimal exact computer-algebra core.
 
-Expressions are kept in a canonical rational normal form: a pair of
-multivariate polynomials (numerator, denominator) with exact rational
-coefficients over a vocabulary of atoms.  Atoms are either plain symbols
+An expression is a pair of multivariate polynomials (numerator,
+denominator) with exact rational coefficients over a vocabulary of atoms,
+with sorted terms and a denominator whose leading coefficient is one.
+The form is not canonical: only common monomial factors cancel, never a
+polynomial GCD, so `==` is structural equality, and two expressions with
+the same value may compare unequal.  Equality of values is
+`(a - b).is_rational_zero()`.  Atoms are either plain symbols
 (independent variable, dependent variables, jet derivatives, parameters)
 or applications of opaque function symbols whose arguments are again
 expressions.  A coefficient is an `int` while its value is integral and a
@@ -253,7 +257,9 @@ def _quo(a, b):
 
 @dataclass(frozen=True)
 class Expression:
-    """An immutable expression in canonical rational normal form."""
+    """An immutable numerator/denominator pair of sorted term tuples.
+    Only common monomial factors cancel, so `==` is structural; compare
+    values with `(a - b).is_rational_zero()`."""
 
     num: tuple
     den: tuple
@@ -512,8 +518,9 @@ def call(head: Symbol, *args) -> Expression:
 
 
 def normalize(e: Expression) -> Expression:
-    """Expressions are canonical by construction; normalize is the
-    identity and is exposed for contract symmetry (idempotent)."""
+    """The identity: every expression is already in the engine's
+    normal form, which cancels only common monomial factors.  `==` stays
+    structural; compare values with `(a - b).is_rational_zero()`."""
     return e
 
 
@@ -737,14 +744,16 @@ class RewriteRule:
                     "replacement for %s contains the pattern head" % self.head.name)
 
 
-def apply_rules(e: Expression, rules: Sequence[RewriteRule],
-                max_passes: int = 64) -> Expression:
+_MAX_REWRITE_PASSES = 64
+
+
+def apply_rules(e: Expression, rules: Sequence[RewriteRule]) -> Expression:
     """Apply rules to a fixed point.  Higher derivative orders of a rule
     head are reduced by differentiating the replacement."""
     if not rules:
         return e
     ordered = sorted(rules, key=lambda r: -r.head.dorders[0])
-    for _ in range(max_passes):
+    for _ in range(_MAX_REWRITE_PASSES):
         mapping = {}
         for a in e.atoms():
             if not isinstance(a, Call) or a.head.arity != 1:
@@ -939,12 +948,11 @@ class ParseContext:
     """
 
     def __init__(self, m: int = 1, dep_names: Sequence[str] = None,
-                 indep_name: str = "x", vector_field: bool = False):
+                 indep_name: str = "x"):
         self.m = m
         self.dep_names = tuple(default_dep_names(m) if dep_names is None
                                else dep_names)
         self.indep_name = indep_name
-        self.vector_field = vector_field
         self.func_arities: dict = {}
 
     def resolve(self, name: str, primes: int, pos: int) -> Symbol:

@@ -4,13 +4,13 @@ and coordinate changes of vector fields."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .expr import (
     _ONE_TERMS, DEP, Call, Expression, Symbol, apply_rules, collect, is_zero,
-    substitute, sym, zero,
+    substitute, sym,
 )
 from .jet import JetContext, ProlongedField, VectorField, prolong
 

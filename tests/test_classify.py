@@ -81,10 +81,12 @@ def test_isotropy():
     z = zero()
     assert isotropy_test(_spec2(q, z, z, q))
     assert not isotropy_test(_spec2(one(), z, const(2), one()))
-    with pytest.raises(NotInNormalFormError):
-        bad = LinearSystemSpec(2, 2, (_mat(one(), z, z, z),
-                                      _mat(z, z, z, z)))
-        isotropy_test(bad)
+    first_order_term = LinearSystemSpec(2, 2, (_mat(one(), z, z, z),
+                                               _mat(z, z, z, z)))
+    with pytest.raises(NotInNormalFormError, match="first-order term"):
+        isotropy_test(first_order_term)
+    with pytest.raises(NotInNormalFormError, match="first-order term"):
+        trace_free_reduce(first_order_term, one())
 
 
 def test_trace_free_reduce_identity():

@@ -4,7 +4,10 @@ import contextlib
 
 import pytest
 
-from noncartan import ParseContext, parse, normalize
+from noncartan import (
+    ParseContext, call, determining_system_2x2, format_expression, func,
+    indep, normalize, parse, sym,
+)
 from noncartan.cli import (
     CliError, format_vector_field, main, parse_system, parse_vector_field,
 )
@@ -156,6 +159,62 @@ def test_determining_restricted_unknowns():
     for name in ("alpha", "beta", "gamma"):
         assert name in header
     assert "xi" not in header
+
+
+def test_determining_json_matches_library_ansatze():
+    # the CLI and determining_system_2x2 build their ansatze in one place
+    x = sym(indep())
+    a, b, c = (call(func(name), x) for name in "ABC")
+    for restricted, ansatz in ((False, "full"), (True, "restricted")):
+        code, out = run(["determining", "--system",
+                         "y''=A(x)*y+B(x)*w; w''=C(x)*y-A(x)*w",
+                         "--ansatz", ansatz, "--format", "json"])
+        assert code == 0
+        printed = {r["equation"] for r in json.loads(out)["results"]}
+        ds = determining_system_2x2(a, b, c, restricted=restricted)
+        assert printed == {format_expression(e) for e in ds.equations}
+
+
+NESTED_SUM = "y''=y*" + "(" * 3000 + "x" + ")" * 3000
+NESTED_CALL = "y''=" + "f(" * 200 + "x" + ")" * 200 + "*y"
+
+# (arguments, the start of the stderr line that carries the message)
+HOSTILE = [
+    (["verify", "--system", "y''=0", "--catalog", "canonical", "--m", "3"],
+     "error: catalog 'canonical' has m = 3"),
+    (["verify", "--system", "y''=0", "--catalog", "non-cartan", "--m", "2"],
+     "error: catalog 'non-cartan' has m = 2"),
+    (["verify", "--system", "y''=0; w''=0", "--catalog", "free-fall"],
+     "error: catalog 'free-fall' has m = 1"),
+    (["verify", "--system", "y'=0", "--catalog", "canonical"],
+     "error: catalog 'canonical' needs order 2"),
+    (["classify", "--system", NESTED_SUM], "error: input nested too deeply"),
+    (["classify", "--system", NESTED_CALL], "error: input nested too deeply"),
+    # argparse rejects these: its usage text comes first
+    (["catalog", "canonical", "--m", "0"],
+     "noncartan catalog: error: argument --m: must be at least 1"),
+    (["catalog", "canonical", "--n", "1"],
+     "noncartan catalog: error: argument --n: must be at least 2"),
+    (["catalog", "normal-form-coeffs", "--n", "1"],
+     "noncartan catalog: error: argument --n: must be at least 2"),
+    (["commutators", "--set", "canonical", "--m", "0"],
+     "noncartan commutators: error: argument --m: must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("args, message", HOSTILE,
+                         ids=[" ".join(a)[:60] for a, _ in HOSTILE])
+def test_hostile_input_exits_2_with_message(args, message):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run(args)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err.getvalue()
+    last = err.getvalue().splitlines()[-1]
+    assert last.startswith(message)
+    if message.startswith("error: "):
+        assert err.getvalue() == last + "\n"
 
 
 def test_classify_linear_not_in_class():
