@@ -61,24 +61,21 @@ class SourceEquation:
         return self.u * self.d(self.v) - self.d(self.u) * self.v
 
     @staticmethod
-    def symbolic(qname: str = "q", x: Symbol = None) -> "SourceEquation":
-        x = x or indep()
-        ex = sym(x)
-        q = call(func(qname), ex)
-        return SourceEquation._opaque_pair(q, x)
+    def symbolic() -> "SourceEquation":
+        x = indep()
+        return SourceEquation._opaque_pair(call(func("q"), sym(x)), x)
 
     @staticmethod
-    def for_q(q: Expression, x: Symbol = None) -> "SourceEquation":
+    def for_q(q: Expression) -> "SourceEquation":
         """Source equation for a given coefficient q(x); the trivial
         solution pair (1, x) is used when q is zero."""
-        x = x or indep()
         if q.is_rational_zero():
-            return SourceEquation.trivial(x)
-        return SourceEquation._opaque_pair(q, x)
+            return SourceEquation.trivial()
+        return SourceEquation._opaque_pair(q, indep())
 
     @staticmethod
-    def trivial(x: Symbol = None) -> "SourceEquation":
-        x = x or indep()
+    def trivial() -> "SourceEquation":
+        x = indep()
         return SourceEquation(zero(), one(), sym(x), (), x)
 
     @staticmethod
@@ -359,25 +356,22 @@ def scalar_non_cartan(src: SourceEquation, ctx: JetContext = None) -> tuple:
 # Transformations
 
 
-def reduction_transformation(src: SourceEquation, n: int,
-                             lam: Expression = None) -> PointTransformation:
-    """The map z = v/u, w = lambda y u^(1-n) reducing the order-n normal
-    form to w^(n) = 0."""
-    lam = one() if lam is None else lam
-    if lam.is_rational_zero():
-        raise ValueError("lambda must be nonzero")
+def reduction_transformation(src: SourceEquation,
+                             n: int) -> PointTransformation:
+    """The map z = v/u, w = y u^(1-n) reducing the order-n normal form to
+    w^(n) = 0."""
     old_ctx = scalar_context(n)
     new_ctx = JetContext(1, n, indep_name="z", dep_names=("w",))
     x, y = old_ctx.x, old_ctx.y(1)
     w = sym(new_ctx.y(1))
     z = sym(new_ctx.x)
-    forward = (src.v / src.u, lam * sym(y) * src.u ** (1 - n))
+    forward = (src.v / src.u, sym(y) * src.u ** (1 - n))
     if src.u == one() and src.v == sym(x):
-        inverse = ({y: w / lam, x: z},)
+        inverse = ({y: w, x: z},)
         return PointTransformation(old_ctx, new_ctx, forward, inverse,
                                    src.rules)
     xinv = call(func("xinv"), z)
-    inverse = ({y: src.u ** (n - 1) * w / lam}, {x: xinv})
+    inverse = ({y: src.u ** (n - 1) * w}, {x: xinv})
     # the composition identity (v/u)(xinv(z)) = z, as an atom rewrite
     v_comp = Call(func("v"), (xinv,))
     u_comp = call(func("u"), xinv)
@@ -390,23 +384,22 @@ def reduction_transformation(src: SourceEquation, n: int,
 # The nonlinear family and its counterexample
 
 
-def non_cartan_family(h: Symbol = None, ctx: JetContext = None) -> OdeSystem:
+def non_cartan_family() -> OdeSystem:
     """The most general scalar second-order equation admitting the two
     non-Cartan symmetries of the free-fall equation:
     y'' = (y'/y)^3 H(x - y/y')."""
-    ctx = ctx or scalar_context()
-    h = h or func("H")
+    ctx = scalar_context()
     x = sym(ctx.x)
     y = sym(ctx.y(1))
     p = sym(ctx.jet(1, 1))
-    rhs = (p / y) ** 3 * call(h, x - y / p)
+    rhs = (p / y) ** 3 * call(func("H"), x - y / p)
     return OdeSystem(ctx, (rhs,))
 
 
-def nonlinear_counterexample(ctx: JetContext = None) -> OdeSystem:
+def nonlinear_counterexample() -> OdeSystem:
     """y'' = p^3 (p (x+1) - y) / (y^3 (y - x p)): inside the family yet
     not a polynomial of degree at most 3 in p."""
-    ctx = ctx or scalar_context()
+    ctx = scalar_context()
     x = sym(ctx.x)
     y = sym(ctx.y(1))
     p = sym(ctx.jet(1, 1))

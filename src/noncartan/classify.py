@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .expr import (
-    _ONE_TERMS, Call, Expression, OpaqueArgumentError, Symbol, ZeroStatus,
-    call, collect, differentiate, func, is_zero, param, sym, zero, zero_status,
+    _ONE_TERMS, Call, CollectError, Expression, OpaqueArgumentError, Symbol,
+    ZeroStatus, _linear_terms, call, collect, differentiate, func, is_zero,
+    param, sym, zero, zero_status,
 )
 from .jet import JetContext, VectorField, prolong
 from .symmetry import (
@@ -84,6 +85,28 @@ class LinearSystemSpec:
                     f = f - mat[i][j] * sym(ctx.jet(j + 1, order))
             rhs.append(f)
         return OdeSystem(ctx, tuple(rhs), rules)
+
+    @classmethod
+    def from_system(cls, system: OdeSystem):
+        """The spec (A_1, A_0) = (0, -M) of a system y'' = M y whose M is
+        free of y and y'; None for any other system."""
+        ctx = system.ctx
+        if ctx.order != 2:
+            return None
+        deps = [ctx.y(j) for j in range(1, ctx.m + 1)]
+        a0 = []
+        for f in system.rhs:
+            if any(f.contains(ctx.jet(j, 1)) for j in range(1, ctx.m + 1)):
+                return None
+            try:
+                terms = _linear_terms(f, deps)
+            except CollectError:
+                return None
+            if terms is None or not terms[1].is_rational_zero():
+                return None
+            a0.append(tuple(-terms[0].get(s, zero()) for s in deps))
+        zmat = tuple((zero(),) * ctx.m for _ in range(ctx.m))
+        return cls(ctx.m, 2, (zmat, tuple(a0)), ctx=ctx)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""Command-line surface: parse systems and vector fields from inline
-strings or files, run verification, determining-system, classification,
-and catalog commands, and emit deterministic text or JSON reports."""
+"""Command-line surface: read systems, vector fields and ansatze from
+inline strings or files (parsed by `noncartan.io`), dispatch the
+verification, determining-system, classification, catalog and commutator
+commands, and emit deterministic text or JSON reports."""
 
 from __future__ import annotations
 
@@ -10,36 +11,32 @@ import os
 import sys
 
 from .expr import (
-    CollectError, Expression, OpaqueArgumentError, ParseContext, ParseError,
-    ZeroStatus, collect, format_expression, format_monomial, param, parse,
-    zero, zero_status,
+    CollectError, Expression, OpaqueArgumentError, ZeroStatus,
+    format_expression, format_monomial, zero_status,
 )
 from .jet import JetContext, VectorField
 from .symmetry import (
-    OdeSystem, algebra_report, determining_equations, invariance_residual,
-    is_non_cartan,
+    algebra_report, determining_equations, invariance_residual, is_non_cartan,
 )
 from .catalog import (
     SourceEquation, canonical_basis, free_fall_symmetries,
-    non_cartan_family, non_cartan_generators, nonlinear_counterexample,
-    normal_form_coeffs, scalar_context, scalar_non_cartan,
+    non_cartan_generators, normal_form_coeffs, scalar_context,
+    scalar_non_cartan,
 )
 from . import classify as _classify
+from .io import (
+    NAMED_SYSTEMS, InputError, parse_ansatz, parse_system, parse_vector_field,
+)
 
-__all__ = ["main", "parse_system", "parse_vector_field",
-           "format_vector_field", "CliError"]
+__all__ = ["main", "format_vector_field"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    """Usage or parse error; maps to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
-# Input parsing
+# Input
 
 
 def _read_source(value: str) -> str:
@@ -47,164 +44,6 @@ def _read_source(value: str) -> str:
         with open(value, "r", encoding="utf-8") as fh:
             return fh.read()
     return value
-
-
-_SYSTEM_KEYS = {
-    "free-fall": lambda: OdeSystem(scalar_context(), (zero(),)),
-    "family": non_cartan_family,
-    "eq13": non_cartan_family,
-    "counterexample": nonlinear_counterexample,
-    "eq14": nonlinear_counterexample,
-}
-
-
-def _scan_dependents(equations):
-    """Infer the dependent-variable names and the system order from the
-    raw equation strings."""
-    from .expr import _tokenize
-    primed = []
-    orders = {}
-    for text in equations:
-        # each side on its own, so that `y''=(x+1)*y` does not read as a
-        # call of y''; every side's list ends in an "end" token, and the
-        # padding keeps error positions relative to the whole equation
-        tokens = []
-        start = 0
-        for side in text.split("="):
-            try:
-                tokens += _tokenize(" " * start + side)
-            except ParseError as exc:
-                raise CliError("cannot read equation %r: %s" % (text, exc))
-            start += len(side) + 1
-        for i, tok in enumerate(tokens):
-            if tok[0] != "ident":
-                continue
-            name, primes = tok[1], tok[3]
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            if nxt is not None and nxt[:2] == ("op", "("):
-                continue            # opaque function application
-            if name == "x":
-                continue
-            if primes > 0:
-                if name not in primed:
-                    primed.append(name)
-                orders[name] = max(orders.get(name, 0), primes)
-    if not primed:
-        raise CliError("no differentiated variable found in the system")
-    if all(n[0] == "y" and n[1:].isdigit() for n in primed):
-        m = max(int(n[1:]) for n in primed)
-        names = tuple("y%d" % i for i in range(1, m + 1))
-    else:
-        names = tuple(primed)
-    order = max(orders.values())
-    if order < 1:
-        raise CliError("system must contain derivatives")
-    return names, order
-
-
-def parse_system(text: str) -> OdeSystem:
-    """Parse a semicolon-separated system of ODEs in solved or
-    homogeneous form, or look up a named catalog system."""
-    text = text.strip()
-    if text in _SYSTEM_KEYS:
-        return _SYSTEM_KEYS[text]()
-    equations = [part.strip() for part in text.split(";") if part.strip()]
-    if not equations:
-        raise CliError("empty system")
-    names, order = _scan_dependents(equations)
-    m = len(names)
-    if len(equations) != m:
-        raise CliError("expected %d equations for variables %s, got %d"
-                       % (m, ", ".join(names), len(equations)))
-    ctx = JetContext(m, order, dep_names=names)
-    pctx = ParseContext(m, dep_names=names)
-    residuals = []
-    for eq in equations:
-        sides = eq.split("=")
-        if len(sides) == 1:
-            try:
-                residuals.append(parse(sides[0], pctx))
-            except ParseError as exc:
-                raise CliError("cannot parse %r: %s" % (eq, exc))
-        elif len(sides) == 2:
-            try:
-                lhs = parse(sides[0], pctx)
-                rhs = parse(sides[1], pctx)
-            except ParseError as exc:
-                raise CliError("cannot parse %r: %s" % (eq, exc))
-            residuals.append(lhs - rhs)
-        else:
-            raise CliError("equation %r has more than one '='" % eq)
-    top = [ctx.jet(j, order) for j in range(1, m + 1)]
-    solved = [None] * m
-    for eq_text, res in zip(equations, residuals):
-        try:
-            groups = collect(res, top)
-        except CollectError:
-            raise CliError("equation %r is not polynomial in the "
-                           "highest derivatives" % eq_text)
-        found = None
-        rest = zero()
-        for mon, coeff in groups.items():
-            if not mon:
-                rest = rest + coeff
-                continue
-            if len(mon) != 1 or mon[0][1] != 1:
-                raise CliError("equation %r is nonlinear in the highest "
-                               "derivatives" % eq_text)
-            if found is not None:
-                raise CliError("equation %r contains more than one highest "
-                               "derivative" % eq_text)
-            found = (mon[0][0], coeff)
-        if found is None:
-            raise CliError("equation %r contains no highest derivative"
-                           % eq_text)
-        s, coeff = found
-        j = s.index
-        if solved[j - 1] is not None:
-            raise CliError("two equations solve for the same variable %r"
-                           % ctx.dep_names[j - 1])
-        solved[j - 1] = -rest / coeff
-    if any(r is None for r in solved):
-        raise CliError("system does not determine every variable")
-    return OdeSystem(ctx, tuple(solved))
-
-
-def parse_vector_field(text: str, ctx: JetContext) -> VectorField:
-    """Parse `expr*dx + expr*dy + ...` where the markers are d followed
-    by a coordinate name."""
-    markers = [param("d" + ctx.indep_name)]
-    markers += [param("d" + name) for name in ctx.dep_names]
-    pctx = ParseContext(ctx.m, dep_names=ctx.dep_names,
-                        indep_name=ctx.indep_name)
-    try:
-        e = parse(text, pctx)
-    except ParseError as exc:
-        raise CliError("cannot parse vector field %r: %s" % (text, exc))
-    try:
-        groups = collect(e, markers)
-    except CollectError:
-        raise CliError("coordinate markers may not appear in denominators "
-                       "or inside functions")
-    comps = {}
-    for mon, coeff in groups.items():
-        if not mon:
-            if not coeff.is_rational_zero():
-                raise CliError("vector field %r has a term without a "
-                               "coordinate marker" % text)
-            continue
-        if len(mon) != 1 or mon[0][1] != 1:
-            raise CliError("vector field %r mixes coordinate markers" % text)
-        comps[mon[0][0].name] = coeff
-    xi = comps.pop("d" + ctx.indep_name, zero())
-    phi = tuple(comps.pop("d" + name, zero()) for name in ctx.dep_names)
-    if comps:
-        raise CliError("unknown coordinate markers: %s"
-                       % ", ".join(sorted(comps)))
-    try:
-        return VectorField(xi, phi, ctx)
-    except ValueError as exc:
-        raise CliError(str(exc))
 
 
 def format_vector_field(v: VectorField) -> str:
@@ -225,15 +64,15 @@ def _generator_set(key: str, ctx: JetContext, m: int = None, n: int = None):
     must have the family's number m of dependent variables, or else in a
     fresh context of the requested shape."""
     if key not in ("free-fall", "non-cartan", "canonical"):
-        raise CliError("unknown catalog key %r" % key)
+        raise InputError("unknown catalog key %r" % key)
     if ctx is not None:
         want = 1 if key == "free-fall" else m
         if want is not None and want != ctx.m:
-            raise CliError("catalog %r has m = %d, the system has m = %d"
-                           % (key, want, ctx.m))
+            raise InputError("catalog %r has m = %d, the system has m = %d"
+                             % (key, want, ctx.m))
         if key == "canonical" and n is None and ctx.order < 2:
-            raise CliError("catalog 'canonical' needs order 2 or more; "
-                           "the system has order %d" % ctx.order)
+            raise InputError("catalog 'canonical' needs order 2 or more; "
+                             "the system has order %d" % ctx.order)
     if key == "free-fall":
         return ["S1", "S2", "Fz", "Fm", "Fp", "H", "C1", "C2"], \
             free_fall_symmetries(ctx if ctx is not None else scalar_context())
@@ -278,7 +117,7 @@ def cmd_verify(args) -> int:
             fields.append(parse_vector_field(_read_source(text), ctx))
             labels.append("v%d" % (i + 1))
     if not fields:
-        raise CliError("no generators given; use --generator or --catalog")
+        raise InputError("no generators given; use --generator or --catalog")
     results = []
     lines = []
     all_pass = True
@@ -324,58 +163,6 @@ def _engine_info(args, results) -> dict:
             "zero-test-modes": sorted(modes) if modes else ["symbolic"]}
 
 
-def _split_top_level(text: str):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _custom_ansatz(spec: str, ctx: JetContext) -> VectorField:
-    pctx = ParseContext(ctx.m, dep_names=ctx.dep_names,
-                        indep_name=ctx.indep_name)
-    comps = {}
-    for part in _split_top_level(spec):
-        if "=" not in part:
-            raise CliError("ansatz component %r needs name=expression" % part)
-        name, _, body = part.partition("=")
-        try:
-            comps[name.strip()] = parse(body, pctx)
-        except ParseError as exc:
-            raise CliError("cannot parse ansatz component %r: %s"
-                           % (part, exc))
-    xi = comps.pop("xi", zero())
-    phi = []
-    names = _classify._component_names(ctx.m)
-    # component j is phi<j>, its variable's name (m > 1) or its name in
-    # the full ansatz
-    for j, dname in enumerate(ctx.dep_names, start=1):
-        for key in ("phi%d" % j, dname if ctx.m > 1 else None, names[j - 1]):
-            if key is not None and key in comps:
-                phi.append(comps.pop(key))
-                break
-        else:
-            phi.append(zero())
-    if comps:
-        raise CliError("unknown ansatz components: %s"
-                       % ", ".join(sorted(comps)))
-    try:
-        return VectorField(xi, tuple(phi), ctx)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
 def cmd_determining(args) -> int:
     system = parse_system(_read_source(args.system))
     ctx = system.ctx
@@ -386,14 +173,14 @@ def cmd_determining(args) -> int:
         try:
             ansatz = _classify._restricted_ansatz(ctx)
         except ValueError as exc:
-            raise CliError(str(exc))
+            raise InputError(str(exc))
     else:
-        ansatz = _custom_ansatz(_read_source(spec), ctx)
+        ansatz = parse_ansatz(_read_source(spec), ctx)
     try:
         ds = determining_equations(system, ansatz)
     except CollectError as exc:
-        raise CliError("cannot split the invariance condition into "
-                       "determining equations: %s" % exc)
+        raise InputError("cannot split the invariance condition into "
+                         "determining equations: %s" % exc)
     # print in the order: per equation slice, highest-degree monomials
     # first, so the purely structural constraints lead
     entries = sorted(
@@ -427,46 +214,11 @@ def cmd_determining(args) -> int:
     return EXIT_OK
 
 
-def _linear_normal_form(system: OdeSystem):
-    """Extract the coefficient matrix M of y'' = M y when the system is
-    linear homogeneous in normal form; None otherwise."""
-    ctx = system.ctx
-    if ctx.order != 2:
-        return None
-    deps = [ctx.y(j) for j in range(1, ctx.m + 1)]
-    firsts = [ctx.jet(j, 1) for j in range(1, ctx.m + 1)]
-    matrix = []
-    for f in system.rhs:
-        if any(f.contains(s) for s in firsts):
-            return None
-        try:
-            groups = collect(f, deps)
-        except CollectError:
-            return None
-        row = [zero()] * ctx.m
-        for mon, coeff in groups.items():
-            if not mon:
-                if not coeff.is_rational_zero():
-                    return None
-                continue
-            if len(mon) != 1 or mon[0][1] != 1:
-                return None
-            if any(coeff.contains(s) for s in deps):
-                return None
-            row[mon[0][0].index - 1] = coeff
-        matrix.append(tuple(row))
-    return tuple(matrix)
-
-
 def cmd_classify(args) -> int:
     system = parse_system(_read_source(args.system))
     ctx = system.ctx
-    matrix = _linear_normal_form(system)
-    if matrix is not None:
-        m = ctx.m
-        a0 = tuple(tuple(-matrix[i][j] for j in range(m)) for i in range(m))
-        zrow = tuple(tuple(zero() for _ in range(m)) for _ in range(m))
-        spec = _classify.LinearSystemSpec(m, 2, (zrow, a0), ctx=ctx)
+    spec = _classify.LinearSystemSpec.from_system(system)
+    if spec is not None:
         verdict = _classify.classify_linear_system(spec, seed=args.seed)
         results = [{
             "kind": "linear",
@@ -528,8 +280,8 @@ def cmd_classify(args) -> int:
             lines.append("NOT linearizable (degree-%d in p)" % degree)
             code = EXIT_FAIL
     else:
-        raise CliError("classification needs a linear normal-form system "
-                       "or a scalar second-order equation")
+        raise InputError("classification needs a linear normal-form "
+                         "system or a scalar second-order equation")
     report = {
         "command": "classify",
         "inputs": {
@@ -575,15 +327,15 @@ def cmd_catalog(args) -> int:
             text = format_expression(nf.coefficient(j))
             lines.append("A_%d^%d = %s" % (n, j, text))
             results.append({"n": n, "j": j, "coefficient": text})
-    elif key in _SYSTEM_KEYS:
-        system = _SYSTEM_KEYS[key]()
+    elif key in NAMED_SYSTEMS:
+        system = NAMED_SYSTEMS[key]()
         for j, f in enumerate(system.rhs, start=1):
             name = system.ctx.dep_names[j - 1]
             lines.append("%s%s = %s" % (name, "'" * system.ctx.order,
                                         format_expression(f)))
         results.append({"system": [format_expression(f) for f in system.rhs]})
     else:
-        raise CliError("unknown catalog key %r" % key)
+        raise InputError("unknown catalog key %r" % key)
     report = {"command": "catalog", "inputs": inputs, "results": results,
               "engine-info": _engine_info(args, [])}
     _emit(report, args.format, lines)
@@ -638,8 +390,16 @@ def _int_at_least(low: int):
     return convert
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a rejected command line as every other bad input is
+    reported: one `error: ...` line and exit code 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="noncartan",
         description="Lie point symmetry toolkit for ODE systems")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -682,14 +442,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
-    except CliError as exc:
+    except SystemExit as exc:   # --help
+        return EXIT_USAGE if exc.code not in (0, None) else 0
+    except InputError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except RecursionError:

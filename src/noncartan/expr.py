@@ -814,6 +814,23 @@ def collect(e: Expression, variables: Sequence[Symbol]) -> dict:
     return out
 
 
+def _linear_terms(e: Expression, symbols: Sequence[Symbol]):
+    """Split e as sum(c_s * s for s in symbols) + rest, where neither the
+    c_s nor rest contain a symbol: return ({s: c_s} over the symbols that
+    occur, rest), or None when e is not linear in the symbols.  Raises
+    CollectError as `collect` does."""
+    coeffs = {}
+    rest = _ZERO
+    for mon, c in collect(e, symbols).items():
+        if not mon:
+            rest = c
+        elif len(mon) == 1 and mon[0][1] == 1:
+            coeffs[mon[0][0]] = c
+        else:
+            return None
+    return coeffs, rest
+
+
 def monomial_expression(mon) -> Expression:
     return _product(1, mon, atom_expr)
 
@@ -988,6 +1005,10 @@ class ParseContext:
 
 _TOKEN_OPS = set("+-*/^(),")
 
+# the most terms that a sum of fractions, a product, a quotient or a power
+# in parsed text may expand to, in its numerator or its denominator
+MAX_EXPANSION_TERMS = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -1039,6 +1060,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def check_expansion(self, pos: int, *terms: int):
+        """Refuse the operation at pos when one of `terms`, the upper
+        bounds on the term counts of its numerator and denominator,
+        exceeds MAX_EXPANSION_TERMS."""
+        if max(terms) > MAX_EXPANSION_TERMS:
+            raise ParseError("expression too large to expand", pos)
+
     def expect_op(self, op):
         tok = self.next()
         if tok[0] != "op" or tok[1] != op:
@@ -1051,6 +1079,11 @@ class _Parser:
             if tok[0] == "op" and tok[1] in "+-":
                 self.next()
                 rhs = self.parse_term()
+                if e.den != rhs.den:    # a/b + c/d = (a*d + c*b)/(b*d)
+                    self.check_expansion(
+                        tok[2],
+                        len(e.num) * len(rhs.den) + len(rhs.num) * len(e.den),
+                        len(e.den) * len(rhs.den))
                 e = e + rhs if tok[1] == "+" else e - rhs
             else:
                 return e
@@ -1063,10 +1096,14 @@ class _Parser:
                 self.next()
                 rhs = self.parse_factor()
                 if tok[1] == "*":
+                    self.check_expansion(tok[2], len(e.num) * len(rhs.num),
+                                         len(e.den) * len(rhs.den))
                     e = e * rhs
                 else:
                     if rhs.is_rational_zero():
                         raise ParseError("division by zero", tok[2])
+                    self.check_expansion(tok[2], len(e.num) * len(rhs.den),
+                                         len(e.den) * len(rhs.num))
                     e = e / rhs
             else:
                 return e
@@ -1098,6 +1135,12 @@ class _Parser:
                 raise ParseError("zero exponents are not allowed", tok2[2])
             if base.is_rational_zero() and k < 0:
                 raise ParseError("zero to a negative power", tok2[2])
+            # a t-term base to the k-th power has at most C(|k|+t-1, t-1)
+            # terms; capping |k| keeps the binomial small
+            t = max(len(base.num), len(base.den))
+            self.check_expansion(
+                tok[2],
+                math.comb(min(abs(k), MAX_EXPANSION_TERMS) + t - 1, t - 1))
             return base ** k
         return base
 

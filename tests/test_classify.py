@@ -9,7 +9,8 @@ from noncartan import (
     ZeroStatus, brute_force_non_cartan_search, call, classify_linear_system,
     const, cubic_in_p_test, determining_system_2x2, func, indep,
     invariance_residual, is_non_cartan, is_zero, non_cartan_existence_2x2,
-    nonlinear_counterexample, scalar_context, sym, trace_free_reduce, zero,
+    nonlinear_counterexample, OdeSystem, scalar_context, sym,
+    trace_free_reduce, zero,
     one, zero_status, isotropy_test, prolong,
 )
 from noncartan.classify import _normal_form_2x2, _oracle_ansatz
@@ -213,6 +214,35 @@ def test_classify_m3():
     verdict = classify_linear_system(spec)
     assert verdict.in_canonical_class
     assert len(verdict.witnesses) == 6
+
+
+def test_from_system_round_trip():
+    rng = random.Random(8)
+    x = sym(X)
+    entries = [zero(), const(1), const(Fraction(-2, 3)), x, x * x - 3,
+               call(func("q"), x)]
+    for m in (1, 2, 3):
+        zmat = tuple((zero(),) * m for _ in range(m))
+        for _ in range(3):
+            a0 = tuple(tuple(rng.choice(entries) for _ in range(m))
+                       for _ in range(m))
+            spec = LinearSystemSpec(m, 2, (zmat, a0))
+            back = LinearSystemSpec.from_system(spec.ode_system())
+            assert back.a0 == a0
+            assert back.a1 == zmat
+            assert back.ctx == spec.ctx
+
+
+def test_from_system_rejects_other_systems():
+    z = zero()
+    ctx = JetContext(2, 2)
+    y, w = sym(ctx.y(1)), sym(ctx.y(2))
+    first_order = LinearSystemSpec(2, 2, (_mat(z, one(), z, z),
+                                          _mat(one(), z, z, one())))
+    assert LinearSystemSpec.from_system(first_order.ode_system()) is None
+    for rhs in ((y + 1, w), (y * y, w), (y * w, w)):
+        assert LinearSystemSpec.from_system(OdeSystem(ctx, rhs)) is None
+    assert LinearSystemSpec.from_system(nonlinear_counterexample()) is None
 
 
 def test_brute_force_oracle_small():

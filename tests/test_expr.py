@@ -18,8 +18,8 @@ from noncartan import (
     sym, zero, zero_status,
 )
 from noncartan.expr import (
-    JET, OPAQUE, _ONE_MON, _cancel_monomial_gcd, _dot, _mk_mon, _sum,
-    _terms_from_dict, atom_expr, monomial_expression,
+    JET, MAX_EXPANSION_TERMS, OPAQUE, _ONE_MON, _cancel_monomial_gcd, _dot,
+    _mk_mon, _sum, _terms_from_dict, atom_expr, monomial_expression,
 )
 
 from helpers import (
@@ -177,6 +177,22 @@ def test_parse_errors():
         parse("x ** 2", ctx)
     with pytest.raises(ParseError):
         parse("q(x) + q(x, y)", ctx)
+
+
+def test_parse_refuses_expansions_past_the_budget():
+    ctx = ParseContext(1)
+    n = MAX_EXPANSION_TERMS
+    assert len(parse("(x+y)^%d" % (n - 1), ctx).num) == n
+    assert len(parse("1/(x+y)^%d" % (n - 1), ctx).den) == n
+    # printed quotients of polynomials within the budget read back
+    assert len(parse("(x+y)^%d/(x+p)^%d" % (n - 1, n - 1), ctx).num) == n
+    for text, pos in (("(x+y)^%d" % n, 5), ("(x+y)^-%d" % n, 5),
+                      ("(x+y+p)^40000", 7), ("(x+y)^60*(x+p)^60", 8),
+                      ("(x+y)^60/(1/(x+p)^60)", 8),
+                      ("+".join("1/(y+a%d)" % i for i in range(8)), 53)):
+        with pytest.raises(ParseError, match="too large to expand "
+                                             r"\(at position %d\)" % pos):
+            parse(text, ctx)
 
 
 def test_parse_multi_component():
