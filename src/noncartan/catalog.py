@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from . import linalg
 from .expr import (
     Call, Expression, RewriteRule, Symbol, apply_rules, call, const,
-    differentiate, func, indep, is_zero, one, param, replace_atoms, sym, zero,
+    differentiate, func, indep, is_zero, one, param, replace_atoms,
+    substitute, sym, zero,
 )
 from .jet import JetContext, VectorField, total_derivative
 from .symmetry import OdeSystem, PointTransformation
@@ -80,15 +81,20 @@ class SourceEquation:
 
     @staticmethod
     def _opaque_pair(q: Expression, x: Symbol) -> "SourceEquation":
+        # the pair is named u, v unless q calls functions of those names
+        taken = {a.head.name for a in q.atoms() if isinstance(a, Call)}
+        un, vn = "u", "v"
+        while un in taken or vn in taken:
+            un, vn = un + "_", vn + "_"
         ex = sym(x)
-        u = call(func("u"), ex)
-        v = call(func("v"), ex)
-        up = call(func("u", 1, (1,)), ex)
+        u = call(func(un), ex)
+        v = call(func(vn), ex)
+        up = call(func(un, 1, (1,)), ex)
         rules = (
-            RewriteRule(func("u", 1, (2,)), -q * u, x),
-            RewriteRule(func("v", 1, (2,)), -q * v, x),
+            RewriteRule(func(un, 1, (2,)), -q * u, x),
+            RewriteRule(func(vn, 1, (2,)), -q * v, x),
             # Wronskian elimination, used during zero testing
-            RewriteRule(func("v", 1, (1,)), (1 + up * v) / u, x),
+            RewriteRule(func(vn, 1, (1,)), (1 + up * v) / u, x),
         )
         return SourceEquation(q, u, v, rules, x)
 
@@ -226,13 +232,15 @@ def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
             params.append(p)
             coeff = coeff + sym(p) * mono
         ansatz.append(coeff)
+
+    def residual(s_k, coeffs):    # s_k^(n) + sum_j A_n^j s_k^(n-j)
+        return sum((c * src.d(s_k, n - j) for j, c in enumerate(coeffs, 2)),
+                   src.d(s_k, n))
+
     rows = []
     rhs = []
     for s_k in sols:
-        resid = src.d(s_k, n)
-        for j in range(2, n + 1):
-            resid = resid + ansatz[j - 2] * src.d(s_k, n - j)
-        resid = apply_rules(resid, src.rules)
+        resid = apply_rules(residual(s_k, ansatz), src.rules)
         for lin, cst in linalg.linear_equations_in_params(resid, params):
             rows.append([lin.get(p, 0) for p in params])
             rhs.append(-cst)
@@ -245,14 +253,10 @@ def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
             if c != 0:
                 raise linalg.InconsistentSystemError(
                     "no solution for the normal-form coefficients")
-    from .expr import substitute
     coeffs = tuple(substitute(a, bindings) for a in ansatz)
     result = NormalFormCoefficients(n, coeffs)
     for s_k in sols:
-        resid = src.d(s_k, n)
-        for j in range(2, n + 1):
-            resid = resid + result.coefficient(j) * src.d(s_k, n - j)
-        if not is_zero(resid, src.rules):
+        if not is_zero(residual(s_k, coeffs), src.rules):
             raise linalg.InconsistentSystemError(
                 "normal-form coefficients fail to annihilate s_k")
     return result

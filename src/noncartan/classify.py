@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .expr import (
-    _ONE_TERMS, Call, CollectError, Expression, OpaqueArgumentError, Symbol,
+    _ONE_TERMS, CollectError, Expression, OpaqueArgumentError, Symbol,
     ZeroStatus, _linear_terms, call, collect, differentiate, func, is_zero,
     param, sym, zero, zero_status,
 )
@@ -128,7 +128,12 @@ class ClassificationVerdict:
 
 
 def _poly_coeffs(e: Expression, p: Symbol) -> dict:
-    groups = collect(e, [p])
+    try:
+        groups = collect(e, [p])
+    except CollectError:
+        # e is a polynomial, so p occurs inside an opaque argument
+        raise OpaqueArgumentError("p occurs inside an opaque argument; "
+                                  "the cubic test does not apply") from None
     out = {}
     for mon, coeff in groups.items():
         deg = mon[0][1] if mon else 0
@@ -141,17 +146,8 @@ def cubic_in_p_test(f: Expression, p: Symbol = None) -> bool:
     3 in p (the necessary condition for linearizability of y'' = f)."""
     if p is None:
         p = JetContext(1, 2, dep_names=("y",)).jet(1, 1)
-    for a in f.atoms():
-        if isinstance(a, Call):
-            for arg in a.args:
-                if arg.contains(p):
-                    raise OpaqueArgumentError(
-                        "p occurs inside an opaque argument; "
-                        "the cubic test does not apply")
-    num = Expression(f.num, _ONE_TERMS)
-    den = Expression(f.den, _ONE_TERMS)
-    ncoef = _poly_coeffs(num, p)
-    dcoef = _poly_coeffs(den, p)
+    ncoef, dcoef = (_poly_coeffs(Expression(terms, _ONE_TERMS), p)
+                    for terms in (f.num, f.den))
     ddeg = max(dcoef) if dcoef else 0
     if ddeg == 0:
         return (max(ncoef) if ncoef else 0) <= 3

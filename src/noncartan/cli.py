@@ -11,7 +11,7 @@ import os
 import sys
 
 from .expr import (
-    CollectError, Expression, OpaqueArgumentError, ZeroStatus,
+    CollectError, OpaqueArgumentError, UndecidedZeroError, ZeroStatus,
     format_expression, format_monomial, zero_status,
 )
 from .jet import JetContext, VectorField
@@ -255,7 +255,8 @@ def cmd_classify(args) -> int:
             sts = [zero_status(r, system.rules, args.seed) for r in residuals]
             if all(st is not ZeroStatus.NONZERO for st in sts):
                 admitted.append(label)
-        degree = _p_degree(f, p)
+        degree = max((sum(k for a, k in mon if a == p) for mon, _ in f.num),
+                     default=0)
         results = [{
             "kind": "scalar",
             "cubic-in-p": cubic,
@@ -294,14 +295,6 @@ def cmd_classify(args) -> int:
     }
     _emit(report, args.format, lines)
     return code
-
-
-def _p_degree(f: Expression, p) -> int:
-    deg = 0
-    for mon, _ in f.num:
-        d = sum(k for a, k in mon if a == p)
-        deg = max(deg, d)
-    return deg
 
 
 def cmd_catalog(args) -> int:
@@ -447,7 +440,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except SystemExit as exc:   # --help
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except InputError as exc:
+    except (InputError, UndecidedZeroError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except RecursionError:

@@ -14,9 +14,9 @@ expressions.  A coefficient is an `int` while its value is integral and a
 hash(n)` and `str(Fraction(n)) == str(n)`, the choice shows in neither
 equality, hashing nor printing, and ints are far cheaper to compute
 with.  Exponents are positive integers; negative powers live in the
-denominator.  The zero test is decidable on the opaque-free fragment; a
-seeded numeric-sampling fallback covers identities involving opaque
-functions.
+denominator.  The zero test is exact while every opaque call, after the
+rewrite rules, is a free jet (see `zero_status`); only calls of
+unconstrained functions at compound arguments fall back to sampling.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import enum
 import itertools
 import math
 import random
-import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -39,6 +38,7 @@ __all__ = [
     "apply_rules", "collect", "is_zero", "zero_status", "evaluate",
     "parse", "format_expression", "ParseContext", "ParseError",
     "CollectError", "CyclicBindingError", "OpaqueArgumentError",
+    "UndecidedZeroError",
 ]
 
 INDEP = "indep"
@@ -61,6 +61,11 @@ class CyclicBindingError(ValueError):
 class OpaqueArgumentError(ValueError):
     """A variable occurs inside an opaque-function argument where a
     polynomial operation was requested."""
+
+
+class UndecidedZeroError(ValueError):
+    """The zero test cannot decide: a rule-constrained function is called
+    at an argument other than its rule's variable."""
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +336,6 @@ class Expression:
                         if isinstance(a, Call):
                             stack.extend(a.args)
 
-    def symbols(self) -> Iterator[Symbol]:
-        for a in self.atoms():
-            if isinstance(a, Call):
-                yield a.head
-            else:
-                yield a
-
     def contains(self, s: Symbol) -> bool:
         # a call matches s when its head is s or has s as its base()
         s_is_base = (s.kind == OPAQUE and s.index == 0 and s.order == 0
@@ -351,9 +349,6 @@ class Expression:
             elif a == s:
                 return True
         return False
-
-    def has_opaque(self) -> bool:
-        return any(isinstance(a, Call) for a in self.atoms())
 
     def max_jet_order(self, index: int = None) -> int:
         best = -1
@@ -383,7 +378,8 @@ class Expression:
             return NotImplemented
         if self.den == other.den:
             return Expression._make(_tadd(dict(self.num), other.num), self.den)
-        num = _tadd(_tmul(self.num, other.den), _terms_from_dict(_tmul(other.num, self.den)))
+        num = _tadd(_tmul(self.num, other.den),
+                   _tmul(other.num, self.den).items())
         return Expression._make(num, _tmul(self.den, other.den))
 
     __radd__ = __add__
@@ -857,20 +853,19 @@ ABS_TOL = 1e-8
 
 def zero_status(e: Expression, rules: Sequence[RewriteRule] = (),
                 seed: int = 0) -> ZeroStatus:
+    """SYMBOLIC_ZERO when e rewrites to zero under the rules; NONZERO for a
+    nonzero numerator in free jets (see `_free_jets`, which may raise
+    UndecidedZeroError); else seeded sampling decides."""
     r = apply_rules(e, rules)
     if r.is_rational_zero():
         return ZeroStatus.SYMBOLIC_ZERO
-    if not r.has_opaque():
+    if _free_jets(r, rules):
         return ZeroStatus.NONZERO
-    source_mode = any(rule.head.name in ("u", "v") for rule in rules)
     rng = random.Random(seed)
-    ok = True
     for _ in range(SAMPLES):
-        val = _sample_value(r, rng, source_mode)
-        if abs(val) > ABS_TOL:
-            ok = False
-            break
-    return ZeroStatus.NUMERIC_ZERO if ok else ZeroStatus.NONZERO
+        if abs(_sample_value(r, rng)) > ABS_TOL:
+            return ZeroStatus.NONZERO
+    return ZeroStatus.NUMERIC_ZERO
 
 
 def is_zero(e: Expression, rules: Sequence[RewriteRule] = (),
@@ -878,15 +873,32 @@ def is_zero(e: Expression, rules: Sequence[RewriteRule] = (),
     return zero_status(e, rules, seed) is not ZeroStatus.NONZERO
 
 
-def _sample_value(e: Expression, rng: random.Random, source_mode: bool) -> float:
-    symbols = sorted(
-        {a for a in e.atoms() if isinstance(a, Symbol)},
-        key=lambda s: s.sort_key())
+def _free_jets(e: Expression, rules: Sequence[RewriteRule]) -> bool:
+    """Whether every call in e, at the rules' fixed point, is a free jet:
+    a rule head at its rule's variable (the jets left are initial data of
+    the rules' equations), or another function at bare symbols.  Raises
+    UndecidedZeroError for a rule head at any other argument."""
+    homes = {rule.head.name: (sym(rule.var),) for rule in rules}
+    atoms = list(e.atoms())
+    calls = [a for a in atoms if isinstance(a, Call)]
+    for a in calls:
+        if a.head.arity == 1 and homes.get(a.head.name, a.args) != a.args:
+            raise UndecidedZeroError(
+                "%s is constrained by a rewrite rule but called at %s"
+                % (a.head.name, format_expression(a.args[0])))
+    bare = {atom_expr(s) for s in atoms if isinstance(s, Symbol)}
+    return all(arg in bare for a in calls for arg in a.args)
+
+
+def _sample_value(e: Expression, rng: random.Random) -> float:
+    symbols = sorted({a for a in e.atoms() if isinstance(a, Symbol)},
+                     key=Symbol.sort_key)
+    ranks = _head_ranks(e)
     for _attempt in range(60):
         env = {s: rng.uniform(0.4, 1.6) for s in symbols}
         try:
-            nv = _eval_poly(e.num, env, source_mode)
-            dv = _eval_poly(e.den, env, source_mode)
+            nv = _eval_poly(e.num, env, ranks)
+            dv = _eval_poly(e.den, env, ranks)
         except (ValueError, OverflowError, ZeroDivisionError):
             continue
         if abs(dv) < 1e-6:
@@ -895,28 +907,37 @@ def _sample_value(e: Expression, rng: random.Random, source_mode: bool) -> float
     raise RuntimeError("could not find a pole-free sample point")
 
 
+def _head_ranks(e: Expression) -> dict:
+    """Each base function symbol of e, numbered in sort order."""
+    bases = sorted({a.head.base() for a in e.atoms() if isinstance(a, Call)},
+                   key=Symbol.sort_key)
+    return {b: i for i, b in enumerate(bases)}
+
+
 def evaluate(e: Expression, env: Mapping[Symbol, float],
              source_mode: bool = False) -> float:
-    """Numeric evaluation with the standard opaque-function test
-    instantiations."""
-    dv = _eval_poly(e.den, env, source_mode)
-    return _eval_poly(e.num, env, source_mode) / dv
+    """Numeric evaluation; each opaque function is a test function picked
+    by its rank among e's, or with source_mode u, v, q are cos, sin, 1."""
+    ranks = _head_ranks(e)
+    dv = _eval_poly(e.den, env, ranks, source_mode)
+    return _eval_poly(e.num, env, ranks, source_mode) / dv
 
 
-def _eval_poly(terms, env, source_mode) -> float:
+def _eval_poly(terms, env, ranks, source_mode=False) -> float:
     total = 0.0
     for mon, c in terms:
         v = float(c)
         for a, k in mon:
-            v *= _eval_atom(a, env, source_mode) ** k
+            v *= _eval_atom(a, env, ranks, source_mode) ** k
         total += v
     return total
 
 
-def _eval_atom(a: Atom, env, source_mode) -> float:
+def _eval_atom(a: Atom, env, ranks, source_mode) -> float:
     if isinstance(a, Symbol):
         return env[a]
-    args = [evaluate(arg, env, source_mode) for arg in a.args]
+    args = [_eval_poly(g.num, env, ranks, source_mode)
+            / _eval_poly(g.den, env, ranks, source_mode) for g in a.args]
     name = a.head.name
     ds = a.head.dorders
     if source_mode and name in ("u", "v", "q") and a.head.arity == 1:
@@ -927,14 +948,12 @@ def _eval_atom(a: Atom, env, source_mode) -> float:
             return math.sin(args[0] + k * math.pi / 2)
         return 1.0 if k == 0 else 0.0
     # generic smooth test function: f(t1..tn) = sin(3 s) + s^2 with
-    # s = sum(c_i t_i), coefficients derived deterministically from name
-    cs = [1.0 + (zlib.crc32(("%s#%d" % (name, i)).encode()) % 5) / 7.0
-          for i in range(a.head.arity)]
+    # s = sum(c_i t_i), the coefficients c_i fixed by the function's rank
+    rank = ranks[a.head.base()]
+    cs = [1.0 + (rank + i + 1) / 7.0 for i in range(a.head.arity)]
     s = sum(ci * ti for ci, ti in zip(cs, args))
     k = sum(ds)
-    scale = 1.0
-    for ci, di in zip(cs, ds):
-        scale *= ci ** di
+    scale = math.prod(ci ** di for ci, di in zip(cs, ds))
     val = 3.0 ** k * math.sin(3.0 * s + k * math.pi / 2)
     if k == 0:
         val += s * s
@@ -1009,6 +1028,10 @@ _TOKEN_OPS = set("+-*/^(),")
 # in parsed text may expand to, in its numerator or its denominator
 MAX_EXPANSION_TERMS = 100
 
+# the most decimal digits of a numerator or denominator in parsed text:
+# Python refuses to print an integer of more than 4300 digits
+MAX_INTEGER_DIGITS = 1000
+
 
 def _tokenize(text: str):
     tokens = []
@@ -1067,6 +1090,15 @@ class _Parser:
         if max(terms) > MAX_EXPANSION_TERMS:
             raise ParseError("expression too large to expand", pos)
 
+    def check_digits(self, pos: int, e: Expression, k: int = 1) -> Expression:
+        """e, unless a numerator or denominator of e ** k could have more
+        than MAX_INTEGER_DIGITS digits: then refuse the operation at pos."""
+        big = max(max(abs(c.numerator), c.denominator)
+                  for _m, c in e.num + e.den)
+        if abs(k) * math.log10(big) > MAX_INTEGER_DIGITS:
+            raise ParseError("integer too large", pos)
+        return e
+
     def expect_op(self, op):
         tok = self.next()
         if tok[0] != "op" or tok[1] != op:
@@ -1084,7 +1116,8 @@ class _Parser:
                         tok[2],
                         len(e.num) * len(rhs.den) + len(rhs.num) * len(e.den),
                         len(e.den) * len(rhs.den))
-                e = e + rhs if tok[1] == "+" else e - rhs
+                e = self.check_digits(
+                    tok[2], e + rhs if tok[1] == "+" else e - rhs)
             else:
                 return e
 
@@ -1098,13 +1131,13 @@ class _Parser:
                 if tok[1] == "*":
                     self.check_expansion(tok[2], len(e.num) * len(rhs.num),
                                          len(e.den) * len(rhs.den))
-                    e = e * rhs
+                    e = self.check_digits(tok[2], e * rhs)
                 else:
                     if rhs.is_rational_zero():
                         raise ParseError("division by zero", tok[2])
                     self.check_expansion(tok[2], len(e.num) * len(rhs.den),
                                          len(e.den) * len(rhs.num))
-                    e = e / rhs
+                    e = self.check_digits(tok[2], e / rhs)
             else:
                 return e
 
@@ -1141,12 +1174,15 @@ class _Parser:
             self.check_expansion(
                 tok[2],
                 math.comb(min(abs(k), MAX_EXPANSION_TERMS) + t - 1, t - 1))
-            return base ** k
+            self.check_digits(tok[2], base, k)
+            return self.check_digits(tok[2], base ** k)
         return base
 
     def parse_atom(self) -> Expression:
         tok = self.next()
         if tok[0] == "int":
+            if len(tok[1]) > MAX_INTEGER_DIGITS:
+                raise ParseError("integer too large", tok[2])
             return const(int(tok[1]))
         if tok[0] == "op" and tok[1] == "(":
             e = self.parse_expr()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Expression, Symbol
+from .expr import Expression, Symbol, _mon_key
 
 __all__ = ["rank", "nullspace", "solve", "linear_equations_in_params",
            "InconsistentSystemError"]
@@ -124,7 +124,7 @@ def linear_equations_in_params(e: Expression, params):
         else:
             cst[0] += c
     out = []
-    for rest in sorted(groups, key=lambda m: tuple((a.sort_key(), k) for a, k in m)):
+    for rest in sorted(groups, key=_mon_key):
         lin, cst = groups[rest]
         out.append((lin, cst[0]))
     return out

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from . import linalg
 from .expr import (
-    _ONE_TERMS, DEP, Call, Expression, Symbol, apply_rules, collect, is_zero,
-    substitute, sym,
+    _ONE_TERMS, DEP, Call, Expression, Symbol, _mon_key, apply_rules, collect,
+    is_zero, substitute, sym,
 )
 from .jet import JetContext, ProlongedField, VectorField, prolong
 
@@ -180,7 +180,7 @@ def determining_equations(system: OdeSystem, ansatz: VectorField) -> Determining
     index = {}
     for nu, res in enumerate(residuals, start=1):
         groups = collect(res, jet_vars)
-        for mon in sorted(groups, key=lambda m: tuple((a.sort_key(), k) for a, k in m)):
+        for mon in sorted(groups, key=_mon_key):
             eq = _scale_equation(groups[mon])
             try:
                 pos = equations.index(eq)
@@ -279,7 +279,7 @@ def _flatten_fields(component_lists):
                 if (s, mon) not in seen:
                     seen.add((s, mon))
                     monomials.append((s, mon))
-    monomials.sort(key=lambda sm: (sm[0], tuple((a.sort_key(), k) for a, k in sm[1])))
+    monomials.sort(key=lambda sm: (sm[0], _mon_key(sm[1])))
     vectors = []
     for i in range(len(component_lists)):
         coeffs = {}

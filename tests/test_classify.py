@@ -204,6 +204,18 @@ def test_classify_isotropic_symbolic_q():
     assert all(is_non_cartan(w) for w in verdict.witnesses)
 
 
+def test_classify_q_against_q_plus_q_prime_under_source_rules():
+    # the source rules constrain u and v only; q and its derivatives stay
+    # free jets, so q' is not zero
+    src = SourceEquation.symbolic()
+    q = src.q
+    z = zero()
+    verdict = classify_linear_system(_spec2(q, z, z, q + src.d(q)), src.rules)
+    assert not verdict.in_canonical_class
+    assert verdict.reason == ("non-isotropic at entry (1,1)",
+                              "non-isotropic at entry (2,2)")
+
+
 def test_classify_m3():
     x = sym(X)
     q = call(func("q"), x)

@@ -192,6 +192,11 @@ HOSTILE = [
     (["classify", "--system", NESTED_CALL], "error: input nested too deeply"),
     (["classify", "--system", "y''=(x+y')^40000"],
      "error: cannot parse \"y''=(x+y')^40000\": expression too large"),
+    (["classify", "--system", "y''=3^100000*y"],
+     "error: cannot parse \"y''=3^100000*y\": integer too large"),
+    (["classify", "--system", "y''=%s*y" % ("9" * 5000)],
+     "error: cannot parse \"y''=%s*y\": integer too large (at position 4)"
+     % ("9" * 5000)),
     (["verify", "--system", "y''=0", "--generator", "1 + dx*dy"],
      "error: vector field '1 + dx*dy' has a term without a coordinate"),
     # argparse rejects these
@@ -225,6 +230,17 @@ def test_classify_linear_not_in_class():
                      "y1''+y1+0*y2=0; y2''+2*y1+y2=0"])
     assert code == 1
     assert "no" in out
+
+
+@pytest.mark.parametrize("system", ["y''=A(x)*y; w''=O(x)*w",
+                                    "y''=A(x+1)*y; w''=O(x+1)*w"])
+def test_classify_distinct_functions_not_in_class(system):
+    # A and O once shared a sampled test function and read as equal
+    code, out = run(["classify", "--system", system])
+    assert code == 1
+    assert out.endswith("in canonical class: no\n"
+                        "  non-isotropic at entry (1,1)\n"
+                        "  non-isotropic at entry (2,2)\n")
 
 
 def test_classify_isotropic():

@@ -12,14 +12,16 @@ import pytest
 import noncartan
 from noncartan import (
     Call, CollectError, CyclicBindingError, Expression, ParseContext,
-    ParseError, RewriteRule, Symbol, ZeroStatus, apply_rules, call, collect,
-    const, dep, differentiate, evaluate, format_expression, func, indep,
-    is_zero, jet, normalize, one, param, parse, replace_atoms, substitute,
-    sym, zero, zero_status,
+    ParseError, RewriteRule, SourceEquation, Symbol, UndecidedZeroError,
+    ZeroStatus, apply_rules, call, collect, const, dep, differentiate,
+    evaluate, format_expression, func, indep, is_zero, jet, normalize, one,
+    param, parse, replace_atoms, substitute, sym, zero, zero_status,
 )
+from noncartan import expr as expr_module
 from noncartan.expr import (
-    JET, MAX_EXPANSION_TERMS, OPAQUE, _ONE_MON, _cancel_monomial_gcd, _dot,
-    _mk_mon, _sum, _terms_from_dict, atom_expr, monomial_expression,
+    JET, MAX_EXPANSION_TERMS, MAX_INTEGER_DIGITS, OPAQUE, _ONE_MON,
+    _cancel_monomial_gcd, _dot, _mk_mon, _sum, _terms_from_dict, atom_expr,
+    monomial_expression,
 )
 
 from helpers import (
@@ -159,6 +161,54 @@ def test_zero_status_modes():
     assert is_zero(wronskian, rules)
 
 
+def test_zero_status_decides_free_jets_without_sampling(monkeypatch):
+    def no_sampling(*_args):
+        raise AssertionError("sampled a free-jet expression")
+
+    monkeypatch.setattr(expr_module, "_sample_value", no_sampling)
+    src = SourceEquation.symbolic()
+    x = sym(X)
+    q = src.q
+    # each once read numeric-zero: q, u and v were instantiated by name,
+    # and A and O shared a test function
+    cases = [
+        (src.d(q), src.rules), (q - 1, src.rules),
+        (src.u - call(func("u"), sym(indep("t"))), ()),
+        (call(func("A"), x) - call(func("O"), x), ()),
+        (call(func("H", 2), x, sym(Y)) - call(func("H", 2), sym(Y), x), ()),
+        (src.d(src.u) * src.v - src.u, src.rules),
+    ]
+    for e, rules in cases:
+        assert zero_status(e, rules) is ZeroStatus.NONZERO
+    assert zero_status(src.wronskian() - 1, src.rules) \
+        is ZeroStatus.SYMBOLIC_ZERO
+
+
+def test_zero_status_samples_compound_arguments_by_rank():
+    # A and O once shared a test function, keyed on a hash of the name
+    x = sym(X)
+    a, o = (call(func(name), x + 1) for name in "AO")
+    assert zero_status(a - o) is ZeroStatus.NONZERO
+    assert zero_status(a * o - o * a) is ZeroStatus.SYMBOLIC_ZERO
+    h = call(func("H"), x * x)
+    hp = call(func("H", 1, (1,)), x * x)
+    assert zero_status(call(func("g"), h) - call(func("g"), hp)) \
+        is ZeroStatus.NONZERO
+
+
+def test_rule_head_at_another_argument_is_undecided():
+    src = SourceEquation.symbolic()
+    x1 = sym(X) + 1
+    e = (call(func("u", 1, (2,)), x1)
+         + call(func("q"), x1) * call(func("u"), x1))
+    with pytest.raises(UndecidedZeroError, match="u is constrained"):
+        zero_status(e, src.rules)
+    with pytest.raises(UndecidedZeroError):
+        zero_status(call(func("f"), call(func("v"), sym(Y))), src.rules)
+    # without the rules, u is an unconstrained function
+    assert zero_status(e) is ZeroStatus.NONZERO
+
+
 def test_parse_and_format_roundtrip():
     ctx = ParseContext(1)
     cases = ["x^2 + 3*y", "y''", "p^3/(y - x*p)", "q(x)*y + q'(x)",
@@ -192,6 +242,22 @@ def test_parse_refuses_expansions_past_the_budget():
                       ("+".join("1/(y+a%d)" % i for i in range(8)), 53)):
         with pytest.raises(ParseError, match="too large to expand "
                                              r"\(at position %d\)" % pos):
+            parse(text, ctx)
+
+
+def test_parse_refuses_integers_past_the_digit_bound():
+    ctx = ParseContext(1)
+    n = MAX_INTEGER_DIGITS
+    assert parse("9" * n, ctx) == const(10 ** n - 1)
+    assert parse("2^3000*y - 1/3^600", ctx) == \
+        2 ** 3000 * sym(Y) - Fraction(1, 3 ** 600)
+    assert parse("x^100000", ctx) == sym(X) ** 100000
+    for text, pos in (("9" * (n + 1), 0), ("3^100000", 1),
+                      ("2*(3*x)^3000", 7), ("1/7^2000", 3),
+                      ("10^600*10^600", 6), ("9*10^999*x + 9*10^999*x", 11),
+                      ("x/(10^600*x + 1/10^600)", 1)):
+        with pytest.raises(ParseError, match=r"integer too large \(at "
+                                             r"position %d\)" % pos):
             parse(text, ctx)
 
 
