@@ -62,9 +62,11 @@ class SourceEquation:
         return self.u * self.d(self.v) - self.d(self.u) * self.v
 
     @staticmethod
-    def symbolic() -> "SourceEquation":
+    def symbolic(avoid=()) -> "SourceEquation":
+        """The source equation of an opaque q(x); the solution pair is
+        named u, v unless a name in `avoid` or q calls one of those."""
         x = indep()
-        return SourceEquation._opaque_pair(call(func("q"), sym(x)), x)
+        return SourceEquation._opaque_pair(call(func("q"), sym(x)), x, avoid)
 
     @staticmethod
     def for_q(q: Expression) -> "SourceEquation":
@@ -80,9 +82,11 @@ class SourceEquation:
         return SourceEquation(zero(), one(), sym(x), (), x)
 
     @staticmethod
-    def _opaque_pair(q: Expression, x: Symbol) -> "SourceEquation":
+    def _opaque_pair(q: Expression, x: Symbol, avoid=()) -> "SourceEquation":
         # the pair is named u, v unless q calls functions of those names
+        # or they are to be avoided
         taken = {a.head.name for a in q.atoms() if isinstance(a, Call)}
+        taken.update(avoid)
         un, vn = "u", "v"
         while un in taken or vn in taken:
             un, vn = un + "_", vn + "_"

@@ -349,7 +349,8 @@ def _oracle_ansatz(degree_cap: int):
     """The system-independent part of the brute-force search: the
     parameter tuple, the indices of the non-Cartan slots (the alpha and
     beta coefficients) and the second prolongation of the ansatz in the
-    context of the trace-free 2x2 normal form."""
+    context of the trace-free 2x2 normal form, with the on-shell split of
+    its top coefficients (`ProlongedField.top_split`)."""
     ctx = JetContext(2, 2, dep_names=("y", "w"))
     x, y, w = (sym(s) for s in ctx.point_symbols())
     params = []
@@ -387,7 +388,11 @@ def brute_force_non_cartan_search(a: Expression, b: Expression, c: Expression,
     x-coefficients.  Returns True when some solution of the determining
     equations has alpha != 0 or beta != 0.  The ansatz and its
     prolongation depend only on degree_cap, so they are built once per
-    degree cap per process."""
+    degree cap per process.  The ansatz is a polynomial, so its cached
+    prolongation carries the split phi^(2) = E + y'' G_1 + w'' G_2 of
+    `ProlongedField.top_split`; for polynomial A, B and C the residuals
+    are E + sum F_k G_k - X^(1) F, one sum of products, and for rational
+    ones the solved form is substituted."""
     if (not isinstance(degree_cap, int) or isinstance(degree_cap, bool)
             or degree_cap < 0):
         raise ValueError("degree_cap must be a non-negative int, got %r"

@@ -11,7 +11,7 @@ import os
 import sys
 
 from .expr import (
-    CollectError, OpaqueArgumentError, UndecidedZeroError, ZeroStatus,
+    Call, CollectError, OpaqueArgumentError, UndecidedZeroError, ZeroStatus,
     format_expression, format_monomial, zero_status,
 )
 from .jet import JetContext, VectorField
@@ -59,10 +59,14 @@ def format_vector_field(v: VectorField) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _generator_set(key: str, ctx: JetContext, m: int = None, n: int = None):
+def _generator_set(key: str, ctx: JetContext, m: int = None, n: int = None,
+                   avoid=()):
     """Named families of vector fields, built in the given context, which
-    must have the family's number m of dependent variables, or else in a
-    fresh context of the requested shape."""
+    must have the family's number m of dependent variables (and, for the
+    canonical basis, order n), or else in a fresh context of the
+    requested shape.  Returns the labels, the fields and the source
+    equation whose solution pair the fields call (None for free-fall);
+    the pair is named apart from the function names in `avoid`."""
     if key not in ("free-fall", "non-cartan", "canonical"):
         raise InputError("unknown catalog key %r" % key)
     if ctx is not None:
@@ -70,22 +74,32 @@ def _generator_set(key: str, ctx: JetContext, m: int = None, n: int = None):
         if want is not None and want != ctx.m:
             raise InputError("catalog %r has m = %d, the system has m = %d"
                              % (key, want, ctx.m))
-        if key == "canonical" and n is None and ctx.order < 2:
+        if key == "canonical" and n is not None and n != ctx.order:
+            raise InputError("catalog 'canonical' has n = %d, the system "
+                             "has order %d" % (n, ctx.order))
+        if key == "canonical" and ctx.order < 2:
             raise InputError("catalog 'canonical' needs order 2 or more; "
                              "the system has order %d" % ctx.order)
     if key == "free-fall":
         return ["S1", "S2", "Fz", "Fm", "Fp", "H", "C1", "C2"], \
-            free_fall_symmetries(ctx if ctx is not None else scalar_context())
+            free_fall_symmetries(ctx if ctx is not None else scalar_context()), \
+            None
     mm = m if m is not None else (ctx.m if ctx is not None else 2)
-    src = SourceEquation.symbolic()
+    src = SourceEquation.symbolic(avoid)
     if key == "non-cartan":
         cc = ctx if ctx is not None else JetContext(mm, 2)
         labels = ["C%d%d" % (i, k) for i in range(1, mm + 1) for k in (1, 2)]
-        return labels, list(non_cartan_generators(mm, src, cc))
+        return labels, list(non_cartan_generators(mm, src, cc)), src
     nn = n if n is not None else (ctx.order if ctx is not None else 2)
     cc = ctx if ctx is not None else JetContext(mm, nn)
     fields = canonical_basis(mm, nn, src, cc)
-    return ["G%d" % (i + 1) for i in range(len(fields))], list(fields)
+    return ["G%d" % (i + 1) for i in range(len(fields))], list(fields), src
+
+
+def _called_names(exprs) -> set:
+    """The names of the functions that the expressions call."""
+    return {a.head.name for e in exprs for a in e.atoms()
+            if isinstance(a, Call)}
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +122,23 @@ def _emit(report: dict, fmt: str, lines) -> None:
 def cmd_verify(args) -> int:
     system = parse_system(_read_source(args.system))
     ctx = system.ctx
+    given = [parse_vector_field(_read_source(text), ctx)
+             for text in args.generator]
     labels = []
     fields = []
+    rules = system.rules
     if args.catalog:
-        labels, fields = _generator_set(args.catalog, ctx, args.m, args.n)
-    if args.generator:
-        for i, text in enumerate(args.generator):
-            fields.append(parse_vector_field(_read_source(text), ctx))
-            labels.append("v%d" % (i + 1))
+        # the catalog's fields call the solution pair of its source
+        # equation, so they are tested under that equation's rules too,
+        # with the pair named apart from every function the input calls
+        avoid = _called_names(list(system.rhs) + [c for v in given
+                                                  for c in v.components()])
+        labels, fields, src = _generator_set(args.catalog, ctx, args.m,
+                                             args.n, avoid)
+        if src is not None:
+            rules = rules + src.rules
+    fields += given
+    labels += ["v%d" % (i + 1) for i in range(len(given))]
     if not fields:
         raise InputError("no generators given; use --generator or --catalog")
     results = []
@@ -123,8 +146,7 @@ def cmd_verify(args) -> int:
     all_pass = True
     for label, v in zip(labels, fields):
         residuals = invariance_residual(v, system)
-        statuses = [zero_status(r, system.rules, args.seed)
-                    for r in residuals]
+        statuses = [zero_status(r, rules, args.seed) for r in residuals]
         ok = all(st is not ZeroStatus.NONZERO for st in statuses)
         all_pass = all_pass and ok
         results.append({
@@ -305,7 +327,7 @@ def cmd_catalog(args) -> int:
     lines = []
     results = []
     if key in ("free-fall", "non-cartan", "canonical"):
-        labels, fields = _generator_set(key, None, args.m, args.n)
+        labels, fields, _src = _generator_set(key, None, args.m, args.n)
         for label, v in zip(labels, fields):
             text = format_vector_field(v)
             lines.append("%-4s %s%s" % (label, text,
@@ -337,8 +359,8 @@ def cmd_catalog(args) -> int:
 
 def cmd_commutators(args) -> int:
     key = getattr(args, "set", None) or "free-fall"
-    labels, fields = _generator_set(key, None, args.m, args.n)
-    rules = SourceEquation.symbolic().rules if key != "free-fall" else ()
+    labels, fields, src = _generator_set(key, None, args.m, args.n)
+    rules = src.rules if src is not None else ()
     report_obj = algebra_report(fields, rules)
     lines = ["basis: %s" % ", ".join(labels),
              "independent over rationals: %s" % report_obj.independent,

@@ -569,20 +569,26 @@ def _product(c, mon, image) -> Expression:
     order, structurally equal to folding with `*` from const(c).
     Multiplying polynomials (denominator one) cancels, rescales and
     collapses nothing, and their product is exact and commutative, so the
-    leading run of polynomial factors is multiplied in one term dict:
-    one-term factors go straight into one monomial and coefficient, then
-    the dict is multiplied by each multi-term factor, k times for the
-    power k.  From the first other factor on, the product goes through
-    `*`."""
+    leading run of polynomial factors is multiplied in one term dict (see
+    `_lead_product`).  From the first other factor on, the product goes
+    through `*`."""
+    return _finish_product(*_lead_product(c, mon, image), image)
+
+
+def _lead_product(c, mon, image):
+    """The term dict of const(c) times image(a) ** k over the leading run
+    of polynomial factors (a, k) of the monomial, and the rest of the
+    monomial from the first other factor on.  One-term factors go
+    straight into one monomial and coefficient, then the dict is
+    multiplied by each multi-term factor, k times for the power k."""
     coeff = c
     powers = {}
     polys = []
-    rational = None
-    factors = iter(mon)
-    for a, k in factors:
+    rest = ()
+    for i, (a, k) in enumerate(mon):
         f = image(a)
         if f.den != _ONE_TERMS:
-            rational = f ** k
+            rest = mon[i:]
             break
         if len(f.num) == 1:
             (m, fc), = f.num
@@ -594,11 +600,15 @@ def _product(c, mon, image) -> Expression:
     acc = {_mk_mon(powers): coeff}
     for p in polys:
         acc = _tmul(acc.items(), p)
+    return acc, rest
+
+
+def _finish_product(acc, rest, image) -> Expression:
+    """The polynomial with term dict acc times image(a) ** k for each
+    (a, k) of rest, in order, through `*`."""
     out = Expression._make(acc, _ONE_TERMS)
-    if rational is not None:
-        out = out * rational
-        for a, k in factors:
-            out = out * image(a) ** k
+    for a, k in rest:
+        out = out * image(a) ** k
     return out
 
 
@@ -624,16 +634,29 @@ def differentiate(e: Expression, s: Symbol) -> Expression:
 
 
 def _diff_poly(terms, s: Symbol) -> Expression:
-    def pieces():
-        for mon, c in terms:
-            for a, k in mon:
-                da = _diff_atom(a, s)
-                if not da.is_rational_zero():
-                    lowered = _mon_sub(mon, ((a, 1),))
-                    term = Expression(((lowered, c * k),), _ONE_TERMS)
-                    yield term if da is _ONE else term * da
-
-    return _sum(pieces())
+    """The derivative of a polynomial's terms, structurally equal to
+    `_sum` of the pieces c * k * (mon lowered by a) * d(a)/ds.  Lowering
+    one exponent of a sorted monomial keeps it sorted, so it is a slice;
+    while the atom derivatives are polynomials the pieces go straight
+    into the sum's term dict, and from the first rational one on the sum
+    continues as in `_sum`."""
+    acc = {}
+    pieces = ((mon[:i] + ((a, k - 1),) + mon[i + 1:] if k > 1
+               else mon[:i] + mon[i + 1:], c * k, da)
+              for mon, c in terms
+              for i, (a, k) in enumerate(mon)
+              if not (da := _diff_atom(a, s)).is_rational_zero())
+    for piece in pieces:
+        lowered, ck, da = piece
+        if da is _ONE:
+            _tadd(acc, ((lowered, ck),))
+        elif da.den == _ONE_TERMS:
+            _tadd(acc, ((_mon_mul(lowered, m), ck * cd) for m, cd in da.num))
+        else:
+            return _sum_into(acc, (
+                Expression(((lowered, ck),), _ONE_TERMS) * da
+                for lowered, ck, da in itertools.chain([piece], pieces)))
+    return Expression._make(acc, _ONE_TERMS)
 
 
 def _diff_atom(a: Atom, s: Symbol) -> Expression:
@@ -687,10 +710,12 @@ def replace_atoms(e: Expression, mapping: Mapping[Atom, Expression]) -> Expressi
 
 def _replace(e: Expression, mapping) -> Expression:
     """Map every atom through `mapping` and rebuild e from the images,
-    each term through `_product` and the terms through `_sum`.  An atom
-    the mapping lacks stands for itself, except that an opaque call has
-    its arguments rebuilt the same way.  Each atom's image is computed
-    once per call."""
+    structurally equal to `_sum` of the `_product`s of its terms.  While
+    a term's images are polynomials, its term product goes straight into
+    the sum's term dict; from the first term with another image on, the
+    sum continues as in `_sum`.  An atom the mapping lacks stands for
+    itself, except that an opaque call has its arguments rebuilt the same
+    way.  Each atom's image is computed once per call."""
     images = dict(mapping)
 
     def image(a):
@@ -705,7 +730,16 @@ def _replace(e: Expression, mapping) -> Expression:
         return f
 
     def poly(terms):
-        return _sum(_product(c, mon, image) for mon, c in terms)
+        acc = {}
+        terms = iter(terms)
+        for mon, c in terms:
+            t, rest = _lead_product(c, mon, image)
+            if rest:
+                return _sum_into(acc, itertools.chain(
+                    [_finish_product(t, rest, image)],
+                    (_product(c, mon, image) for mon, c in terms)))
+            _tadd(acc, t.items())
+        return Expression._make(acc, _ONE_TERMS)
 
     def rebuild(x):
         n = poly(x.num)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Expression, Symbol, _dot, default_dep_names, dep, differentiate, indep,
-    jet, one, sym,
+    _ONE_TERMS, Expression, Symbol, _dot, default_dep_names, dep,
+    differentiate, indep, jet, one, sym,
 )
 
 __all__ = ["JetContext", "VectorField", "ProlongedField",
@@ -102,11 +102,19 @@ class VectorField:
 @dataclass(frozen=True)
 class ProlongedField:
     """A point vector field together with its prolongation coefficients
-    phi_j^(k) for k = 0..p."""
+    phi_j^(k) for k = 0..p.
+
+    For p >= 2 the top coefficients are affine in the top jets:
+    phi_j^(p) = E_j + sum_k y_k^(p) G_jk.  When xi and every coefficient
+    are polynomials (denominator one), `top_split` holds the pairs
+    (E_j, (G_j1, .., G_jm)) for j = 1..m, so that substituting a solved
+    form y_k^(p) = F_k into phi_j^(p) is one sum of products; otherwise
+    it is None."""
 
     base: VectorField
     p: int
     coefficients: dict
+    top_split: tuple = None
 
     def coeff(self, j: int, k: int) -> Expression:
         return self.coefficients[(j, k)]
@@ -152,4 +160,34 @@ def prolong(v: VectorField, p: int, max_order: int = MAX_PROLONGATION) -> Prolon
         for k in range(0, p):
             coeffs[(j, k + 1)] = (total_derivative(coeffs[(j, k)], work)
                                   - sym(work.jet(j, k + 1)) * dxi)
-    return ProlongedField(v, p, coeffs)
+    return ProlongedField(v, p, coeffs, _top_split(v, p, coeffs, work))
+
+
+def _top_split(v: VectorField, p: int, coeffs: dict, ctx: JetContext):
+    """The pairs (E_j, (G_j1, .., G_jm)) with phi_j^(p) = E_j +
+    sum_k y_k^(p) G_jk, from one pass over the terms of each phi_j^(p):
+    a term without a top jet goes to E_j, a term with one to G_jk with
+    that factor sliced out of its sorted monomial.  None when p < 2 (the
+    first prolongation is quadratic in y'), when a component or
+    coefficient is not a polynomial, or when a term is not affine in the
+    top jets."""
+    if p < 2 or any(c.den != _ONE_TERMS for c in (v.xi, *coeffs.values())):
+        return None
+    top = {ctx.jet(k, p): k for k in range(1, ctx.m + 1)}
+    split = []
+    for j in range(1, ctx.m + 1):
+        rest = []
+        parts = [{} for _ in range(ctx.m)]
+        for mon, c in coeffs[(j, p)].num:
+            hits = [i for i, (a, _e) in enumerate(mon) if a in top]
+            if not hits:
+                rest.append((mon, c))
+                continue
+            i = hits[0]
+            a, e = mon[i]
+            if len(hits) > 1 or e > 1:
+                return None
+            parts[top[a] - 1][mon[:i] + mon[i + 1:]] = c
+        split.append((Expression(tuple(rest), _ONE_TERMS),
+                      tuple(Expression._make(g, _ONE_TERMS) for g in parts)))
+    return tuple(split)

@@ -3,13 +3,17 @@ linear systems in unknown parameters from symbolic identities.
 
 `rank`, `nullspace` and `solve` share one sparse Gauss-Jordan routine,
 `_rref`, which keeps each row as a dict of its nonzero entries: the
-determining systems it serves are large and mostly zeros.  Inputs are
-dense rows of ints and Fractions, outputs dense Fraction vectors.  The
-reduced row echelon form is unique, so the bases and solutions do not
-depend on the order in which rows are eliminated."""
+determining systems it serves are large and mostly zeros.  The
+elimination is fraction-free: each row is scaled to integers and reduced
+by integer cross-multiplication, and only the reduced form it returns is
+divided out into Fractions.  Inputs are dense rows of ints and
+Fractions, outputs dense Fraction vectors, as before.  The reduced row
+echelon form is unique, so the bases and solutions do not depend on the
+order in which rows are eliminated."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .expr import Expression, Symbol, _mon_key
@@ -26,37 +30,59 @@ def _rref(rows) -> dict:
     """Reduced row echelon form as {pivot column: row}, each row a dict
     {column: Fraction} of its nonzero entries.
 
-    Each incoming row is reduced by the pivot rows so far, scaled to a
-    leading 1, and subtracted from the earlier pivot rows that have an
-    entry in its pivot column.  Every pivot row stays 1 in its own pivot
-    column and 0 in the others, so the reductions of one row commute and
-    no pivot row gains an entry left of its pivot."""
+    Each incoming row is scaled to integers by the lcm of its
+    denominators, reduced by the pivot rows so far and divided by the
+    gcd of its entries; the earlier pivot rows with an entry in its pivot
+    column are then reduced by it.  A reduction is the integer
+    cross-multiplication p * row - row[c] * pivot_row, with p the pivot
+    row's entry in its pivot column c.  Every pivot row is kept primitive
+    with a positive entry in its own pivot column and 0 in the others,
+    so the reductions of one row commute and no pivot row gains an entry
+    left of its pivot.  Dividing each row by its pivot entry at the end
+    gives the reduced form."""
     pivots = {}
     for row in rows:
         r = {c: v for c, v in enumerate(row) if v}
+        if not r:
+            continue
+        den = math.lcm(*[v.denominator for v in r.values()])
+        r = {c: v.numerator * (den // v.denominator) for c, v in r.items()}
         for c in pivots.keys() & r.keys():
-            _axpy(r, -r[c], pivots[c])
+            prow = pivots[c]
+            r = _combine(prow[c], r, -r[c], prow)
         if not r:
             continue
         pc = min(r)
-        inv = Fraction(1) / r[pc]
-        r = {c: v * inv for c, v in r.items()}
-        for prow in pivots.values():
+        r = _primitive(r, pc)
+        a = r[pc]
+        for c, prow in pivots.items():
             f = prow.get(pc)
             if f is not None:
-                _axpy(prow, -f, r)
+                pivots[c] = _primitive(_combine(a, prow, -f, r), c)
         pivots[pc] = r
-    return pivots
+    return {pc: {c: Fraction(v, r[pc]) for c, v in r.items()}
+            for pc, r in pivots.items()}
 
 
-def _axpy(target: dict, f, row: dict) -> None:
-    """target += f * row, dropping the entries that become zero."""
-    for c, v in row.items():
-        t = target.get(c, 0) + f * v
+def _combine(a: int, row: dict, b: int, other: dict) -> dict:
+    """a * row + b * other, dropping the entries that become zero."""
+    out = {c: a * v for c, v in row.items()}
+    for c, v in other.items():
+        t = out.get(c, 0) + b * v
         if t:
-            target[c] = t
+            out[c] = t
         else:
-            del target[c]
+            del out[c]
+    return out
+
+
+def _primitive(row: dict, pc: int) -> dict:
+    """row divided by the gcd of its entries, with the sign that makes
+    its entry in column pc positive."""
+    g = math.gcd(*row.values())
+    if row[pc] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def rank(rows) -> int:

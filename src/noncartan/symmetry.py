@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from . import linalg
 from .expr import (
-    _ONE_TERMS, DEP, Call, Expression, Symbol, _mon_key, apply_rules, collect,
-    is_zero, substitute, sym,
+    _ONE_TERMS, DEP, Call, Expression, Symbol, _dot, _mon_key, apply_rules,
+    collect, differentiate, is_zero, one, substitute, sym,
 )
 from .jet import JetContext, ProlongedField, VectorField, prolong
 
@@ -154,16 +154,32 @@ def invariance_residual(v: VectorField, system: OdeSystem) -> list:
 
 def _prolonged_residuals(pf: ProlongedField, system: OdeSystem) -> list:
     """The residuals of `invariance_residual` from a field already
-    prolonged to the system's order in the system's context."""
+    prolonged to the system's order in the system's context.
+
+    With the split phi_j^(n) = E_j + sum_k y_k^(n) G_jk of the field's
+    `top_split` and polynomial right-hand sides F_k, the on-shell
+    residual is E_j + sum_k F_k G_jk - X^(n-1) F_j, one `_dot` with no
+    substitution; polynomials have one term tuple, so it is structurally
+    equal to the substituted one.  Otherwise (first order, or a rational
+    field or right-hand side) the field is applied to y_j^(n) - F_j and
+    the solved form substituted with `OdeSystem.on_shell`."""
     ctx = system.ctx
     n = ctx.order
+    split = pf.top_split if pf.p == n and all(
+        f.den == _ONE_TERMS for f in system.rhs) else None
     residuals = []
     for j in range(1, ctx.m + 1):
         delta = sym(ctx.jet(j, n)) - system.rhs[j - 1]
-        res = pf.apply_to(delta)
-        res = system.on_shell(res)
-        res = apply_rules(res, system.rules)
-        residuals.append(res)
+        if split is None:
+            res = system.on_shell(pf.apply_to(delta))
+        else:
+            e_j, g_j = split[j - 1]
+            res = _dot(
+                [(one(), e_j), (pf.base.xi, differentiate(delta, ctx.x))]
+                + list(zip(system.rhs, g_j))
+                + [(pf.coeff(k, i), differentiate(delta, ctx.jet(k, i)))
+                   for k in range(1, ctx.m + 1) for i in range(n)])
+        residuals.append(apply_rules(res, system.rules))
     return residuals
 
 

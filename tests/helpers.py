@@ -5,9 +5,9 @@ import random
 from fractions import Fraction
 
 from noncartan import (
-    Call, Expression, JetContext, JetOrderError, Symbol, VectorField, const,
-    differentiate, indep, invariance_residual, jet, one, param,
-    scalar_context, sym, zero,
+    Call, Expression, JetContext, JetOrderError, Symbol, VectorField,
+    apply_rules, const, differentiate, indep, invariance_residual, jet, one,
+    param, scalar_context, sym, zero,
 )
 from noncartan.expr import (
     _KIND_RANK, _ONE_TERMS, _check_acyclic, _mk_mon, _mon_key, _mon_sub,
@@ -244,6 +244,17 @@ def reference_prolonged_apply(pf, e):
     return out
 
 
+def reference_prolonged_residuals(pf, system):
+    """The on-shell residuals the way `invariance_residual` first built
+    them: the prolonged field applied to y_j^(n) - F_j, the solved form
+    substituted for the top jets, then the system's rules."""
+    ctx = system.ctx
+    n = ctx.order
+    return [apply_rules(system.on_shell(pf.apply_to(
+        sym(ctx.jet(j, n)) - system.rhs[j - 1])), system.rules)
+        for j in range(1, ctx.m + 1)]
+
+
 def reference_prolong_coefficients(v, p):
     """phi^(k+1) = D_x phi^(k) - y^(k+1) D_x xi through the reference
     total derivative, on a context of order at least p."""
@@ -283,8 +294,9 @@ def reference_contains(e, s):
 
 # ---------------------------------------------------------------------------
 # Reference linear algebra: dense Gauss-Jordan elimination over Fraction
-# rows, column by column.  The library eliminates over sparse rows; tests
-# assert equal ranks, bases and solutions.
+# rows, column by column, and the sparse Fraction elimination that came
+# after it.  The library eliminates fraction-free over sparse integer
+# rows; tests assert equal reduced forms, ranks, bases and solutions.
 
 
 def reference_echelon(rows):
@@ -308,6 +320,38 @@ def reference_echelon(rows):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def reference_rref(rows):
+    """The sparse Gauss-Jordan elimination over Fractions that the
+    library's fraction-free `_rref` replaced: {pivot column: {column:
+    Fraction}}, each incoming row reduced by the pivot rows, scaled to a
+    leading 1 and subtracted from the earlier pivot rows."""
+    pivots = {}
+    for row in rows:
+        r = {c: v for c, v in enumerate(row) if v}
+        for c in pivots.keys() & r.keys():
+            _reference_axpy(r, -r[c], pivots[c])
+        if not r:
+            continue
+        pc = min(r)
+        inv = Fraction(1) / r[pc]
+        r = {c: v * inv for c, v in r.items()}
+        for prow in pivots.values():
+            f = prow.get(pc)
+            if f is not None:
+                _reference_axpy(prow, -f, r)
+        pivots[pc] = r
+    return pivots
+
+
+def _reference_axpy(target, f, row):
+    for c, v in row.items():
+        t = target.get(c, 0) + f * v
+        if t:
+            target[c] = t
+        else:
+            del target[c]
 
 
 def reference_rank(rows):

@@ -84,6 +84,39 @@ def test_verify_free_fall():
     assert "8/8 pass" in out
 
 
+@pytest.mark.parametrize("system, catalog, m", [
+    ("y''=-q(x)*y", "non-cartan", "1"),
+    ("y''=-q(x)*y; w''=-q(x)*w", "non-cartan", "2"),
+    ("y''=-q(x)*y", "canonical", "1"),
+    ("y'''=-4*q(x)*y'-2*q'(x)*y", "canonical", "1"),
+])
+def test_verify_catalog_under_its_source_rules(system, catalog, m):
+    # the catalog fields call u, v with u'' = -q u and v'' = -q v; their
+    # residuals vanish only under those rules
+    code, out = run(["verify", "--system", system, "--catalog", catalog,
+                     "--m", m])
+    assert code == 0
+    assert "FAIL" not in out
+    assert "u(x)" in out
+
+
+def test_verify_catalog_pair_named_apart_from_the_input():
+    # a system that calls u itself is not rewritten by the pair's rules:
+    # the pair is renamed, and y'' = -u y is not its source equation
+    code, out = run(["verify", "--system", "y''=-u(x)*y", "--catalog",
+                     "non-cartan", "--m", "1", "--generator", "v(x)*dy"])
+    assert code == 1
+    assert out.splitlines() == [
+        "C11  FAIL  (y*u_(x))*dx + (y^2*u_'(x))*dy  [non-Cartan]",
+        "C12  FAIL  (y*v_(x))*dx + (y^2*v_'(x))*dy  [non-Cartan]",
+        "v1   FAIL  v(x)*dy",
+        "0/3 pass"]
+    # so is a generator that calls it
+    code, out = run(["verify", "--system", "y''=-q(x)*y", "--catalog",
+                     "non-cartan", "--m", "1", "--generator", "u(x)*dy"])
+    assert out.startswith("C11  PASS  (y*u_(x))*dx")
+
+
 def test_verify_failure_exit_code():
     code, out = run(["verify", "--system", "y''=y", "--generator", "y*dx"])
     assert code == 1
@@ -188,6 +221,8 @@ HOSTILE = [
      "error: catalog 'free-fall' has m = 1"),
     (["verify", "--system", "y'=0", "--catalog", "canonical"],
      "error: catalog 'canonical' needs order 2"),
+    (["verify", "--system", "y''=-y", "--catalog", "canonical", "--n", "3"],
+     "error: catalog 'canonical' has n = 3, the system has order 2"),
     (["classify", "--system", NESTED_SUM], "error: input nested too deeply"),
     (["classify", "--system", NESTED_CALL], "error: input nested too deeply"),
     (["classify", "--system", "y''=(x+y')^40000"],

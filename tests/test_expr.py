@@ -695,3 +695,56 @@ def test_dot_matches_sum_of_products():
         pairs = [(random_expression(rng, 2), random_expression(rng, 2))
                  for _ in range(rng.randint(0, 5))]
         assert _dot(iter(pairs)) == _sum(f * g for f, g in pairs)
+
+
+def test_fused_rebuilds_fall_back_at_the_first_rational_term():
+    """substitute, replace_atoms and differentiate put polynomial term
+    products straight into one term dict and fall back to the ordered
+    sum at the first term with a rational image or derivative; placed
+    first, in the middle or last among the terms, and first, in the middle
+    or last within its monomial, the result equals the running sum's."""
+    x, y, a = sym(X), sym(Y), sym(param("a"))
+    A = param("a")
+    g = call(func("G"), 1 / (x + 1))     # d/dx is rational
+    G = g.num[0][0][0][0]
+    h = call(func("H"), y)
+    position = {"first": 0, "middle": 1, "last": 2}
+
+    def where(e, atom):
+        hits = [i for i, (mon, _c) in enumerate(e.num)
+                if any(b == atom for b, _k in mon)]
+        return hits[0]
+
+    def same(fn, ref, *args):
+        got, expected = fn(*args), ref(*args)
+        assert got == expected
+        assert format_expression(got) == format_expression(expected)
+
+    # the term holding the parameter a, whose image is rational
+    for place, e in (("first", x * a + x ** 2 + y),
+                     ("middle", x + y * a * h + y ** 2),
+                     ("last", x + y + a * h)):
+        assert len(e.num) == 3 and where(e, A) == position[place]
+        for img in (1 / (x + 1), (x ** 2 - 1) / (x - 1), -x / (y + 2)):
+            bindings = {A: img, Y: x + 2}
+            same(substitute, reference_substitute, e, bindings)
+            mapping = {A: img, h.num[0][0][0][0]: x - 1}
+            same(replace_atoms, reference_replace_atoms, e, mapping)
+    # the term holding G(1/(x+1)), whose x-derivative is rational
+    for place, e in (("first", x * g + x ** 2 + x ** 3 * y),
+                     ("middle", x + x ** 2 * g * h + x ** 3),
+                     ("last", x + x ** 2 + g)):
+        assert len(e.num) == 3 and where(e, G) == position[place]
+        same(differentiate, reference_differentiate, e, X)
+        same(differentiate, reference_differentiate, e * (x + 1), X)
+        same(differentiate, reference_differentiate, e / (x + 1), X)
+    # the running sum -(x+1) + (x^2-1)/(x-1) is zero before p is added;
+    # adding p before the rational image would leave (p*x - p)/(x - 1)
+    e = y + a + sym(param("b"))
+    bindings = {Y: -(x + 1), A: (x ** 2 - 1) / (x - 1), param("b"): sym(P)}
+    assert substitute(e, bindings) == sym(P)
+    same(substitute, reference_substitute, e, bindings)
+    # within a monomial: x * a * G(..) with a rational image for a
+    # multiplies the polynomial lead x, then a, then G through `*`
+    e = 3 * x * a * g - y
+    same(substitute, reference_substitute, e, {A: 1 / (x + 1), X: y + 1})

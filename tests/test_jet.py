@@ -135,3 +135,35 @@ def test_jet_sums_match_reference_loops_randomized():
         je = random_expression(rng, 2, coords + jets)
         assert pf.apply_to(je) == reference_prolonged_apply(pf, je)
         assert total_derivative(je, ctx) == reference_total_derivative(je, ctx)
+
+
+def test_top_split_rebuilds_the_top_coefficient():
+    """phi_j^(p) = E_j + sum_k y_k^(p) G_jk for p >= 2 with E_j and G_jk
+    free of the top jets; no split at p = 1 (quadratic in y') or for a
+    rational field."""
+    rng = random.Random(47)
+    for case in range(24):
+        ctx = JetContext(1 + case % 3, 4)
+        p = 1 + case // 3 % 4
+        v = random_point_field(rng, ctx)
+        if case % 2:
+            # an opaque component, still a polynomial
+            args = [sym(s) for s in ctx.point_symbols()]
+            v = v + VectorField(call(func("f", ctx.m + 1), *args),
+                                (zero(),) * ctx.m, ctx)
+        pf = prolong(v, p)
+        if p == 1:
+            assert pf.top_split is None
+            continue
+        assert len(pf.top_split) == ctx.m
+        tops = [ctx.jet(k, p) for k in range(1, ctx.m + 1)]
+        for j, (e_j, g_j) in enumerate(pf.top_split, start=1):
+            assert len(g_j) == ctx.m
+            assert not any(c.contains(t) for c in (e_j,) + g_j for t in tops)
+            rebuilt = e_j
+            for t, g in zip(tops, g_j):
+                rebuilt = rebuilt + sym(t) * g
+            assert rebuilt == pf.coeff(j, p), case
+    x = sym(scalar_context().x)
+    rational = VectorField(1 / (x + 1), (zero(),), scalar_context(4))
+    assert prolong(rational, 2).top_split is None

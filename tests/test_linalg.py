@@ -10,7 +10,9 @@ from noncartan.linalg import (
     rank, solve,
 )
 
-from helpers import reference_nullspace, reference_rank, reference_solve
+from helpers import (
+    reference_nullspace, reference_rank, reference_rref, reference_solve,
+)
 
 
 def _entry(rng, density):
@@ -168,3 +170,54 @@ def test_linalg_matches_sympy_randomized():
         assert rank(rows) == len(pivots), case
         assert nullspace(rows) == [[frac(v) for v in vec]
                                    for vec in m.nullspace()], case
+
+
+def _hostile_row(rng, ncols):
+    """Entries with large, mixed denominators and signs, mostly zero."""
+    row = []
+    for _ in range(ncols):
+        u = rng.random()
+        if u < 0.45:
+            row.append(0)
+        elif u < 0.6:
+            row.append(rng.randint(-10 ** 12, 10 ** 12))
+        else:
+            row.append(Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                                rng.choice((3, 7, 1024, 999983,
+                                            2 ** 61 - 1, 10 ** 15 + 37))))
+    return row
+
+
+def test_integer_rref_matches_fraction_reference():
+    """The fraction-free elimination gives the reduced form of the
+    Fraction elimination it replaced, entry for entry, on rows with large
+    mixed denominators, negative leading entries, zero rows and rank
+    deficiency."""
+    rng = random.Random(41)
+    negative_leads = deficient = 0
+    for case in range(250):
+        ncols = rng.randint(1, 14)
+        rows = [_hostile_row(rng, ncols) for _ in range(rng.randint(1, 10))]
+        for i in range(len(rows)):
+            u = rng.random()
+            if u < 0.1:
+                rows[i] = [0] * ncols
+            elif u < 0.3 and i:
+                # a rational combination of two earlier rows
+                j, k = rng.randrange(i), rng.randrange(i)
+                a = Fraction(rng.randint(-9, 9), rng.randint(1, 99991))
+                rows[i] = [a * v - w for v, w in zip(rows[j], rows[k])]
+            elif u < 0.5:
+                # a negative leading entry
+                lead = rng.randrange(ncols)
+                rows[i][:lead] = [0] * lead
+                rows[i][lead] = -abs(rows[i][lead]) or -1
+        negative_leads += any(next((v for v in r if v), 0) < 0 for r in rows)
+        red = _rref(rows)
+        assert red == reference_rref(rows), case
+        assert all(type(v) is Fraction for r in red.values()
+                   for v in r.values()), case
+        assert all(r[pc] == 1 for pc, r in red.items()), case
+        deficient += len(red) < min(len(rows), ncols)
+    assert negative_leads > 100
+    assert deficient > 50

@@ -6,12 +6,14 @@ import pytest
 from noncartan import (
     ContextMismatchError, JetContext, MissingInverseError, OdeSystem,
     PointTransformation, SourceEquation, VectorField, algebra_report, call,
-    change_coordinates, commutator, const, determining_equations,
-    free_fall_symmetries, func, invariance_residual, is_non_cartan, is_zero,
-    one, scalar_context, sym, zero,
+    canonical_basis, change_coordinates, commutator, const,
+    determining_equations, format_expression, free_fall_symmetries, func,
+    invariance_residual, is_non_cartan, is_zero, non_cartan_generators, one,
+    prolong, scalar_context, sym, zero,
 )
+from noncartan.symmetry import _prolonged_residuals
 
-from helpers import random_point_field
+from helpers import random_point_field, reference_prolonged_residuals
 
 
 def free_fall_system():
@@ -172,3 +174,82 @@ def test_system_order_validation():
     top = sym(ctx.jet(1, 2))
     with pytest.raises(ValueError):
         OdeSystem(ctx, (top,))
+
+
+def _random_rhs(rng, ctx, kind):
+    """A right-hand side of order below the system's: a polynomial in x
+    and the lower jets, with an opaque q(x) factor or H(y') term, or
+    divided by a polynomial."""
+    lower = [sym(ctx.x)] + [sym(ctx.jet(j, k)) for j in range(1, ctx.m + 1)
+                            for k in range(ctx.order)]
+    f = zero()
+    for _ in range(rng.randint(1, 3)):
+        term = const(rng.choice((-2, -1, 1, 3)))
+        for _ in range(rng.randint(0, 2)):
+            term = term * rng.choice(lower)
+        f = f + term
+    if kind == "opaque":
+        f = f * call(func("q"), sym(ctx.x))
+        if ctx.order > 1:
+            f = f + call(func("H"), sym(ctx.jet(1, 1)))
+    elif kind == "rational":
+        f = f / (sym(ctx.x) + rng.choice((1, 2)))
+    return f
+
+
+def _random_field(rng, ctx, kind):
+    v = random_point_field(rng, ctx)
+    if kind == "opaque":
+        args = [sym(s) for s in ctx.point_symbols()]
+        f = call(func("f", ctx.m + 1), *args)
+        return VectorField(v.xi + f, tuple(p - f * args[0] for p in v.phi),
+                           ctx)
+    if kind == "rational":
+        d = sym(ctx.x) + 2
+        return VectorField(v.xi + 1 / d, v.phi, ctx)
+    return v
+
+
+def test_prolonged_residuals_match_substitution_path():
+    """The residuals from the on-shell split of the top prolongation
+    equal, structurally and in print, the field applied to y^(n) - F and
+    the solved form substituted, at orders 1, 2 and 3, for polynomial,
+    opaque and rational fields and right-hand sides."""
+    rng = random.Random(43)
+    kinds = ("polynomial", "opaque", "rational")
+    split_used = 0
+    seen = set()
+    for case in range(90):
+        # order 3 with two rational equations runs for many seconds in
+        # the rational sums both paths share, so it stays scalar
+        order = 1 + case % 3
+        ctx = JetContext(1 if order == 3 else rng.choice((1, 2)), order)
+        # the rational kinds take the substitution path in both, and
+        # cost the most, so they come less often
+        field_kind, rhs_kind = rng.choices(kinds, (4, 4, 1), k=2)
+        system = OdeSystem(ctx, tuple(_random_rhs(rng, ctx, rhs_kind)
+                                      for _ in range(ctx.m)))
+        pf = prolong(_random_field(rng, ctx, field_kind), ctx.order)
+        got = _prolonged_residuals(pf, system)
+        ref = reference_prolonged_residuals(pf, system)
+        assert got == ref, case
+        assert ([format_expression(r) for r in got]
+                == [format_expression(r) for r in ref]), case
+        assert (pf.top_split is not None) == (
+            ctx.order > 1 and field_kind != "rational"), case
+        split_used += (pf.top_split is not None and rhs_kind != "rational")
+        seen.update({("field", order, field_kind), ("rhs", order, rhs_kind)})
+    assert split_used > 30
+    assert len(seen) == 18
+    # the source rules rewrite the split path's result as the other's
+    src = SourceEquation.symbolic()
+    ctx = JetContext(2, 2)
+    y, w = sym(ctx.y(1)), sym(ctx.y(2))
+    system = OdeSystem(ctx, (-src.q * y, -src.q * w), src.rules)
+    for v in (non_cartan_generators(2, src, ctx)
+              + canonical_basis(2, 2, src, ctx)):
+        pf = prolong(v, 2)
+        assert pf.top_split is not None
+        got = _prolonged_residuals(pf, system)
+        assert got == reference_prolonged_residuals(pf, system)
+        assert all(r.is_rational_zero() for r in got)
