@@ -241,15 +241,16 @@ def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
         return sum((c * src.d(s_k, n - j) for j, c in enumerate(coeffs, 2)),
                    src.d(s_k, n))
 
+    column = {p: i for i, p in enumerate(params)}
     rows = []
     rhs = []
     for s_k in sols:
         resid = apply_rules(residual(s_k, ansatz), src.rules)
         for lin, cst in linalg.linear_equations_in_params(resid, params):
-            rows.append([lin.get(p, 0) for p in params])
+            rows.append({column[p]: v for p, v in lin.items()})
             rhs.append(-cst)
     if params:
-        sol = linalg.solve(rows, rhs)
+        sol = linalg.solve(rows, rhs, ncols=len(params))
         bindings = dict(zip(params, map(const, sol)))
     else:
         bindings = {}

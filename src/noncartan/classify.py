@@ -292,10 +292,19 @@ def _normal_form_2x2(a: Expression, b: Expression, c: Expression) -> OdeSystem:
     return OdeSystem(ctx, (a * y + b * w, c * y - a * w))
 
 
+@functools.lru_cache(maxsize=1)
+def _trivial_witnesses() -> tuple:
+    """The non-Cartan generators of the trivial 2x2 system, verified on
+    first use; they depend on nothing, so later calls share them."""
+    return _verified_witnesses(SourceEquation.trivial(),
+                               _normal_form_2x2(zero(), zero(), zero()))
+
+
 def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
                              rules=()) -> ClassificationVerdict:
     """A trace-free 2x2 normal form admits a non-Cartan symmetry iff it
-    is the trivial system (A = B = C = 0)."""
+    is the trivial system (A = B = C = 0).  The witnesses are those of
+    the trivial system, verified once per process."""
     statuses = [(name, zero_status(e, rules))
                 for name, e in (("A", a), ("B", b), ("C", c))]
     obstructions = [name for name, st in statuses if st is ZeroStatus.NONZERO]
@@ -306,9 +315,7 @@ def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
     for name, st in statuses:
         if st is ZeroStatus.NUMERIC_ZERO:
             reason.append("%s is zero (numeric sampling)" % name)
-    witnesses = _verified_witnesses(SourceEquation.trivial(),
-                                    _normal_form_2x2(zero(), zero(), zero()))
-    return ClassificationVerdict(True, witnesses, tuple(reason))
+    return ClassificationVerdict(True, _trivial_witnesses(), tuple(reason))
 
 
 def determining_system_2x2(a: Expression, b: Expression, c: Expression,
@@ -392,19 +399,22 @@ def brute_force_non_cartan_search(a: Expression, b: Expression, c: Expression,
     prolongation carries the split phi^(2) = E + y'' G_1 + w'' G_2 of
     `ProlongedField.top_split`; for polynomial A, B and C the residuals
     are E + sum F_k G_k - X^(1) F, one sum of products, and for rational
-    ones the solved form is substituted."""
+    ones the solved form is substituted.  Each equation in the ansatz
+    parameters goes to `linalg.nullspace` as a dict row of its nonzero
+    coefficients, keyed by the parameter's column."""
     if (not isinstance(degree_cap, int) or isinstance(degree_cap, bool)
             or degree_cap < 0):
         raise ValueError("degree_cap must be a non-negative int, got %r"
                          % (degree_cap,))
     params, noncartan_slots, pf = _oracle_ansatz(degree_cap)
+    column = {p: i for i, p in enumerate(params)}
     residuals = _prolonged_residuals(pf, _normal_form_2x2(a, b, c))
     rows = []
     for res in residuals:
         for lin, cst in linalg.linear_equations_in_params(res, params):
             if cst != 0:
                 raise AssertionError("homogeneous system expected")
-            rows.append([lin.get(p, 0) for p in params])
+            rows.append({column[p]: v for p, v in lin.items()})
     basis = linalg.nullspace(rows, ncols=len(params))
     for vec in basis:
         if any(vec[i] != 0 for i in noncartan_slots):

@@ -260,7 +260,7 @@ def cmd_classify(args) -> int:
             for r in verdict.reason:
                 lines.append("  " + r)
         code = EXIT_OK if verdict.in_canonical_class else EXIT_FAIL
-    elif ctx.m == 1:
+    elif ctx.m == 1 and ctx.order == 2:
         f = system.rhs[0]
         p = ctx.jet(1, 1)
         try:

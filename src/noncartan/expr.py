@@ -214,10 +214,53 @@ def _mk_mon(powers: dict) -> tuple:
 
 
 def _mon_mul(m1, m2):
-    powers = dict(m1)
-    for a, e in m2:
-        powers[a] = powers.get(a, 0) + e
-    return _mk_mon(powers)
+    """The product of two monomials, by merging the sorted tuples.
+
+    Atoms are compared by key, and by `==` only when the keys tie.
+    Unequal atoms with equal keys keep the order a stable sort of m1's
+    atoms followed by m2's new ones gives: within such a run of ties,
+    m1's atoms first."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1 = len(m1)
+    n2 = len(m2)
+    while i < n1 and j < n2:
+        a, e = m1[i]
+        b, f = m2[j]
+        ka = a._key
+        kb = b._key
+        if ka < kb:
+            out.append(m1[i])
+            i += 1
+        elif kb < ka:
+            out.append(m2[j])
+            j += 1
+        elif a == b:
+            out.append((a, e + f))
+            i += 1
+            j += 1
+        else:
+            i1 = i
+            while i1 < n1 and m1[i1][0]._key == ka:
+                i1 += 1
+            j1 = j
+            while j1 < n2 and m2[j1][0]._key == ka:
+                j1 += 1
+            powers = dict(m1[i:i1])
+            for b, f in m2[j:j1]:
+                powers[b] = powers.get(b, 0) + f
+            out.extend(powers.items())
+            i = i1
+            j = j1
+    if i < n1:
+        out.extend(m1[i:])
+    elif j < n2:
+        out.extend(m2[j:])
+    return tuple(out)
 
 
 def _terms_from_dict(d: dict) -> tuple:
@@ -1066,6 +1109,13 @@ MAX_EXPANSION_TERMS = 100
 # Python refuses to print an integer of more than 4300 digits
 MAX_INTEGER_DIGITS = 1000
 
+# the deepest nesting of parentheses, call arguments and unary signs in
+# parsed text; each level costs the recursive-descent parser up to five
+# stack frames, and each nested call about ten recursion levels wherever
+# the engine compares or rebuilds it, so both stay well inside the
+# default recursion limit of 1000
+MAX_NESTING_DEPTH = 50
+
 
 def _tokenize(text: str):
     tokens = []
@@ -1108,6 +1158,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ctx = ctx
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -1176,12 +1227,21 @@ class _Parser:
                 return e
 
     def parse_factor(self) -> Expression:
+        """A signed power; every nesting level of the grammar passes
+        through here, so here the depth is bounded."""
         tok = self.peek()
+        if self.depth == MAX_NESTING_DEPTH:
+            raise ParseError("input nested too deeply", tok[2])
+        self.depth += 1
         if tok[0] == "op" and tok[1] in "+-":
             self.next()
             e = self.parse_factor()
-            return e if tok[1] == "+" else -e
-        return self.parse_power()
+            if tok[1] == "-":
+                e = -e
+        else:
+            e = self.parse_power()
+        self.depth -= 1
+        return e
 
     def parse_power(self) -> Expression:
         base = self.parse_atom()

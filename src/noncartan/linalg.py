@@ -6,17 +6,19 @@ linear systems in unknown parameters from symbolic identities.
 determining systems it serves are large and mostly zeros.  The
 elimination is fraction-free: each row is scaled to integers and reduced
 by integer cross-multiplication, and only the reduced form it returns is
-divided out into Fractions.  Inputs are dense rows of ints and
-Fractions, outputs dense Fraction vectors, as before.  The reduced row
-echelon form is unique, so the bases and solutions do not depend on the
-order in which rows are eliminated."""
+divided out into Fractions.  A row is either a dense sequence of ints
+and Fractions or a dict {column: value} of its nonzero entries; a
+matrix with a dict row needs its column count `ncols`, which a dict does
+not carry.  Outputs are dense Fraction vectors.  The reduced row echelon
+form is unique, so the bases and solutions do not depend on the order in
+which rows are eliminated."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .expr import Expression, Symbol, _mon_key
+from .expr import Expression, _mon_key
 
 __all__ = ["rank", "nullspace", "solve", "linear_equations_in_params",
            "InconsistentSystemError"]
@@ -28,7 +30,8 @@ class InconsistentSystemError(ValueError):
 
 def _rref(rows) -> dict:
     """Reduced row echelon form as {pivot column: row}, each row a dict
-    {column: Fraction} of its nonzero entries.
+    {column: Fraction} of its nonzero entries.  An incoming row is a
+    dense sequence or a dict {column: value}.
 
     Each incoming row is scaled to integers by the lcm of its
     denominators, reduced by the pivot rows so far and divided by the
@@ -42,7 +45,8 @@ def _rref(rows) -> dict:
     gives the reduced form."""
     pivots = {}
     for row in rows:
-        r = {c: v for c, v in enumerate(row) if v}
+        r = {c: v for c, v in (row.items() if isinstance(row, dict)
+                               else enumerate(row)) if v}
         if not r:
             continue
         den = math.lcm(*[v.denominator for v in r.values()])
@@ -85,6 +89,16 @@ def _primitive(row: dict, pc: int) -> dict:
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
+def _ncols(rows, ncols):
+    """The column count: ncols if given, else the length of the first
+    row, which a dict row does not have."""
+    if ncols:
+        return ncols
+    if isinstance(rows[0], dict):
+        raise ValueError("a matrix of dict rows needs ncols")
+    return len(rows[0])
+
+
 def rank(rows) -> int:
     return len(_rref(rows))
 
@@ -94,27 +108,32 @@ def nullspace(rows, ncols: int = None):
     if not rows:
         return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
                 for j in range(ncols or 0)]
-    ncols = ncols or len(rows[0])
+    ncols = _ncols(rows, ncols)
     red = _rref(rows)
-    basis = []
-    for fc in range(ncols):
-        if fc in red:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pc, prow in red.items():
-            vec[pc] = -prow.get(fc, Fraction(0))
-        basis.append(vec)
-    return basis
+    if max(map(max, red.values()), default=0) >= ncols:
+        raise ValueError("a row has an entry past column ncols - 1")
+    zero, one = Fraction(0), Fraction(1)
+    basis = {fc: [zero] * ncols for fc in range(ncols) if fc not in red}
+    for fc, vec in basis.items():
+        vec[fc] = one
+    # a reduced pivot row has no entry in another pivot column
+    for pc, prow in red.items():
+        for c, v in prow.items():
+            if c != pc:
+                basis[c][pc] = -v
+    return list(basis.values())
 
 
-def solve(rows, rhs):
+def solve(rows, rhs, ncols: int = None):
     """Solve A x = b exactly; raises if inconsistent, returns one
     solution (free variables set to zero)."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    red = _rref(list(r) + [b] for r, b in zip(rows, rhs))
+    ncols = _ncols(rows, ncols)
+    red = _rref({**r, ncols: b} if isinstance(r, dict) else list(r) + [b]
+                for r, b in zip(rows, rhs))
+    if max(map(max, red.values()), default=0) > ncols:
+        raise ValueError("a row has an entry past column ncols - 1")
     if ncols in red:
         raise InconsistentSystemError("inconsistent linear system")
     sol = [Fraction(0)] * ncols
@@ -134,21 +153,23 @@ def linear_equations_in_params(e: Expression, params):
     an int where integral, else a Fraction, like the expression's own
     coefficients.
     """
-    params = list(params)
     pset = set(params)
     groups = {}
     for mon, c in e.num:
-        pvars = [(a, k) for a, k in mon if isinstance(a, Symbol) and a in pset]
-        if sum(k for _, k in pvars) > 1:
-            raise ValueError("expression is not affine in the parameters")
-        rest = tuple((a, k) for a, k in mon
-                     if not (isinstance(a, Symbol) and a in pset))
-        lin, cst = groups.setdefault(rest, ({}, [0]))
-        if pvars:
-            p = pvars[0][0]
-            lin[p] = lin.get(p, 0) + c
-        else:
+        p = None
+        rest = []
+        for a, k in mon:
+            if a not in pset:
+                rest.append((a, k))
+            elif p is None and k == 1:
+                p = a
+            else:
+                raise ValueError("expression is not affine in the parameters")
+        lin, cst = groups.setdefault(tuple(rest), ({}, [0]))
+        if p is None:
             cst[0] += c
+        else:
+            lin[p] = lin.get(p, 0) + c
     out = []
     for rest in sorted(groups, key=_mon_key):
         lin, cst = groups[rest]

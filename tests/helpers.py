@@ -181,6 +181,15 @@ def reference_collect(e, variables):
     return out
 
 
+def reference_mon_mul(m1, m2):
+    """The monomial product as a dict of powers, m1's atoms first, sorted
+    again by key."""
+    powers = dict(m1)
+    for a, e in m2:
+        powers[a] = powers.get(a, 0) + e
+    return _mk_mon(powers)
+
+
 def reference_monomial_expression(mon):
     out = one()
     for a, k in mon:

@@ -13,7 +13,10 @@ from noncartan import (
     trace_free_reduce, zero,
     one, zero_status, isotropy_test, prolong,
 )
-from noncartan.classify import _normal_form_2x2, _oracle_ansatz
+from noncartan import classify as classify_module
+from noncartan.classify import (
+    _normal_form_2x2, _oracle_ansatz, _trivial_witnesses, _verified_witnesses,
+)
 from noncartan.expr import format_expression
 from noncartan.symmetry import _prolonged_residuals
 
@@ -137,6 +140,23 @@ def test_existence_trivial():
     assert verdict.in_canonical_class
     assert len(verdict.witnesses) == 4
     assert all(is_non_cartan(w) for w in verdict.witnesses)
+
+
+def test_existence_witnesses_verified_once(monkeypatch):
+    """The trivial system's witnesses are verified on first use, and a
+    failed verification raises instead of being cached."""
+    z = zero()
+    _trivial_witnesses.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(classify_module, "invariance_residual",
+                      lambda field, system: [one()])
+        with pytest.raises(AssertionError, match="re-verification"):
+            non_cartan_existence_2x2(z, z, z)
+    assert _trivial_witnesses.cache_info().currsize == 0
+    witnesses = non_cartan_existence_2x2(z, z, z).witnesses
+    assert witnesses == _verified_witnesses(SourceEquation.trivial(),
+                                            _normal_form_2x2(z, z, z))
+    assert non_cartan_existence_2x2(z, z, z).witnesses is witnesses
 
 
 def test_existence_obstructions_cited():

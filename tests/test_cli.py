@@ -211,6 +211,9 @@ def test_determining_json_matches_library_ansatze():
 NESTED_SUM = "y''=y*" + "(" * 3000 + "x" + ")" * 3000
 NESTED_CALL = "y''=" + "f(" * 200 + "x" + ")" * 200 + "*y"
 
+CLASSIFY_NEEDS = ("error: classification needs a linear normal-form system "
+                  "or a scalar second-order equation")
+
 # (arguments, the start of the stderr line that carries the message)
 HOSTILE = [
     (["verify", "--system", "y''=0", "--catalog", "canonical", "--m", "3"],
@@ -223,8 +226,13 @@ HOSTILE = [
      "error: catalog 'canonical' needs order 2"),
     (["verify", "--system", "y''=-y", "--catalog", "canonical", "--n", "3"],
      "error: catalog 'canonical' has n = 3, the system has order 2"),
-    (["classify", "--system", NESTED_SUM], "error: input nested too deeply"),
-    (["classify", "--system", NESTED_CALL], "error: input nested too deeply"),
+    # the parser's depth bound refuses these before the engine recurses
+    (["classify", "--system", NESTED_SUM],
+     "error: cannot parse \"%s\": input nested too deeply (at position 56)"
+     % NESTED_SUM),
+    (["classify", "--system", NESTED_CALL],
+     "error: cannot parse \"%s\": input nested too deeply (at position 104)"
+     % NESTED_CALL),
     (["classify", "--system", "y''=(x+y')^40000"],
      "error: cannot parse \"y''=(x+y')^40000\": expression too large"),
     (["classify", "--system", "y''=3^100000*y"],
@@ -232,6 +240,10 @@ HOSTILE = [
     (["classify", "--system", "y''=%s*y" % ("9" * 5000)],
      "error: cannot parse \"y''=%s*y\": integer too large (at position 4)"
      % ("9" * 5000)),
+    # the scalar tests belong to second-order equations
+    (["classify", "--system", "y'''=0"], CLASSIFY_NEEDS),
+    (["classify", "--system", "y'=y^5"], CLASSIFY_NEEDS),
+    (["classify", "--system", "y'=y"], CLASSIFY_NEEDS),
     (["verify", "--system", "y''=0", "--generator", "1 + dx*dy"],
      "error: vector field '1 + dx*dy' has a term without a coordinate"),
     # argparse rejects these

@@ -19,14 +19,14 @@ from noncartan import (
 )
 from noncartan import expr as expr_module
 from noncartan.expr import (
-    JET, MAX_EXPANSION_TERMS, MAX_INTEGER_DIGITS, OPAQUE, _ONE_MON,
-    _cancel_monomial_gcd, _dot, _mk_mon, _sum, _terms_from_dict, atom_expr,
-    monomial_expression,
+    JET, MAX_EXPANSION_TERMS, MAX_INTEGER_DIGITS, MAX_NESTING_DEPTH, OPAQUE,
+    _ONE_MON, _cancel_monomial_gcd, _dot, _mk_mon, _mon_mul, _sum,
+    _terms_from_dict, atom_expr, monomial_expression,
 )
 
 from helpers import (
     random_expression, reference_cancel_monomial_gcd, reference_collect,
-    reference_contains, reference_differentiate,
+    reference_contains, reference_differentiate, reference_mon_mul,
     reference_monomial_expression, reference_replace_atoms,
     reference_sort_key, reference_substitute,
 )
@@ -257,6 +257,25 @@ def test_parse_refuses_integers_past_the_digit_bound():
                       ("10^600*10^600", 6), ("9*10^999*x + 9*10^999*x", 11),
                       ("x/(10^600*x + 1/10^600)", 1)):
         with pytest.raises(ParseError, match=r"integer too large \(at "
+                                             r"position %d\)" % pos):
+            parse(text, ctx)
+
+
+def test_parse_refuses_nesting_past_the_depth_bound():
+    ctx = ParseContext(1)
+    n = MAX_NESTING_DEPTH
+    assert parse("(" * (n - 1) + "x" + ")" * (n - 1), ctx) == sym(X)
+    assert parse("-" * (n - 1) + "x", ctx) == -sym(X)
+    nested = sym(X)
+    for _ in range(n - 1):
+        nested = call(func("f"), nested)
+    assert parse("f(" * (n - 1) + "x" + ")" * (n - 1), ctx) == nested
+    for text, pos in (("(" * 600 + "x" + ")" * 600, n),
+                      ("y*" + "(" * n + "x" + ")" * n, 2 + n),
+                      ("-" * 5000 + "x", n),
+                      ("f(" * n + "x" + ")" * n, 2 * n),
+                      ("(-" * n + "x" + ")" * n, n)):
+        with pytest.raises(ParseError, match=r"input nested too deeply \(at "
                                              r"position %d\)" % pos):
             parse(text, ctx)
 
@@ -510,6 +529,42 @@ def test_atom_hash_survives_pickle_across_processes():
     assert s == X and hash(s) == hash(X)
     assert e == here and hash(e) == hash(here)
     assert {here: 1}[e] == 1
+
+
+def test_mon_mul_matches_reference_randomized():
+    """The merging product equals the dict-and-sort product, also when
+    unequal atoms tie on their keys: Calls whose heads differ only in
+    index or order, and a plain symbol with a stray arity."""
+    rng = random.Random(23)
+    stray = Symbol("x", X.kind, arity=1)
+    assert stray.sort_key() == X.sort_key() and stray != X
+    ties = 0
+    for case in range(600):
+        atoms = _random_atoms(rng, 10) + [stray, func("h")]
+
+        def monomial():
+            chosen = rng.sample(atoms, rng.choice((0, 1, 2, 3, 5)))
+            # _mk_mon keeps the insertion order of tied atoms
+            return _mk_mon({a: rng.randint(1, 3) for a in chosen})
+
+        m1, m2 = monomial(), monomial()
+        if rng.random() < 0.3:
+            m2 = _mk_mon(dict(rng.sample(m1, len(m1)) + list(m2)))
+        got = _mon_mul(m1, m2)
+        assert got == reference_mon_mul(m1, m2), case
+        keys = [a.sort_key() for a, _e in got]
+        assert keys == sorted(keys), case
+        ties += len(set(keys)) < len(keys)
+    assert ties > 50
+    f0 = func("f")
+    f1 = Symbol("f", OPAQUE, index=1, arity=1, dorders=(0,))
+    a, b = Call(f0, (sym(X),)), Call(f1, (sym(X),))
+    assert a.sort_key() == b.sort_key() and a != b
+    for m1, m2 in ((((a, 1),), ((b, 2), (a, 3))),
+                   (((b, 1), (a, 1)), ((a, 2),)),
+                   (((stray, 1), (a, 1)), ((X, 1), (b, 1))),
+                   ((), ((b, 1), (a, 1))), (((a, 1),), ())):
+        assert _mon_mul(m1, m2) == reference_mon_mul(m1, m2)
 
 
 def test_contains_matches_reference_randomized():

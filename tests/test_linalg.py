@@ -45,6 +45,20 @@ def _solve_or_error(fn, rows, rhs):
         return InconsistentSystemError
 
 
+def _dict_rows(rng, rows):
+    """The rows as dicts of their nonzero entries in a shuffled order,
+    some with an explicit zero entry."""
+    out = []
+    for row in rows:
+        items = [(c, v) for c, v in enumerate(row) if v]
+        zeros = [c for c, v in enumerate(row) if not v]
+        if zeros and rng.random() < 0.2:
+            items.append((rng.choice(zeros), 0))
+        rng.shuffle(items)
+        out.append(dict(items))
+    return out
+
+
 def _dense_fraction_vectors(vecs, ncols):
     return all(len(v) == ncols and all(type(c) is Fraction for c in v)
                for v in vecs)
@@ -73,7 +87,27 @@ def test_linalg_matches_dense_reference_randomized():
             raised += 1
         else:
             assert _dense_fraction_vectors([got], ncols), case
+        # the same matrix as dict rows
+        drows = _dict_rows(rng, rows)
+        assert rank(drows) == rank(rows), case
+        assert nullspace(drows, ncols=ncols) == basis, case
+        assert _solve_or_error(lambda r, b: solve(r, b, ncols=ncols),
+                               drows, rhs) == got, case
     assert 20 < raised < 380
+
+
+def test_dict_rows_need_ncols():
+    for rows in ([{0: 1, 2: -1}], [{}], [{0: 1}, [1, 2, 3]]):
+        with pytest.raises(ValueError, match="needs ncols"):
+            nullspace(rows)
+        with pytest.raises(ValueError, match="needs ncols"):
+            solve(rows, [1] * len(rows))
+    # a dense first row gives the count
+    assert nullspace([[1, 2, 3], {0: 1}]) == [[0, Fraction(-3, 2), 1]]
+    with pytest.raises(ValueError, match="past column"):
+        nullspace([{0: 1, 3: 1}], ncols=3)
+    with pytest.raises(ValueError, match="past column"):
+        solve([{0: 1, 4: 1}], [1], ncols=3)
 
 
 def test_linalg_empty_and_degenerate():
@@ -146,6 +180,16 @@ def test_linear_equations_in_params_exact():
             rebuilt = rebuilt + part * monomial_expression(rest)
         assert rebuilt == Expression(e.num, _ONE_TERMS), case
     assert kinds == {int, Fraction}
+
+
+def test_linear_equations_in_params_rejects_nonaffine_terms():
+    x = sym(indep("x"))
+    p, q = param("p"), param("q")
+    assert linear_equations_in_params(3 * sym(p) * x + x, [p, q]) == [
+        ({p: 3}, 1)]
+    for e in (sym(p) ** 2, x * sym(p) * sym(q), x + sym(q) ** 3 * x ** 2):
+        with pytest.raises(ValueError, match="not affine"):
+            linear_equations_in_params(e, [p, q])
 
 
 def test_linalg_matches_sympy_randomized():
