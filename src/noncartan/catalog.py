@@ -221,7 +221,9 @@ def _weight_monomials(q: Expression, x: Symbol, weight: int) -> list:
 
 def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
     """Determine the A_n^j by requiring every s_k to solve the normal
-    form, via an exact linear solve over an isobaric ansatz in q."""
+    form, via an exact linear solve over an isobaric ansatz in q.  The
+    derivatives s_k, s_k', .., s_k^(n) of each solution are taken once and
+    serve both the solve and the recheck of the solution."""
     if n < 2:
         raise ValueError("need n >= 2")
     x = src.x
@@ -237,15 +239,24 @@ def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
             coeff = coeff + sym(p) * mono
         ansatz.append(coeff)
 
-    def residual(s_k, coeffs):    # s_k^(n) + sum_j A_n^j s_k^(n-j)
-        return sum((c * src.d(s_k, n - j) for j, c in enumerate(coeffs, 2)),
-                   src.d(s_k, n))
+    # the chain s_k, s_k', .., s_k^(n) of each solution, taken once: each
+    # entry is the previous one differentiated, as `src.d` takes it
+    chains = []
+    for s_k in sols:
+        chain = [s_k]
+        for _ in range(n):
+            chain.append(differentiate(chain[-1], x))
+        chains.append(chain)
+
+    def residual(chain, coeffs):    # s_k^(n) + sum_j A_n^j s_k^(n-j)
+        return sum((c * chain[n - j] for j, c in enumerate(coeffs, 2)),
+                   chain[n])
 
     column = {p: i for i, p in enumerate(params)}
     rows = []
     rhs = []
-    for s_k in sols:
-        resid = apply_rules(residual(s_k, ansatz), src.rules)
+    for chain in chains:
+        resid = apply_rules(residual(chain, ansatz), src.rules)
         for lin, cst in linalg.linear_equations_in_params(resid, params):
             rows.append({column[p]: v for p, v in lin.items()})
             rhs.append(-cst)
@@ -260,8 +271,8 @@ def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
                     "no solution for the normal-form coefficients")
     coeffs = tuple(substitute(a, bindings) for a in ansatz)
     result = NormalFormCoefficients(n, coeffs)
-    for s_k in sols:
-        if not is_zero(residual(s_k, coeffs), src.rules):
+    for chain in chains:
+        if not is_zero(residual(chain, coeffs), src.rules):
             raise linalg.InconsistentSystemError(
                 "normal-form coefficients fail to annihilate s_k")
     return result

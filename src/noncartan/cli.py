@@ -34,6 +34,14 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# the largest number of dependent variables (--m) and order (--n, and the
+# order of a system given --catalog canonical) that a request may ask
+# for, so that no request runs for long: the canonical basis has
+# m^2 + n m + 3 fields and its bracket table one entry per pair, and the
+# normal-form solve and the prolongations grow quickly with the order
+MAX_M = 6
+MAX_N = 8
+
 
 # ---------------------------------------------------------------------------
 # Input
@@ -80,6 +88,9 @@ def _generator_set(key: str, ctx: JetContext, m: int = None, n: int = None,
         if key == "canonical" and ctx.order < 2:
             raise InputError("catalog 'canonical' needs order 2 or more; "
                              "the system has order %d" % ctx.order)
+        if key == "canonical" and ctx.order > MAX_N:
+            raise InputError("catalog 'canonical' takes order at most %d; "
+                             "the system has order %d" % (MAX_N, ctx.order))
     if key == "free-fall":
         return ["S1", "S2", "Fz", "Fm", "Fp", "H", "C1", "C2"], \
             free_fall_symmetries(ctx if ctx is not None else scalar_context()), \
@@ -393,13 +404,16 @@ def cmd_commutators(args) -> int:
 # Dispatch
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+def _int_within(low: int, high: int):
+    """argparse type: an integer from low to high."""
     def convert(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError("must be at least %d, got %d"
                                              % (low, value))
+        if value > high:
+            raise argparse.ArgumentTypeError("must be at most %d, got %d"
+                                             % (high, value))
         return value
     convert.__name__ = "int"    # argparse names it in "invalid int value"
     return convert
@@ -422,8 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--m", type=_int_at_least(1), default=None)
-        p.add_argument("--n", type=_int_at_least(2), default=None)
+        p.add_argument("--m", type=_int_within(1, MAX_M), default=None)
+        p.add_argument("--n", type=_int_within(2, MAX_N), default=None)
 
     pv = sub.add_parser("verify", help="check invariance of generators")
     pv.add_argument("--system", required=True)

@@ -569,24 +569,57 @@ def normalize(e: Expression) -> Expression:
 
 def _sum(pieces: Iterable[Expression]) -> Expression:
     """The pieces added left to right, structurally equal to folding them
-    with `+` from zero.  Adding a polynomial (denominator one) to a
-    polynomial cancels, rescales and collapses nothing, so the leading
-    run of polynomial pieces goes into one term dict that is normalized
-    once; from the first other piece on, the sum goes through `+`."""
+    with `+` from zero.
+
+    The leading run of pieces whose denominator is one monomial (a
+    polynomial's is the empty one) is summed in one pass: the numerators
+    are grouped by denominator, each group is raised to the lcm of the
+    denominators, and the sum is normalized once.  This equals the fold
+    because the fold of such pieces is again a fraction N/m over one
+    monomial m that, after `_make`, shares no monomial factor with N,
+    and such a form of a value is unique: from N1 m2 = N2 m1, an atom
+    dividing m1 does not divide N1, so it divides m2 at least as often,
+    hence not N2, and the two powers agree; so m1 = m2 and N1 = N2.
+    From the first piece with another denominator on, the sum goes
+    through `+`."""
     return _sum_into({}, iter(pieces))
 
 
 def _sum_into(acc: dict, pieces: Iterator[Expression]) -> Expression:
     """`_sum` of the polynomial whose terms are in the term dict acc,
     followed by the pieces."""
+    groups = {_ONE_MON: acc}
     for piece in pieces:
-        if piece.den != _ONE_TERMS:
-            total = Expression._make(acc, _ONE_TERMS) + piece
+        den = piece.den
+        if len(den) != 1 or den[0][1] != 1:
+            total = _over_lcm(groups) + piece
             for piece in pieces:
                 total = total + piece
             return total
-        _tadd(acc, piece.num)
-    return Expression._make(acc, _ONE_TERMS)
+        group = groups.get(den[0][0])
+        if group is None:
+            groups[den[0][0]] = group = {}
+        _tadd(group, piece.num)
+    return _over_lcm(groups)
+
+
+def _over_lcm(groups: dict) -> Expression:
+    """The sum of N/m over the term dicts N keyed by their monomial
+    denominators m, the empty monomial among them, written over the lcm
+    of the denominators."""
+    if len(groups) == 1:
+        return Expression._make(groups[_ONE_MON], _ONE_TERMS)
+    powers = {}
+    for m in groups:
+        for a, e in m:
+            if e > powers.get(a, 0):
+                powers[a] = e
+    lcm = _mk_mon(powers)
+    acc = {}
+    for m, terms in groups.items():
+        q = _mon_sub(lcm, m)
+        _tadd(acc, ((_mon_mul(t, q), c) for t, c in terms.items()))
+    return Expression._make(acc, ((lcm, 1),))
 
 
 def _dot(pairs: Iterable[tuple]) -> Expression:
@@ -800,7 +833,12 @@ class RewriteRule:
     """Replace every occurrence of a unary opaque head (at its stated or
     any higher derivative order, lifting by differentiation) by an
     expression.  Termination is guaranteed at construction: the
-    replacement must not contain the pattern head."""
+    replacement must not contain the pattern head.
+
+    The rule keeps the lifted replacements it has computed: `lifted(i)`
+    is the i-th derivative of the replacement, taken once per rule and
+    order by the same chain of `differentiate` calls that would take it
+    afresh, so it is the same expression."""
 
     head: Symbol
     replacement: Expression
@@ -815,6 +853,15 @@ class RewriteRule:
                     and a.head.arity == 1 and a.head.dorders[0] >= d:
                 raise ValueError(
                     "replacement for %s contains the pattern head" % self.head.name)
+        object.__setattr__(self, "_lifts", [self.replacement])
+
+    def lifted(self, i: int) -> Expression:
+        """The replacement differentiated i times by the rule's variable:
+        the replacement of the rule head's i-th derivative."""
+        lifts = self._lifts
+        while len(lifts) <= i:
+            lifts.append(differentiate(lifts[-1], self.var))
+        return lifts[i]
 
 
 _MAX_REWRITE_PASSES = 64
@@ -822,7 +869,8 @@ _MAX_REWRITE_PASSES = 64
 
 def apply_rules(e: Expression, rules: Sequence[RewriteRule]) -> Expression:
     """Apply rules to a fixed point.  Higher derivative orders of a rule
-    head are reduced by differentiating the replacement."""
+    head are reduced by differentiating the replacement (see
+    `RewriteRule.lifted`)."""
     if not rules:
         return e
     ordered = sorted(rules, key=lambda r: -r.head.dorders[0])
@@ -836,10 +884,7 @@ def apply_rules(e: Expression, rules: Sequence[RewriteRule]) -> Expression:
                 d = rule.head.dorders[0]
                 if a.head.name == rule.head.name and k >= d \
                         and a.args == (sym(rule.var),):
-                    repl = rule.replacement
-                    for _i in range(k - d):
-                        repl = differentiate(repl, rule.var)
-                    mapping[a] = repl
+                    mapping[a] = rule.lifted(k - d)
                     break
         if not mapping:
             return e

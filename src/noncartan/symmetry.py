@@ -230,6 +230,28 @@ def commutator(v: VectorField, w: VectorField) -> VectorField:
     return VectorField(xi, phi, v.context)
 
 
+def _partials(v: VectorField) -> tuple:
+    """For each component of v, its partial derivatives by the point
+    coordinates x, y_1, .., y_m, in the order `VectorField.apply_to`
+    takes them."""
+    symbols = v.context.point_symbols()
+    return tuple(tuple(differentiate(c, s) for s in symbols)
+                 for c in v.components())
+
+
+def _bracket(v: VectorField, dv: tuple, w: VectorField,
+             dw: tuple) -> VectorField:
+    """`commutator(v, w)` from the partials dv of v and dw of w (see
+    `_partials`): component c is v.apply_to(w_c) - w.apply_to(v_c) with
+    the same pairs in the same `_dot`, so it is the same expression, and
+    the partials of a field can serve all its brackets."""
+    vc = v.components()
+    wc = w.components()
+    comps = [_dot(zip(vc, dw[c])) - _dot(zip(wc, dv[c]))
+             for c in range(len(vc))]
+    return VectorField(comps[0], tuple(comps[1:]), v.context)
+
+
 def is_non_cartan(v: VectorField) -> bool:
     """True iff the d/dx component depends explicitly on a dependent
     variable."""
@@ -267,75 +289,114 @@ class LieAlgebraReport:
         return -row[k] if row is not None else None
 
 
-def _flatten_fields(component_lists):
+def _slot_denominators(component_lists) -> list:
+    """The distinct denominators of each slot of the component tuples, in
+    order of appearance."""
+    dens = []
+    for s in range(len(component_lists[0])):
+        slot = []
+        for comps in component_lists:
+            if comps[s].den not in slot:
+                slot.append(comps[s].den)
+        dens.append(slot)
+    return dens
+
+
+def _flatten_fields(component_lists) -> list:
     """Given per-field component tuples, clear denominators per slot and
-    return exact coefficient vectors over a shared monomial basis."""
-    nslots = len(component_lists[0])
-    slot_polys = []
-    for s in range(nslots):
-        dens = []
-        for comps in component_lists:
-            d = comps[s].den
-            if d not in dens:
-                dens.append(d)
-        polys = []
-        for comps in component_lists:
-            e = comps[s]
-            scaled = Expression(e.num, _ONE_TERMS)
-            for d in dens:
-                if d != e.den:
-                    scaled = scaled * Expression(d, _ONE_TERMS)
-            polys.append(scaled)
-        slot_polys.append(polys)
-    monomials = []
-    seen = set()
-    for s in range(nslots):
-        for p in slot_polys[s]:
-            for mon, _ in p.num:
-                if (s, mon) not in seen:
-                    seen.add((s, mon))
-                    monomials.append((s, mon))
-    monomials.sort(key=lambda sm: (sm[0], _mon_key(sm[1])))
-    vectors = []
-    for i in range(len(component_lists)):
-        coeffs = {}
-        for s in range(nslots):
-            for mon, c in slot_polys[s][i].num:
-                coeffs[(s, mon)] = c
-        vectors.append([coeffs.get(sm, Fraction(0)) for sm in monomials])
-    return vectors
+    return each field's exact coefficient vector as a dict {column:
+    value}, one column per (slot, monomial) pair that occurs."""
+    dens = _slot_denominators(component_lists)
+    columns = {}
+    return [_flat_vector(comps, dens, columns) for comps in component_lists]
+
+
+def _flat_vector(comps, dens, columns, grow=True):
+    """The coefficient vector of one component tuple: each component's
+    numerator times the other denominators of its slot.  A pair that has
+    no column gets the next one, or, unless grow, makes the result None."""
+    vec = {}
+    for s, e in enumerate(comps):
+        scaled = Expression(e.num, _ONE_TERMS)
+        for d in dens[s]:
+            if d != e.den:
+                scaled = scaled * Expression(d, _ONE_TERMS)
+        for mon, c in scaled.num:
+            col = columns.get((s, mon))
+            if col is None:
+                if not grow:
+                    return None
+                col = columns[(s, mon)] = len(columns)
+            vec[col] = c
+    return vec
+
+
+def _span_solve(vectors, target, nfields):
+    """`linalg.solve` for coefficients c with sum_k c_k vectors[k] =
+    target, one equation per column."""
+    rows = {}
+    for k, vec in enumerate(vectors + [target]):
+        for col, c in vec.items():
+            rows.setdefault(col, {})[k] = c
+    return linalg.solve([{k: c for k, c in row.items() if k < nfields}
+                         for row in rows.values()],
+                        [row.get(nfields, 0) for row in rows.values()],
+                        ncols=nfields)
 
 
 def algebra_report(fields, rules=()) -> LieAlgebraReport:
     """Linear independence over the rationals, structure constants when
     every bracket lies in the rational span, abelian flag, and the
-    non-Cartan count."""
+    non-Cartan count.
+
+    Each field's partials are taken once and every bracket is built from
+    them (see `_bracket`).  The basis is flattened and eliminated once.
+    A bracket whose denominators all occur in the basis is flattened
+    over the basis's columns: a pair with no column puts it outside the
+    span, and otherwise `linalg.span_coordinates` gives its coefficients.
+    For an independent basis they are unique, so they are those of a
+    solve against the basis flattened together with the bracket.  A
+    bracket with a new denominator, or any bracket of a dependent basis,
+    still gets that solve; its solution, with the free coefficients
+    zero, is fixed by the reduced form whatever the order of the rows."""
     fields = list(fields)
+    if not fields:
+        raise ValueError("algebra_report needs at least one vector field")
     ctx = fields[0].context
     for f in fields:
         if f.context != ctx:
             raise ContextMismatchError("vector field contexts differ")
+    n = len(fields)
+    partials = [_partials(f) for f in fields]
     simplified = [tuple(apply_rules(c, rules) for c in f.components())
                   for f in fields]
-    vectors = _flatten_fields(simplified)
-    independent = linalg.rank(vectors) == len(fields)
+    dens = _slot_denominators(simplified)
+    columns = {}
+    vectors = [_flat_vector(comps, dens, columns) for comps in simplified]
+    coordinates = linalg.span_coordinates(vectors, len(columns))
+    independent = coordinates is not None
     structure = {}
     failures = []
     abelian = True
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            br = commutator(fields[i], fields[j])
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = _bracket(fields[i], partials[i], fields[j], partials[j])
             br_comps = tuple(apply_rules(c, rules) for c in br.components())
             if all(is_zero(c, rules) for c in br_comps):
                 structure[(i, j)] = tuple(Fraction(0) for _ in fields)
                 continue
             abelian = False
-            stacked = _flatten_fields(simplified + [br_comps])
-            basis_vecs = stacked[:-1]
-            target = stacked[-1]
-            cols = list(zip(*basis_vecs))
             try:
-                sol = linalg.solve([list(c) for c in cols], list(target))
+                if any(c.den not in slot for c, slot in zip(br_comps, dens)):
+                    stacked = _flatten_fields(simplified + [br_comps])
+                    sol = _span_solve(stacked[:-1], stacked[-1], n)
+                else:
+                    target = _flat_vector(br_comps, dens, columns, grow=False)
+                    if target is None:
+                        raise linalg.InconsistentSystemError(
+                            "bracket outside the span")
+                    sol = (coordinates(target) if independent
+                           else _span_solve(vectors, target, n))
                 structure[(i, j)] = tuple(sol)
             except linalg.InconsistentSystemError:
                 structure[(i, j)] = None

@@ -6,15 +6,16 @@ from fractions import Fraction
 
 from noncartan import (
     Call, Expression, JetContext, JetOrderError, Symbol, VectorField,
-    apply_rules, const, differentiate, indep, invariance_residual, jet, one,
-    param, scalar_context, sym, zero,
+    apply_rules, commutator, const, differentiate, indep, invariance_residual,
+    is_zero, jet, one, param, scalar_context, sym, zero,
 )
 from noncartan.expr import (
-    _KIND_RANK, _ONE_TERMS, _check_acyclic, _mk_mon, _mon_key, _mon_sub,
-    _terms_from_dict, atom_expr,
+    _KIND_RANK, _MAX_REWRITE_PASSES, _ONE_TERMS, _check_acyclic, _mk_mon,
+    _mon_key, _mon_sub, _terms_from_dict, atom_expr, replace_atoms,
 )
 from noncartan.linalg import (
-    InconsistentSystemError, linear_equations_in_params, nullspace,
+    InconsistentSystemError, linear_equations_in_params, nullspace, rank,
+    solve,
 )
 
 X = indep("x")
@@ -64,6 +65,41 @@ def random_point_field(rng: random.Random, ctx: JetContext = None):
 # of substitute, replace_atoms, differentiate and collect.  The library
 # folds them into one exact sum; tests assert structural equality with
 # these.
+
+
+def reference_sum(pieces):
+    """The pieces folded with `+` from zero."""
+    total = zero()
+    for piece in pieces:
+        total = total + piece
+    return total
+
+
+def reference_apply_rules(e, rules):
+    """The rewrite loop that lifts a rule's replacement afresh, by
+    repeated differentiation, for every matching atom in every pass."""
+    if not rules:
+        return e
+    ordered = sorted(rules, key=lambda r: -r.head.dorders[0])
+    for _ in range(_MAX_REWRITE_PASSES):
+        mapping = {}
+        for a in e.atoms():
+            if not isinstance(a, Call) or a.head.arity != 1:
+                continue
+            for rule in ordered:
+                k = a.head.dorders[0]
+                d = rule.head.dorders[0]
+                if a.head.name == rule.head.name and k >= d \
+                        and a.args == (sym(rule.var),):
+                    repl = rule.replacement
+                    for _i in range(k - d):
+                        repl = differentiate(repl, rule.var)
+                    mapping[a] = repl
+                    break
+        if not mapping:
+            return e
+        e = replace_atoms(e, mapping)
+    raise RuntimeError("rewrite did not reach a fixed point")
 
 
 def reference_substitute(e, bindings):
@@ -242,6 +278,74 @@ def reference_field_apply(v, e):
     for j in range(1, v.context.m + 1):
         out = out + v.phi[j - 1] * differentiate(e, v.context.y(j))
     return out
+
+
+def reference_commutator(v, w):
+    """[v, w] with each field applied through `reference_field_apply`."""
+    xi = reference_field_apply(v, w.xi) - reference_field_apply(w, v.xi)
+    phi = tuple(reference_field_apply(v, w.phi[j])
+                - reference_field_apply(w, v.phi[j])
+                for j in range(v.context.m))
+    return VectorField(xi, phi, v.context)
+
+
+def _reference_flatten(component_lists):
+    """Dense coefficient vectors of the component tuples over their
+    sorted (slot, monomial) pairs, each component's numerator times the
+    other denominators of its slot."""
+    nslots = len(component_lists[0])
+    slot_polys = []
+    for s in range(nslots):
+        dens = []
+        for comps in component_lists:
+            if comps[s].den not in dens:
+                dens.append(comps[s].den)
+        polys = []
+        for comps in component_lists:
+            scaled = Expression(comps[s].num, _ONE_TERMS)
+            for d in dens:
+                if d != comps[s].den:
+                    scaled = scaled * Expression(d, _ONE_TERMS)
+            polys.append(scaled)
+        slot_polys.append(polys)
+    monomials = sorted({(s, mon) for s in range(nslots)
+                        for p in slot_polys[s] for mon, _ in p.num},
+                       key=lambda sm: (sm[0], _mon_key(sm[1])))
+    vectors = []
+    for i in range(len(component_lists)):
+        coeffs = {(s, mon): c for s in range(nslots)
+                  for mon, c in slot_polys[s][i].num}
+        vectors.append([coeffs.get(sm, Fraction(0)) for sm in monomials])
+    return vectors
+
+
+def reference_algebra_report(fields, rules=()):
+    """(independent, abelian, structure constants, failures) the way
+    `algebra_report` first computed them: each bracket through
+    `commutator`, and the basis flattened together with every bracket and
+    solved afresh."""
+    simplified = [tuple(apply_rules(c, rules) for c in f.components())
+                  for f in fields]
+    independent = rank(_reference_flatten(simplified)) == len(fields)
+    structure = {}
+    failures = []
+    abelian = True
+    for i in range(len(fields)):
+        for j in range(i + 1, len(fields)):
+            br = commutator(fields[i], fields[j])
+            comps = tuple(apply_rules(c, rules) for c in br.components())
+            if all(is_zero(c, rules) for c in comps):
+                structure[(i, j)] = tuple(Fraction(0) for _ in fields)
+                continue
+            abelian = False
+            stacked = _reference_flatten(simplified + [comps])
+            cols = [list(c) for c in zip(*stacked[:-1])]
+            try:
+                structure[(i, j)] = tuple(solve(cols, list(stacked[-1])))
+            except InconsistentSystemError:
+                structure[(i, j)] = None
+                failures.append((i, j))
+    return independent, abelian, structure, tuple(failures)
 
 
 def reference_prolonged_apply(pf, e):

@@ -3,11 +3,11 @@ import pytest
 from noncartan import (
     Call, IterativeOperator, JetContext, OdeSystem, PointTransformation,
     SourceEquation, VectorField, algebra_report, c1_symmetry_pde_residual,
-    call, canonical_basis, change_coordinates, const, differentiate, func,
-    indep, invariance_residual, is_non_cartan, is_zero, isotropic_system,
-    iterative_power, non_cartan_family, non_cartan_generators,
-    nonlinear_counterexample, normal_form_coeffs, normalize_s,
-    reduction_transformation, scalar_context, scalar_non_cartan,
+    call, canonical_basis, change_coordinates, const, differentiate,
+    format_expression, func, indep, invariance_residual, is_non_cartan,
+    is_zero, isotropic_system, iterative_power, non_cartan_family,
+    non_cartan_generators, nonlinear_counterexample, normal_form_coeffs,
+    normalize_s, reduction_transformation, scalar_context, scalar_non_cartan,
     source_solution_basis, sym, zero, one,
 )
 
@@ -75,6 +75,10 @@ def test_normal_form_coeffs_low_orders():
     nf3 = normal_form_coeffs(src, 3)
     assert nf3.coefficient(2) == 4 * src.q
     assert nf3.coefficient(3) == 2 * src.d(src.q)
+    nf5 = normal_form_coeffs(src, 5)
+    assert [format_expression(nf5.coefficient(j)) for j in range(2, 6)] == [
+        "20*q(x)", "30*q'(x)", "64*q(x)^2 + 18*q''(x)",
+        "64*q(x)*q'(x) + 4*q'''(x)"]
 
 
 def test_normal_form_annihilates_basis():

@@ -255,6 +255,18 @@ HOSTILE = [
      "error: argument --n: must be at least 2"),
     (["commutators", "--set", "canonical", "--m", "0"],
      "error: argument --m: must be at least 1"),
+    # sizes past the bounds, which used to run for tens of seconds
+    (["commutators", "--set", "canonical", "--m", "8"],
+     "error: argument --m: must be at most 6, got 8"),
+    (["commutators", "--set", "canonical", "--m", "40"],
+     "error: argument --m: must be at most 6, got 40"),
+    (["catalog", "canonical", "--m", "400"],
+     "error: argument --m: must be at most 6, got 400"),
+    (["catalog", "normal-form-coeffs", "--n", "9"],
+     "error: argument --n: must be at most 8, got 9"),
+    (["verify", "--system", "y" + "'" * 12 + "=0", "--catalog", "canonical"],
+     "error: catalog 'canonical' takes order at most 8; the system has "
+     "order 12"),
 ]
 
 

@@ -25,10 +25,10 @@ from noncartan.expr import (
 )
 
 from helpers import (
-    random_expression, reference_cancel_monomial_gcd, reference_collect,
-    reference_contains, reference_differentiate, reference_mon_mul,
-    reference_monomial_expression, reference_replace_atoms,
-    reference_sort_key, reference_substitute,
+    random_expression, reference_apply_rules, reference_cancel_monomial_gcd,
+    reference_collect, reference_contains, reference_differentiate,
+    reference_mon_mul, reference_monomial_expression, reference_replace_atoms,
+    reference_sort_key, reference_substitute, reference_sum,
 )
 
 X = indep("x")
@@ -750,6 +750,84 @@ def test_dot_matches_sum_of_products():
         pairs = [(random_expression(rng, 2), random_expression(rng, 2))
                  for _ in range(rng.randint(0, 5))]
         assert _dot(iter(pairs)) == _sum(f * g for f, g in pairs)
+
+
+def test_sum_matches_plus_fold_randomized():
+    """_sum equals, structurally, folding the pieces with `+`: constants,
+    polynomials, pieces over one monomial (summed over the lcm in one
+    pass) and pieces over a multi-term denominator (from the first of
+    which the sum folds), in shuffled orders, with Fraction
+    coefficients, pieces that cancel each other and numerators that
+    share a monomial factor with the lcm."""
+    rng = random.Random(37)
+    x, y, a = sym(X), sym(Y), sym(param("a"))
+    u = call(func("u"), x)
+    atoms = [x, y, a, u]
+    monomials = [x, y ** 2, x * u, u ** 3, x ** 2 * y]
+    multi = [x + 1, x - a, u + y]
+
+    def coefficient():
+        return const(Fraction(rng.choice((-5, -2, -1, 1, 3, 4)),
+                              rng.choice((1, 1, 2, 3, 7))))
+
+    def piece():
+        kind = rng.random()
+        num = coefficient() * _random_polynomial(rng, atoms,
+                                                  rng.randint(1, 3), 2)
+        if kind < 0.15:
+            return coefficient()
+        if kind < 0.3:
+            return num
+        if kind < 0.85:
+            return num / rng.choice(monomials)
+        return num / rng.choice(multi)
+
+    grouped = 0
+    for case in range(400):
+        pieces = [piece() for _ in range(rng.randint(0, 6))]
+        if case % 3 == 0 and pieces:
+            # a piece and its negative, so that the running sum collapses
+            pieces.append(-rng.choice(pieces))
+        rng.shuffle(pieces)
+        got = _sum(pieces)
+        expected = reference_sum(pieces)
+        assert got == expected, case
+        assert format_expression(got) == format_expression(expected)
+        dens = {p.den for p in pieces if len(p.den) == 1}
+        grouped += len(dens) > 1
+    assert grouped > 150
+    # u^2/x + u/x^2 - u^2/x: the lcm x^2 is raised above the sum's x^2
+    # and cancels against nothing; 1/x - 1/x is zero
+    assert _sum([u ** 2 / x, u / x ** 2, -(u ** 2) / x]) == u / x ** 2
+    assert _sum([1 / x, -1 / x]) == zero()
+    assert _sum([x * y / x ** 2, y / x]) == 2 * y / x
+
+
+def test_apply_rules_matches_per_pass_lifting_randomized():
+    """apply_rules with the lifted replacements a rule keeps equals,
+    structurally, the loop that lifts each replacement afresh for every
+    atom in every pass; one rule set serves every case, so later cases
+    reuse earlier lifts."""
+    src = SourceEquation.symbolic()
+    x = sym(X)
+    u, v, q = src.u, src.v, src.q
+    derivs = [src.d(f, k) for f in (u, v) for k in range(1, 6)]
+    atoms = [u, v, q, x, sym(Y)] + derivs
+    rng = random.Random(41)
+    for case in range(60):
+        e = random_expression(rng, 3, atoms)
+        assert apply_rules(e, src.rules) == \
+            reference_apply_rules(e, src.rules), case
+    for rule in src.rules:
+        lift = rule.replacement
+        for i in range(5):
+            assert rule.lifted(i) == lift
+            lift = differentiate(lift, X)
+    # a fresh rule set lifts from scratch and agrees
+    fresh = SourceEquation.symbolic().rules
+    e = src.d(u, 5) * src.d(v, 4) + src.d(v, 3) / u
+    assert apply_rules(e, fresh) == apply_rules(e, src.rules) \
+        == reference_apply_rules(e, fresh)
 
 
 def test_fused_rebuilds_fall_back_at_the_first_rational_term():

@@ -136,6 +136,33 @@ def test_jet_sums_match_reference_loops_randomized():
         assert pf.apply_to(je) == reference_prolonged_apply(pf, je)
         assert total_derivative(je, ctx) == reference_total_derivative(je, ctx)
 
+    # nested calls: polynomial arguments, where total_derivative takes
+    # one pass with the chain rule through every level, jets inside
+    # arguments, and a rational argument inside a call, which sends the
+    # whole expression back to the sum of partials
+    for case in range(32):
+        ctx = JetContext(1 + case % 2, 3)
+        coords = [sym(s) for s in ctx.point_symbols()]
+        p = 1 + case % 3
+        jets = [sym(ctx.jet(j, k)) for j in range(1, ctx.m + 1)
+                for k in range(1, p + 1)]
+        inner = call(func("g"), rng.choice(coords) * rng.choice(coords) + 1)
+        two = call(func("h", 2), inner + rng.choice(coords),
+                   rng.choice(coords))
+        nested = [call(func("f"), inner * rng.choice(coords)), two,
+                  call(func("f"), two - rng.choice(jets))]
+        if case % 4 == 3:
+            nested.append(call(func("f"), call(func("g"), coords[0]
+                                               / (coords[-1] + 1))))
+        v = VectorField(random_expression(rng, 2, coords + nested[:2]),
+                        tuple(random_expression(rng, 2, coords + nested[:2])
+                              for _ in range(ctx.m)), ctx)
+        pf = prolong(v, p)
+        assert pf.coefficients == reference_prolong_coefficients(v, p), case
+        je = random_expression(rng, 3, coords + jets + nested)
+        assert total_derivative(je, ctx) == \
+            reference_total_derivative(je, ctx), case
+
 
 def test_top_split_rebuilds_the_top_coefficient():
     """phi_j^(p) = E_j + sum_k y_k^(p) G_jk for p >= 2 with E_j and G_jk

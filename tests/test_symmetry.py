@@ -11,9 +11,12 @@ from noncartan import (
     invariance_residual, is_non_cartan, is_zero, non_cartan_generators, one,
     prolong, scalar_context, sym, zero,
 )
-from noncartan.symmetry import _prolonged_residuals
+from noncartan.symmetry import _bracket, _partials, _prolonged_residuals
 
-from helpers import random_point_field, reference_prolonged_residuals
+from helpers import (
+    random_expression, random_point_field, reference_algebra_report,
+    reference_commutator, reference_prolonged_residuals,
+)
 
 
 def free_fall_system():
@@ -92,6 +95,94 @@ def test_algebra_report_dependence():
     b = VectorField(2 * x, (zero(),), ctx)
     report = algebra_report([a, b])
     assert not report.independent
+
+
+def test_algebra_report_needs_a_field():
+    with pytest.raises(ValueError, match="at least one vector field"):
+        algebra_report([])
+
+
+def _random_rational_field(rng, ctx):
+    """A field whose components are polynomials in the point coordinates
+    and two calls, some divided by a monomial or by x + 1."""
+    coords = [sym(s) for s in ctx.point_symbols()]
+    atoms = coords + [call(func("f"), coords[0]),
+                      call(func("g", 2), coords[0] + coords[-1], coords[1])]
+
+    def component():
+        e = random_expression(rng, 2, atoms)
+        kind = rng.random()
+        if kind < 0.3:
+            return e / rng.choice(coords) ** rng.randint(1, 2)
+        if kind < 0.45:
+            return e / (coords[0] + 1)
+        return e
+
+    return VectorField(component(), tuple(component() for _ in range(ctx.m)),
+                       ctx)
+
+
+def test_commutator_matches_reference_bracket_randomized():
+    """commutator, and the bracket from partials taken once per field
+    that algebra_report builds, equal, structurally, the bracket built by
+    applying each field with the running-sum `reference_field_apply`."""
+    rng = random.Random(53)
+    for case in range(60):
+        ctx = JetContext(1 + case % 2, 2)
+        v = _random_rational_field(rng, ctx)
+        w = _random_rational_field(rng, ctx)
+        expected = reference_commutator(v, w)
+        assert commutator(v, w) == expected, case
+        assert _bracket(v, _partials(v), w, _partials(w)) == expected, case
+
+
+def test_algebra_report_matches_reference():
+    """The report from partials taken once per field and a basis
+    flattened and eliminated once equals the per-pair computation on
+    rule-bound bases, dependent bases, brackets outside the span and
+    brackets with a denominator the basis lacks."""
+    src = SourceEquation.symbolic()
+    ctx = scalar_context()
+    x, y = sym(ctx.x), sym(ctx.y(1))
+    cases = [(free_fall_symmetries(), ())]
+    for m, n in ((1, 2), (2, 2), (1, 3), (2, 3)):
+        cases.append((canonical_basis(m, n, src), src.rules))
+    cases.append((non_cartan_generators(2, src), src.rules))
+    cases.append((canonical_basis(1, 2, src)
+                  + [VectorField(src.u / (x + 1), (y,), ctx)], src.rules))
+    # dependent bases: every bracket in the span, and one outside it
+    cases.append(([VectorField(one(), (zero(),), ctx),
+                   VectorField(const(2), (zero(),), ctx),
+                   VectorField(x, (zero(),), ctx)], ()))
+    cases.append(([VectorField(x, (zero(),), ctx),
+                   VectorField(2 * x, (zero(),), ctx),
+                   VectorField(y, (x,), ctx)], ()))
+    # every d/dy component is over x^2, yet [e1, v] = d/dy / x = e2 - e1
+    # is in the span with the new denominator x
+    cases.append(([VectorField(zero(), (1 / x ** 2,), ctx),
+                   VectorField(zero(), ((x + 1) / x ** 2,), ctx),
+                   VectorField(x ** 2 / 2, (1 / x ** 2,), ctx)], ()))
+    cases.append(([VectorField(1 / x, (y,), ctx),
+                   VectorField(y, (x ** 2,), ctx),
+                   VectorField(1 / (x + 1), (zero(),), ctx)], ()))
+    rng = random.Random(59)
+    for _ in range(6):
+        cases.append(([_random_rational_field(rng, ctx) for _ in range(3)],
+                      ()))
+    seen = set()
+    for fields, rules in cases:
+        report = algebra_report(fields, rules)
+        independent, abelian, structure, failures = \
+            reference_algebra_report(fields, rules)
+        assert report.independent == independent
+        assert report.abelian == abelian
+        assert report.structure_constants == structure
+        assert report.bracket_failures == failures
+        for row in structure.values():
+            assert row is None or all(type(c) is Fraction for c in row)
+        seen.add((independent, bool(failures)))
+    assert seen == {(True, False), (True, True), (False, False),
+                    (False, True)}
 
 
 def test_determining_equations_free_fall():
