@@ -34,12 +34,13 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# the largest number of dependent variables (--m) and order (--n, and the
-# order of a system given --catalog canonical) that a request may ask
-# for, so that no request runs for long: the canonical basis has
-# m^2 + n m + 3 fields and its bracket table one entry per pair, and the
-# normal-form solve and the prolongations grow quickly with the order
-MAX_M = 6
+# the largest number of dependent variables each family is built with,
+# and the largest order (--n, and the order of a system given --catalog
+# canonical), so that no request runs for long: the bracket table has
+# one entry per pair of fields, of which the canonical basis has
+# m^2 + n m + 3 and the non-Cartan family 2 m, and the normal-form solve
+# and the prolongations grow quickly with the order
+MAX_M = {"canonical": 6, "non-cartan": 20}
 MAX_N = 8
 
 
@@ -96,6 +97,9 @@ def _generator_set(key: str, ctx: JetContext, m: int = None, n: int = None,
             free_fall_symmetries(ctx if ctx is not None else scalar_context()), \
             None
     mm = m if m is not None else (ctx.m if ctx is not None else 2)
+    if mm > MAX_M[key]:
+        raise InputError("catalog %r takes at most %d dependent variables, "
+                         "got %d" % (key, MAX_M[key], mm))
     src = SourceEquation.symbolic(avoid)
     if key == "non-cartan":
         cc = ctx if ctx is not None else JetContext(mm, 2)
@@ -404,14 +408,14 @@ def cmd_commutators(args) -> int:
 # Dispatch
 
 
-def _int_within(low: int, high: int):
-    """argparse type: an integer from low to high."""
+def _int_within(low: int, high: int = None):
+    """argparse type: an integer from low to high (if given)."""
     def convert(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError("must be at least %d, got %d"
                                              % (low, value))
-        if value > high:
+        if high is not None and value > high:
             raise argparse.ArgumentTypeError("must be at most %d, got %d"
                                              % (high, value))
         return value
@@ -436,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--m", type=_int_within(1, MAX_M), default=None)
+        p.add_argument("--m", type=_int_within(1), default=None)
         p.add_argument("--n", type=_int_within(2, MAX_N), default=None)
 
     pv = sub.add_parser("verify", help="check invariance of generators")

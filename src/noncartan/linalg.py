@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .expr import Expression, _mon_key
 
-__all__ = ["rank", "nullspace", "solve", "span_coordinates",
-           "linear_equations_in_params", "InconsistentSystemError"]
+__all__ = ["rank", "nullspace", "solve", "linear_equations_in_params",
+           "InconsistentSystemError"]
 
 
 class InconsistentSystemError(ValueError):
@@ -140,47 +140,6 @@ def solve(rows, rhs, ncols: int = None):
     for pc, prow in red.items():
         sol[pc] = prow.get(ncols, Fraction(0))
     return sol
-
-
-def span_coordinates(rows, ncols: int):
-    """For linearly independent rows, each a dict {column: value} with
-    columns below ncols, the function taking a vector t of the same kind
-    to the dense Fraction coefficients c with sum_k c_k rows[k] = t; it
-    raises InconsistentSystemError when t is outside the span.  None when
-    the rows are dependent.
-
-    The rows are eliminated once, each extended by the unit vector that
-    records it, so every reduced row r carries the coefficients a with
-    r = sum_k a_k rows[k]; then t = sum t_p r_p over the pivot columns p,
-    since a reduced row is zero in the other pivot columns.  The
-    coefficients of t are unique, so they are those of `solve` on the
-    system whose columns are the rows."""
-    n = len(rows)
-    red = _rref({**r, ncols + k: 1} for k, r in enumerate(rows))
-    if red and max(red) >= ncols:
-        return None
-
-    def coordinates(t: dict) -> list:
-        rest = {c: v for c, v in t.items() if v}
-        out = [Fraction(0)] * n
-        for pc, prow in red.items():
-            f = rest.get(pc)
-            if f is None:
-                continue
-            for c, v in prow.items():
-                if c >= ncols:
-                    out[c - ncols] += f * v
-                    continue
-                left = rest.get(c, 0) - f * v
-                if left:
-                    rest[c] = left
-                else:
-                    del rest[c]
-        if rest:
-            raise InconsistentSystemError("vector outside the span")
-        return out
-
-    return coordinates
 
 
 def linear_equations_in_params(e: Expression, params):

@@ -311,10 +311,10 @@ def _flatten_fields(component_lists) -> list:
     return [_flat_vector(comps, dens, columns) for comps in component_lists]
 
 
-def _flat_vector(comps, dens, columns, grow=True):
+def _flat_vector(comps, dens, columns):
     """The coefficient vector of one component tuple: each component's
     numerator times the other denominators of its slot.  A pair that has
-    no column gets the next one, or, unless grow, makes the result None."""
+    no column gets the next one."""
     vec = {}
     for s, e in enumerate(comps):
         scaled = Expression(e.num, _ONE_TERMS)
@@ -324,8 +324,6 @@ def _flat_vector(comps, dens, columns, grow=True):
         for mon, c in scaled.num:
             col = columns.get((s, mon))
             if col is None:
-                if not grow:
-                    return None
                 col = columns[(s, mon)] = len(columns)
             vec[col] = c
     return vec
@@ -350,15 +348,14 @@ def algebra_report(fields, rules=()) -> LieAlgebraReport:
     non-Cartan count.
 
     Each field's partials are taken once and every bracket is built from
-    them (see `_bracket`).  The basis is flattened and eliminated once.
-    A bracket whose denominators all occur in the basis is flattened
-    over the basis's columns: a pair with no column puts it outside the
-    span, and otherwise `linalg.span_coordinates` gives its coefficients.
-    For an independent basis they are unique, so they are those of a
-    solve against the basis flattened together with the bracket.  A
-    bracket with a new denominator, or any bracket of a dependent basis,
-    still gets that solve; its solution, with the free coefficients
-    zero, is fixed by the reduced form whatever the order of the rows."""
+    them (see `_bracket`).  The basis is flattened once, and a bracket
+    whose denominators all occur in the basis is flattened over the
+    basis's columns, a new (slot, monomial) pair getting a column of its
+    own that makes the solve inconsistent.  A bracket with a new
+    denominator is flattened together with the basis.  The
+    solve's solution, with the free coefficients zero, is fixed by the
+    reduced form whatever the order of the rows and columns, so it is
+    that of a solve against the basis flattened with the bracket."""
     fields = list(fields)
     if not fields:
         raise ValueError("algebra_report needs at least one vector field")
@@ -373,8 +370,7 @@ def algebra_report(fields, rules=()) -> LieAlgebraReport:
     dens = _slot_denominators(simplified)
     columns = {}
     vectors = [_flat_vector(comps, dens, columns) for comps in simplified]
-    coordinates = linalg.span_coordinates(vectors, len(columns))
-    independent = coordinates is not None
+    independent = linalg.rank(vectors) == n
     structure = {}
     failures = []
     abelian = True
@@ -391,12 +387,8 @@ def algebra_report(fields, rules=()) -> LieAlgebraReport:
                     stacked = _flatten_fields(simplified + [br_comps])
                     sol = _span_solve(stacked[:-1], stacked[-1], n)
                 else:
-                    target = _flat_vector(br_comps, dens, columns, grow=False)
-                    if target is None:
-                        raise linalg.InconsistentSystemError(
-                            "bracket outside the span")
-                    sol = (coordinates(target) if independent
-                           else _span_solve(vectors, target, n))
+                    target = _flat_vector(br_comps, dens, columns)
+                    sol = _span_solve(vectors, target, n)
                 structure[(i, j)] = tuple(sol)
             except linalg.InconsistentSystemError:
                 structure[(i, j)] = None

@@ -257,11 +257,21 @@ HOSTILE = [
      "error: argument --m: must be at least 1"),
     # sizes past the bounds, which used to run for tens of seconds
     (["commutators", "--set", "canonical", "--m", "8"],
-     "error: argument --m: must be at most 6, got 8"),
+     "error: catalog 'canonical' takes at most 6 dependent variables, "
+     "got 8"),
     (["commutators", "--set", "canonical", "--m", "40"],
-     "error: argument --m: must be at most 6, got 40"),
+     "error: catalog 'canonical' takes at most 6 dependent variables, "
+     "got 40"),
     (["catalog", "canonical", "--m", "400"],
-     "error: argument --m: must be at most 6, got 400"),
+     "error: catalog 'canonical' takes at most 6 dependent variables, "
+     "got 400"),
+    (["commutators", "--set", "non-cartan", "--m", "40"],
+     "error: catalog 'non-cartan' takes at most 20 dependent variables, "
+     "got 40"),
+    (["verify", "--system", "; ".join("y%d''=0" % i for i in range(1, 8)),
+      "--catalog", "canonical"],
+     "error: catalog 'canonical' takes at most 6 dependent variables, "
+     "got 7"),
     (["catalog", "normal-form-coeffs", "--n", "9"],
      "error: argument --n: must be at most 8, got 9"),
     (["verify", "--system", "y" + "'" * 12 + "=0", "--catalog", "canonical"],

@@ -7,7 +7,7 @@ from noncartan import Expression, const, indep, jet, param, sym
 from noncartan.expr import _ONE_TERMS, monomial_expression
 from noncartan.linalg import (
     InconsistentSystemError, _rref, linear_equations_in_params, nullspace,
-    rank, solve, span_coordinates,
+    rank, solve,
 )
 
 from helpers import (
@@ -94,39 +94,6 @@ def test_linalg_matches_dense_reference_randomized():
         assert _solve_or_error(lambda r, b: solve(r, b, ncols=ncols),
                                drows, rhs) == got, case
     assert 20 < raised < 380
-
-
-def test_span_coordinates_match_solve_randomized():
-    """The coordinates of a vector in the span of independent rows, from
-    one elimination, equal `reference_solve` on the system whose columns
-    are the rows; dependent rows give None."""
-    rng = random.Random(13)
-    outside = dependent = 0
-    for case in range(300):
-        n = rng.randint(1, 8)
-        ncols = rng.randint(1, 12)
-        rows = random_matrix(rng, n, ncols)
-        coordinates = span_coordinates(_dict_rows(rng, rows), ncols)
-        if reference_rank(rows) < n:
-            assert coordinates is None, case
-            dependent += 1
-            continue
-        columns = [list(col) for col in zip(*rows)]
-        for _ in range(3):
-            if rng.random() < 0.6:
-                t = [sum(rng.choice((-2, 0, 1, Fraction(1, 3))) * row[c]
-                         for row in rows) for c in range(ncols)]
-            else:
-                t = [_entry(rng, 0.5) for _ in range(ncols)]
-            expected = _solve_or_error(reference_solve, columns, t)
-            got = _solve_or_error(lambda _r, b: coordinates(b),
-                                  None, _dict_rows(rng, [t])[0])
-            assert got == expected, case
-            if got is InconsistentSystemError:
-                outside += 1
-            else:
-                assert _dense_fraction_vectors([got], n), case
-    assert dependent > 30 and outside > 30
 
 
 def test_dict_rows_need_ncols():

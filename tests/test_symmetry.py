@@ -138,9 +138,10 @@ def test_commutator_matches_reference_bracket_randomized():
 
 def test_algebra_report_matches_reference():
     """The report from partials taken once per field and a basis
-    flattened and eliminated once equals the per-pair computation on
-    rule-bound bases, dependent bases, brackets outside the span and
-    brackets with a denominator the basis lacks."""
+    flattened once equals the per-pair computation on rule-bound bases,
+    dependent bases, brackets outside the span (one of them through a
+    monomial the basis lacks) and brackets with a denominator the basis
+    lacks."""
     src = SourceEquation.symbolic()
     ctx = scalar_context()
     x, y = sym(ctx.x), sym(ctx.y(1))
@@ -157,6 +158,10 @@ def test_algebra_report_matches_reference():
     cases.append(([VectorField(x, (zero(),), ctx),
                    VectorField(2 * x, (zero(),), ctx),
                    VectorField(y, (x,), ctx)], ()))
+    # [d/dx, x^2 d/dx] = 2x d/dx has the basis's denominators and a
+    # monomial no field has
+    cases.append(([VectorField(one(), (zero(),), ctx),
+                   VectorField(x ** 2, (zero(),), ctx)], ()))
     # every d/dy component is over x^2, yet [e1, v] = d/dy / x = e2 - e1
     # is in the span with the new denominator x
     cases.append(([VectorField(zero(), (1 / x ** 2,), ctx),
