@@ -189,7 +189,7 @@ def _require_normal_form(spec: LinearSystemSpec) -> None:
                     "system is not in normal form (first-order term present)")
 
 
-def _isotropy_defects(spec: LinearSystemSpec, rules=(), seed: int = 0):
+def _isotropy_defects(spec: LinearSystemSpec, rules=()):
     """The scalar part q = tr(A_0) / m of the normal-form system and a lazy
     iterator over the entries (i, j) where A_0 - q I is not zero."""
     _require_normal_form(spec)
@@ -199,8 +199,8 @@ def _isotropy_defects(spec: LinearSystemSpec, rules=(), seed: int = 0):
         trace = trace + spec.a0[i][i]
     q = trace / m
     defects = ((i, j) for i in range(m) for j in range(m)
-               if zero_status(spec.a0[i][j] - (q if i == j else zero()), rules,
-                              seed) is ZeroStatus.NONZERO)
+               if zero_status(spec.a0[i][j] - (q if i == j else zero()),
+                              rules) is ZeroStatus.NONZERO)
     return q, defects
 
 
@@ -273,13 +273,13 @@ def _restricted_ansatz(ctx: JetContext) -> VectorField:
     return VectorField(xi, (eta, phi), ctx)
 
 
-def _verified_witnesses(src: SourceEquation, system: OdeSystem, seed=0):
+def _verified_witnesses(src: SourceEquation, system: OdeSystem):
     """The non-Cartan generators built from src in the system's context,
     each residual rechecked under the system's rules."""
     witnesses = tuple(non_cartan_generators(system.ctx.m, src, system.ctx))
     for wfield in witnesses:
         for r in invariance_residual(wfield, system):
-            if zero_status(r, system.rules, seed) is ZeroStatus.NONZERO:
+            if zero_status(r, system.rules) is ZeroStatus.NONZERO:
                 raise AssertionError("witness failed re-verification")
     return witnesses
 
@@ -305,17 +305,12 @@ def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
     """A trace-free 2x2 normal form admits a non-Cartan symmetry iff it
     is the trivial system (A = B = C = 0).  The witnesses are those of
     the trivial system, verified once per process."""
-    statuses = [(name, zero_status(e, rules))
-                for name, e in (("A", a), ("B", b), ("C", c))]
-    obstructions = [name for name, st in statuses if st is ZeroStatus.NONZERO]
-    if obstructions:
-        reason = tuple("%s is nonzero" % name for name in obstructions)
+    reason = tuple("%s is nonzero" % name
+                   for name, e in (("A", a), ("B", b), ("C", c))
+                   if zero_status(e, rules) is ZeroStatus.NONZERO)
+    if reason:
         return ClassificationVerdict(False, None, reason)
-    reason = []
-    for name, st in statuses:
-        if st is ZeroStatus.NUMERIC_ZERO:
-            reason.append("%s is zero (numeric sampling)" % name)
-    return ClassificationVerdict(True, _trivial_witnesses(), tuple(reason))
+    return ClassificationVerdict(True, _trivial_witnesses(), ())
 
 
 def determining_system_2x2(a: Expression, b: Expression, c: Expression,
@@ -328,19 +323,18 @@ def determining_system_2x2(a: Expression, b: Expression, c: Expression,
     return determining_equations(system, build(system.ctx))
 
 
-def classify_linear_system(spec: LinearSystemSpec, rules=(),
-                           seed: int = 0) -> ClassificationVerdict:
+def classify_linear_system(spec: LinearSystemSpec,
+                           rules=()) -> ClassificationVerdict:
     """Canonical-class membership for second-order linear systems in
     normal form, via the isotropy test; witnesses are the non-Cartan
-    generators built from the common scalar coefficient.  `seed` seeds
-    every zero test."""
-    q, defects = _isotropy_defects(spec, rules, seed)   # convention y'' + q y = 0
+    generators built from the common scalar coefficient."""
+    q, defects = _isotropy_defects(spec, rules)   # convention y'' + q y = 0
     reasons = tuple("non-isotropic at entry (%d,%d)" % (i + 1, j + 1)
                     for i, j in defects)
     if reasons:
         return ClassificationVerdict(False, None, reasons)
     src = SourceEquation.for_q(q)
-    witnesses = _verified_witnesses(src, spec.ode_system(src.rules), seed)
+    witnesses = _verified_witnesses(src, spec.ode_system(src.rules))
     return ClassificationVerdict(True, witnesses, ())
 
 

@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
     all_pass = True
     for label, v in zip(labels, fields):
         residuals = invariance_residual(v, system)
-        statuses = [zero_status(r, rules, args.seed) for r in residuals]
+        statuses = [zero_status(r, rules) for r in residuals]
         ok = all(st is not ZeroStatus.NONZERO for st in statuses)
         all_pass = all_pass and ok
         results.append({
@@ -185,19 +185,14 @@ def cmd_verify(args) -> int:
             "variables": list(system.ctx.dep_names),
         },
         "results": results,
-        "engine-info": _engine_info(args, results),
+        "engine-info": _engine_info(args),
     }
     _emit(report, args.format, lines)
     return EXIT_OK if all_pass else EXIT_FAIL
 
 
-def _engine_info(args, results) -> dict:
-    modes = set()
-    for r in results:
-        for st in r.get("residual-status", []):
-            modes.add("numeric" if st == "numeric-zero" else "symbolic")
-    return {"seed": args.seed,
-            "zero-test-modes": sorted(modes) if modes else ["symbolic"]}
+def _engine_info(args) -> dict:
+    return {"seed": args.seed, "zero-test-modes": ["symbolic"]}
 
 
 def cmd_determining(args) -> int:
@@ -245,7 +240,7 @@ def cmd_determining(args) -> int:
             "unknowns": [u.name for u in ds.unknowns],
         },
         "results": results,
-        "engine-info": _engine_info(args, []),
+        "engine-info": _engine_info(args),
     }
     _emit(report, args.format, lines)
     return EXIT_OK
@@ -256,7 +251,7 @@ def cmd_classify(args) -> int:
     ctx = system.ctx
     spec = _classify.LinearSystemSpec.from_system(system)
     if spec is not None:
-        verdict = _classify.classify_linear_system(spec, seed=args.seed)
+        verdict = _classify.classify_linear_system(spec)
         results = [{
             "kind": "linear",
             "in-canonical-class": verdict.in_canonical_class,
@@ -289,7 +284,7 @@ def cmd_classify(args) -> int:
         for label, v in zip(labels, scalar_non_cartan(SourceEquation.trivial(),
                                                       ctx)):
             residuals = invariance_residual(v, system)
-            sts = [zero_status(r, system.rules, args.seed) for r in residuals]
+            sts = [zero_status(r, system.rules) for r in residuals]
             if all(st is not ZeroStatus.NONZERO for st in sts):
                 admitted.append(label)
         degree = max((sum(k for a, k in mon if a == p) for mon, _ in f.num),
@@ -328,7 +323,7 @@ def cmd_classify(args) -> int:
             "variables": list(ctx.dep_names),
         },
         "results": results,
-        "engine-info": _engine_info(args, []),
+        "engine-info": _engine_info(args),
     }
     _emit(report, args.format, lines)
     return code
@@ -367,7 +362,7 @@ def cmd_catalog(args) -> int:
     else:
         raise InputError("unknown catalog key %r" % key)
     report = {"command": "catalog", "inputs": inputs, "results": results,
-              "engine-info": _engine_info(args, [])}
+              "engine-info": _engine_info(args)}
     _emit(report, args.format, lines)
     return EXIT_OK
 
@@ -399,7 +394,7 @@ def cmd_commutators(args) -> int:
     report = {"command": "commutators",
               "inputs": {"set": key},
               "results": results,
-              "engine-info": _engine_info(args, [])}
+              "engine-info": _engine_info(args)}
     _emit(report, args.format, lines)
     return EXIT_OK
 

@@ -14,9 +14,9 @@ expressions.  A coefficient is an `int` while its value is integral and a
 hash(n)` and `str(Fraction(n)) == str(n)`, the choice shows in neither
 equality, hashing nor printing, and ints are far cheaper to compute
 with.  Exponents are positive integers; negative powers live in the
-denominator.  The zero test is exact while every opaque call, after the
-rewrite rules, is a free jet (see `zero_status`); only calls of
-unconstrained functions at compound arguments fall back to sampling.
+denominator.  The zero test is exact and evaluates no float: after the
+rewrite rules and the merging of equal argument tuples, every opaque call
+is a free coordinate (see `zero_status`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -965,68 +964,78 @@ def format_monomial(mon) -> str:
 
 class ZeroStatus(enum.Enum):
     SYMBOLIC_ZERO = "symbolic-zero"
-    NUMERIC_ZERO = "numeric-zero"
     NONZERO = "nonzero"
 
 
-SAMPLES = 20
-ABS_TOL = 1e-8
-
-
-def zero_status(e: Expression, rules: Sequence[RewriteRule] = (),
-                seed: int = 0) -> ZeroStatus:
-    """SYMBOLIC_ZERO when e rewrites to zero under the rules; NONZERO for a
-    nonzero numerator in free jets (see `_free_jets`, which may raise
-    UndecidedZeroError); else seeded sampling decides."""
+def zero_status(e: Expression, rules: Sequence[RewriteRule] = ()) -> ZeroStatus:
+    """SYMBOLIC_ZERO when e vanishes for every choice of its opaque
+    functions that obeys the rules, else NONZERO; exact, since after the
+    rules and `_merge_points` every call is a free coordinate."""
     r = apply_rules(e, rules)
-    if r.is_rational_zero():
+    if r.is_rational_zero() or _merge_points(r, rules).is_rational_zero():
         return ZeroStatus.SYMBOLIC_ZERO
-    if _free_jets(r, rules):
-        return ZeroStatus.NONZERO
-    rng = random.Random(seed)
-    for _ in range(SAMPLES):
-        if abs(_sample_value(r, rng)) > ABS_TOL:
-            return ZeroStatus.NONZERO
-    return ZeroStatus.NUMERIC_ZERO
+    return ZeroStatus.NONZERO
 
 
-def is_zero(e: Expression, rules: Sequence[RewriteRule] = (),
-            seed: int = 0) -> bool:
-    return zero_status(e, rules, seed) is not ZeroStatus.NONZERO
+def is_zero(e: Expression, rules: Sequence[RewriteRule] = ()) -> bool:
+    return zero_status(e, rules) is ZeroStatus.SYMBOLIC_ZERO
 
 
-def _free_jets(e: Expression, rules: Sequence[RewriteRule]) -> bool:
-    """Whether every call in e, at the rules' fixed point, is a free jet:
-    a rule head at its rule's variable (the jets left are initial data of
-    the rules' equations), or another function at bare symbols.  Raises
-    UndecidedZeroError for a rule head at any other argument."""
+def _merge_points(e: Expression, rules: Sequence[RewriteRule]) -> Expression:
+    """e with the argument tuples of each base head that are equal as
+    rational functions rewritten to one of them, so that every call left
+    is a free coordinate.  Raises UndecidedZeroError for a rule head at an
+    argument other than its rule's variable.
+
+    Proof.  The jets of an arbitrary smooth function at finitely many
+    distinct points are free (Hermite interpolation); the jets a rule
+    leaves at its variable are free initial data of its equation.  Calls
+    merge innermost first, so by induction on nesting depth every call
+    inside a call's arguments is already merged when it is reached; its
+    arguments are then rational functions of merged atoms, and two tuples
+    are one point iff `is_rational_zero` holds for their differences.
+    Afterwards any two tuples of one head differ in some entry by a
+    nonzero rational function of the atoms.  Treat the atoms as unknowns
+    and pick values where e's numerator, every denominator (the rules'
+    too) and these differences are nonzero: the points are distinct, an
+    interpolant per head takes the picked jets there, and by the same
+    induction each call takes its picked value, so e is nonzero.
+    Polynomial tuples, bare symbols among them, are equal only when equal
+    in structure, so they need no pairwise test."""
     homes = {rule.head.name: (sym(rule.var),) for rule in rules}
-    atoms = list(e.atoms())
-    calls = [a for a in atoms if isinstance(a, Call)]
+    calls = [a for a in e.atoms() if isinstance(a, Call)]
     for a in calls:
         if a.head.arity == 1 and homes.get(a.head.name, a.args) != a.args:
             raise UndecidedZeroError(
                 "%s is constrained by a rewrite rule but called at %s"
                 % (a.head.name, format_expression(a.args[0])))
-    bare = {atom_expr(s) for s in atoms if isinstance(s, Symbol)}
-    return all(arg in bare for a in calls for arg in a.args)
+    if all(g.den == _ONE_TERMS for a in calls for g in a.args):
+        return e
+    points = {}     # base head -> its distinct argument tuples
+    images = {}
+
+    def merge(a):
+        if a not in images:
+            for g in a.args:
+                for b in g.atoms():
+                    if isinstance(b, Call):
+                        merge(b)
+            args = tuple(replace_atoms(g, images) for g in a.args)
+            seen = points.setdefault(a.head.base(), [])
+            same = next((p for p in seen if _same_point(p, args)), None)
+            if same is None:
+                seen.append(args)
+            images[a] = atom_expr(Call(a.head, same or args))
+
+    for a in calls:
+        merge(a)
+    return replace_atoms(e, images)
 
 
-def _sample_value(e: Expression, rng: random.Random) -> float:
-    symbols = sorted({a for a in e.atoms() if isinstance(a, Symbol)},
-                     key=Symbol.sort_key)
-    ranks = _head_ranks(e)
-    for _attempt in range(60):
-        env = {s: rng.uniform(0.4, 1.6) for s in symbols}
-        try:
-            nv = _eval_poly(e.num, env, ranks)
-            dv = _eval_poly(e.den, env, ranks)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            continue
-        if abs(dv) < 1e-6:
-            continue
-        return nv / dv
-    raise RuntimeError("could not find a pole-free sample point")
+def _same_point(p: tuple, q: tuple) -> bool:
+    if all(g.den == _ONE_TERMS for g in p + q):
+        return p == q
+    return all((g - h).is_rational_zero() for g, h in zip(p, q))
 
 
 def _head_ranks(e: Expression) -> dict:

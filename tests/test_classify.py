@@ -390,38 +390,3 @@ def test_oracle_cache_fills_lazily_per_degree_cap():
         _oracle_ansatz(cap)
     assert _oracle_ansatz.cache_info().hits == 3
 
-
-def test_linear_classify_path_honours_seed(monkeypatch):
-    import contextlib
-    import io
-
-    from noncartan import classify as classify_module
-    from noncartan.cli import main
-
-    seeds = []
-    real_zero_status = classify_module.zero_status
-
-    def recording_zero_status(e, rules=(), seed=0):
-        seeds.append(seed)
-        return real_zero_status(e, rules, seed)
-
-    monkeypatch.setattr(classify_module, "zero_status", recording_zero_status)
-    x = sym(X)
-    q = call(func("q"), x)
-    z = zero()
-
-    def seeds_of(run):
-        seeds.clear()
-        run()
-        assert seeds
-        return set(seeds)
-
-    assert seeds_of(lambda: classify_linear_system(_spec2(q, z, z, q))) == {0}
-    assert seeds_of(lambda: classify_linear_system(_spec2(q, z, z, q),
-                                                   seed=5)) == {5}
-    assert seeds_of(lambda: classify_linear_system(_spec2(one(), z, const(2),
-                                                          one()), seed=6)) == {6}
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert seeds_of(lambda: main([
-            "classify", "--system", "y''+q(x)*y=0; w''+q(x)*w=0",
-            "--seed", "7"])) == {7}

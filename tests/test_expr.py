@@ -162,38 +162,72 @@ def test_zero_status_modes():
 
 
 def test_zero_status_decides_free_jets_without_sampling(monkeypatch):
-    def no_sampling(*_args):
-        raise AssertionError("sampled a free-jet expression")
+    def no_floats(*_args):
+        raise AssertionError("a zero test evaluated a float")
 
-    monkeypatch.setattr(expr_module, "_sample_value", no_sampling)
+    monkeypatch.setattr(expr_module, "_eval_poly", no_floats)
     src = SourceEquation.symbolic()
-    x = sym(X)
+    x, y = sym(X), sym(Y)
     q = src.q
     # each once read numeric-zero: q, u and v were instantiated by name,
     # and A and O shared a test function
-    cases = [
+    nonzero = [
         (src.d(q), src.rules), (q - 1, src.rules),
         (src.u - call(func("u"), sym(indep("t"))), ()),
         (call(func("A"), x) - call(func("O"), x), ()),
-        (call(func("H", 2), x, sym(Y)) - call(func("H", 2), sym(Y), x), ()),
+        (call(func("H", 2), x, y) - call(func("H", 2), y, x), ()),
         (src.d(src.u) * src.v - src.u, src.rules),
+        # calls at compound and nested arguments
+        (call(func("A"), x + 1) - call(func("O"), x + 1), ()),
+        (call(func("H"), x - y / (x + 1)) - call(func("H"), x - y), ()),
+        (call(func("g"), call(func("H"), x * x))
+         - call(func("g"), call(func("H", 1, (1,)), x * x)), ()),
+        (call(func("q"), call(func("q"), x / (x + 1))) - q, src.rules),
     ]
-    for e, rules in cases:
+    for e, rules in nonzero:
         assert zero_status(e, rules) is ZeroStatus.NONZERO
-    assert zero_status(src.wronskian() - 1, src.rules) \
-        is ZeroStatus.SYMBOLIC_ZERO
+    zeros = [
+        (src.wronskian() - 1, src.rules),
+        (call(func("A"), x + 1) * call(func("O"), x + 1)
+         - call(func("O"), x + 1) * call(func("A"), x + 1), ()),
+        (call(func("g"), call(func("q"), (x * x - 1) / (x - 1)))
+         - call(func("g"), call(func("q"), x + 1)), src.rules),
+    ]
+    for e, rules in zeros:
+        assert zero_status(e, rules) is ZeroStatus.SYMBOLIC_ZERO
 
 
-def test_zero_status_samples_compound_arguments_by_rank():
-    # A and O once shared a test function, keyed on a hash of the name
-    x = sym(X)
-    a, o = (call(func(name), x + 1) for name in "AO")
-    assert zero_status(a - o) is ZeroStatus.NONZERO
-    assert zero_status(a * o - o * a) is ZeroStatus.SYMBOLIC_ZERO
-    h = call(func("H"), x * x)
-    hp = call(func("H", 1, (1,)), x * x)
-    assert zero_status(call(func("g"), h) - call(func("g"), hp)) \
+def test_zero_status_decides_calls_at_distinct_points():
+    x, y = sym(X), sym(Y)
+    x1 = x + 1
+    merged = (x * x - 1) / (x - 1)     # x + 1, but not structurally
+    h10 = func("H", 2, (1, 0))
+    h01 = func("H", 2, (0, 1))
+    # a ridge test function H(s) with s = c1*t1 + c2*t2 and c2/c1 = 9/8
+    # once made this read numeric-zero
+    assert zero_status(9 * call(h10, x1, y) - 8 * call(h01, x1, y)) \
         is ZeroStatus.NONZERO
+    assert zero_status(call(func("H"), merged) - call(func("H"), x1)) \
+        is ZeroStatus.SYMBOLIC_ZERO
+    assert zero_status(call(h10, merged, y) - call(h10, x1, y)) \
+        is ZeroStatus.SYMBOLIC_ZERO
+    q = func("q")
+    for poly, rational in ((x1, merged), (x - y, (x * x - y * y) / (x + y)),
+                           (x, (x * x + x) / (x + 1))):
+        outer = call(q, call(q, rational))
+        inner = call(q, call(q, poly))
+        assert zero_status(outer - inner) is ZeroStatus.SYMBOLIC_ZERO
+        assert zero_status(inner - outer) is ZeroStatus.SYMBOLIC_ZERO
+    assert zero_status(call(q, call(q, x)) - call(q, x)) is ZeroStatus.NONZERO
+    assert zero_status(call(func("H"), x) - call(func("H"), x * x)) \
+        is ZeroStatus.NONZERO
+    # the argument (x q(x) + x)/(q(x) + 1) is nested, but its value is x
+    nested_x = (x * call(q, x) + x) / (call(q, x) + 1)
+    assert zero_status(call(q, nested_x) - call(q, x)) \
+        is ZeroStatus.SYMBOLIC_ZERO
+    assert zero_status(call(func("q", 1, (1,)), nested_x)
+                       - call(func("q", 1, (1,)), x)) \
+        is ZeroStatus.SYMBOLIC_ZERO
 
 
 def test_rule_head_at_another_argument_is_undecided():

@@ -1,0 +1,103 @@
+"""Differential test of the exact zero test against SymPy: on random
+expressions whose opaque calls sit at rational and nested arguments,
+`zero_status` reads symbolic-zero iff SymPy's `simplify` of the same
+expression is 0.  Each expression is the difference of a random tree and
+either a disguised copy of it (arguments rewritten to an equal rational
+function of another form, now and then moved by one) or a second random
+tree."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+st = hypothesis.strategies
+
+from noncartan import (  # noqa: E402
+    ZeroStatus, call, const, func, indep, param, sym, zero_status,
+)
+
+X, Y = sym(indep("x")), sym(param("y"))
+SX, SY = sympy.symbols("x y")
+
+LEAVES = st.sampled_from([("x",), ("y",), ("c", 1), ("c", 2), ("c", -1)])
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*"), inner, inner),
+        # a unary call: head f or g at derivative order 0 or 1
+        st.tuples(st.just("call"), st.sampled_from("fg"),
+                  st.integers(0, 1), inner),
+        st.tuples(st.just("H"), inner, inner),
+    )
+
+
+TREES = st.recursive(LEAVES, _grow, max_leaves=7)
+
+
+def _disguise(t, draw):
+    """t with most call arguments a rewritten as a*(x + k)/(x + k), and
+    now and then one moved to a*(x + k)/(x + k) + 1 instead."""
+    kind = t[0]
+    if kind in ("x", "y", "c"):
+        return t
+    if kind == "call":
+        return t[:3] + (_argument(_disguise(t[3], draw), draw),)
+    if kind == "H":
+        return ("H",) + tuple(_argument(_disguise(s, draw), draw)
+                              for s in t[1:])
+    return (kind,) + tuple(_disguise(s, draw) for s in t[1:])
+
+
+def _argument(a, draw):
+    k = draw(st.integers(0, 4))
+    if k == 0:
+        return a
+    a = ("fraction", a, min(k, 3))
+    return ("+", a, ("c", 1)) if k == 4 else a
+
+
+def _build(t, x, y, number, apply):
+    """The tree t over the symbols x, y, the constants made by number and
+    the calls made by apply(name, derivative order, *arguments)."""
+    kind = t[0]
+    if kind == "x":
+        return x
+    if kind == "y":
+        return y
+    if kind == "c":
+        return number(t[1])
+    sub = [_build(s, x, y, number, apply) if isinstance(s, tuple) else s
+           for s in t[1:]]
+    if kind == "fraction":
+        return sub[0] * (x + t[2]) / (x + t[2])
+    if kind == "call":
+        return apply(*sub)
+    if kind == "H":
+        return apply("H", 0, *sub)
+    a, b = sub
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+def _engine(t):
+    return _build(t, X, Y, const, lambda name, k, *args: call(
+        func(name, len(args), (k,) + (0,) * (len(args) - 1)), *args))
+
+
+def _sympy(t):
+    # the jets of one function at finitely many points are free, so f'
+    # may stand for a function of its own
+    return _build(t, SX, SY, sympy.Integer, lambda name, k, *args:
+                  sympy.Function("%s_%d" % (name, k))(*args))
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
+                     database=None)
+@hypothesis.given(tree=TREES, other=st.one_of(st.none(), TREES),
+                  data=st.data())
+def test_zero_status_agrees_with_sympy(tree, other, data):
+    if other is None:
+        other = _disguise(tree, data.draw)
+    e = _engine(tree) - _engine(other)
+    expected = sympy.simplify(_sympy(tree) - _sympy(other)) == 0
+    assert (zero_status(e) is ZeroStatus.SYMBOLIC_ZERO) == expected
