@@ -6,12 +6,12 @@ nonlinear family admitting them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .expr import (
-    Call, Expression, RewriteRule, Symbol, apply_rules, call, const,
-    differentiate, func, indep, is_zero, one, param, replace_atoms,
-    substitute, sym, zero,
+    PARAM, Call, Expression, RewriteRule, Symbol, call, const, differentiate,
+    func, indep, is_zero, one, sym, zero,
 )
 from .jet import JetContext, VectorField, total_derivative
 from .symmetry import OdeSystem, PointTransformation
@@ -121,15 +121,11 @@ class IterativeOperator:
 
     r: Expression
     s: Expression
-    order_cap: int = 4
 
     def apply(self, e: Expression, ctx: JetContext) -> Expression:
         return self.r * total_derivative(e, ctx) + self.s * e
 
     def power_applied(self, n: int, ctx: JetContext = None) -> Expression:
-        if n > self.order_cap:
-            raise ValueError("power %d exceeds the order cap %d"
-                             % (n, self.order_cap))
         ctx = ctx or scalar_context(n)
         e = sym(ctx.y(1))
         for _ in range(n):
@@ -151,30 +147,21 @@ def iterative_power(op: IterativeOperator, n: int) -> OdeSystem:
 
 
 def normalize_s(r: Expression, n: int) -> Expression:
-    """The unique s making the y^(n-1) coefficient of Omega^n[y]
-    vanish."""
+    """The unique s making the y^(n-1) coefficient of Omega^n[y] vanish,
+    for Omega = r d/dx + s with r a nonzero function of x: s = -(n-1) r'/2.
+
+    Proof: Omega^k[y] = r^k y^(k) + r^(k-1) b_k y^(k-1) + (lower), with
+    b_1 = s.  Applying Omega once more, r D(r^k y^(k)) gives k r^k r'
+    y^(k), r D(r^(k-1) b_k y^(k-1)) gives r^k b_k y^(k), and s r^k y^(k)
+    is the last contribution, so b_(k+1) = b_k + k r' + s.  Hence
+    b_n = n s + n (n-1) r'/2, which vanishes exactly at the s above."""
     if n < 2:
         raise ValueError("need n >= 2")
     x = indep()
-    s_head = func("_s")
-    s_unknown = call(s_head, sym(x))
-    ctx = scalar_context(n)
-    expanded = IterativeOperator(r, s_unknown, order_cap=max(n, 4)) \
-        .power_applied(n, ctx)
-    coeff = differentiate(expanded, ctx.jet(1, n - 1))
-    for a in coeff.atoms():
-        if isinstance(a, Call) and a.head.name == "_s" and a.head.dorders[0] > 0:
-            raise ValueError("degenerate condition: derivative of s in the "
-                             "second-highest coefficient")
-    s_atom = Call(s_head, (sym(x),))
-    k0 = replace_atoms(coeff, {s_atom: zero()})
-    k1 = replace_atoms(coeff, {s_atom: one()}) - k0
-    if k1.is_rational_zero():
-        raise ValueError("degenerate linear condition for s")
-    quad = coeff - (k0 + k1 * s_unknown)
-    if not quad.is_rational_zero():
-        raise ValueError("condition for s is not affine")
-    return -k0 / k1
+    if r.is_rational_zero() or any(isinstance(a, Symbol) and a != x
+                                   and a.kind != PARAM for a in r.atoms()):
+        raise ValueError("r must be a nonzero function of x alone")
+    return const(Fraction(1 - n, 2)) * differentiate(r, x)
 
 
 @dataclass(frozen=True)
@@ -192,87 +179,43 @@ class NormalFormCoefficients:
 
     def coefficient(self, j: int) -> Expression:
         """A_n^j for j = 2..n."""
+        if not 2 <= j <= self.n:
+            raise ValueError("need 2 <= j <= %d, got %d" % (self.n, j))
         return self.coeffs[j - 2]
 
 
-def _weight_monomials(q: Expression, x: Symbol, weight: int) -> list:
-    """Monomials in q and its derivatives of isobaric weight `weight`
-    (q has weight 2, q' weight 3, ...)."""
-    def parts(total, minimum):
-        if total == 0:
-            yield ()
-            return
-        for p in range(minimum, total + 1):
-            for rest in parts(total - p, p):
-                yield (p,) + rest
-
-    out = []
-    for partition in parts(weight, 2):
-        m = one()
-        for p in partition:
-            d = q
-            for _ in range(p - 2):
-                d = differentiate(d, x)
-            m = m * d
-        if not m.is_rational_zero() and m not in out:
-            out.append(m)
-    return out
-
-
 def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
-    """Determine the A_n^j by requiring every s_k to solve the normal
-    form, via an exact linear solve over an isobaric ansatz in q.  The
-    derivatives s_k, s_k', .., s_k^(n) of each solution are taken once and
-    serve both the solve and the recheck of the solution."""
+    """The A_n^j as the coefficients of the (n-1)-th symmetric power of
+    D^2 + q: with L_0 = 1, L_1 = D and L_(k+1) = D o L_k + k(n-k) q L_(k-1),
+    A_n^j is the coefficient of D^(n-j) in L_n = D^n + sum_j A_n^j D^(n-j).
+
+    Proof: for a solution w of w'' + q w = 0 put
+    f_k = (n-1)!/(n-1-k)! w^(n-1-k) w'^k, so f_0 = w^(n-1) and f_n = 0.
+    Differentiating with w'' = -q w gives
+    f_k' = f_(k+1) - k(n-k) q f_(k-1), so L_k[w^(n-1)] = f_k by induction
+    and L_n annihilates w^(n-1).  The powers (a u + b v)^(n-1) span the
+    s_k = u^(n-1-k) v^k, so L_n[s_k] = 0 for every k."""
     if n < 2:
         raise ValueError("need n >= 2")
-    x = src.x
-    sols = source_solution_basis(src, n)
-    ansatz = []
-    params = []
-    for j in range(2, n + 1):
-        monos = _weight_monomials(src.q, x, j)
-        coeff = zero()
-        for t, mono in enumerate(monos):
-            p = param("_c%d_%d" % (j, t))
-            params.append(p)
-            coeff = coeff + sym(p) * mono
-        ansatz.append(coeff)
-
-    # the chain s_k, s_k', .., s_k^(n) of each solution, taken once: each
-    # entry is the previous one differentiated, as `src.d` takes it
-    chains = []
-    for s_k in sols:
+    x, q = src.x, src.q
+    # L_(k-1) and L_k as their coefficients, lowest power of D first
+    prev, cur = [one()], [zero(), one()]
+    for k in range(1, n):
+        nxt = [zero()] + cur
+        for i, c in enumerate(cur):
+            nxt[i] = nxt[i] + differentiate(c, x)
+        for i, c in enumerate(prev):
+            nxt[i] = nxt[i] + k * (n - k) * q * c
+        prev, cur = cur, nxt
+    result = NormalFormCoefficients(n, (cur[n - j] for j in range(2, n + 1)))
+    # recheck under the rules of src, taking s_k, s_k', .., s_k^(n) once
+    for s_k in source_solution_basis(src, n):
         chain = [s_k]
         for _ in range(n):
             chain.append(differentiate(chain[-1], x))
-        chains.append(chain)
-
-    def residual(chain, coeffs):    # s_k^(n) + sum_j A_n^j s_k^(n-j)
-        return sum((c * chain[n - j] for j, c in enumerate(coeffs, 2)),
-                   chain[n])
-
-    column = {p: i for i, p in enumerate(params)}
-    rows = []
-    rhs = []
-    for chain in chains:
-        resid = apply_rules(residual(chain, ansatz), src.rules)
-        for lin, cst in linalg.linear_equations_in_params(resid, params):
-            rows.append({column[p]: v for p, v in lin.items()})
-            rhs.append(-cst)
-    if params:
-        sol = linalg.solve(rows, rhs, ncols=len(params))
-        bindings = dict(zip(params, map(const, sol)))
-    else:
-        bindings = {}
-        for c in rhs:
-            if c != 0:
-                raise linalg.InconsistentSystemError(
-                    "no solution for the normal-form coefficients")
-    coeffs = tuple(substitute(a, bindings) for a in ansatz)
-    result = NormalFormCoefficients(n, coeffs)
-    for chain in chains:
-        if not is_zero(residual(chain, coeffs), src.rules):
+        resid = sum((c * chain[n - j] for j, c in enumerate(result.coeffs, 2)),
+                    chain[n])
+        if not is_zero(resid, src.rules):
             raise linalg.InconsistentSystemError(
                 "normal-form coefficients fail to annihilate s_k")
     return result
@@ -283,6 +226,9 @@ def isotropic_system(m: int, n: int, src: SourceEquation,
     """The canonical-class normal form: m copies of the iterative
     equation y^(n) + sum_j A_n^j y^(n-j) = 0."""
     ctx = ctx or JetContext(m, n)
+    if (ctx.m, ctx.order) != (m, n):
+        raise ValueError("the context has m = %d and order %d, the system "
+                         "m = %d and order %d" % (ctx.m, ctx.order, m, n))
     nf = normal_form_coeffs(src, n)
     rhs = []
     for i in range(1, m + 1):

@@ -6,6 +6,7 @@ commands, and emit deterministic text or JSON reports."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,8 +39,8 @@ EXIT_USAGE = 2
 # and the largest order (--n, and the order of a system given --catalog
 # canonical), so that no request runs for long: the bracket table has
 # one entry per pair of fields, of which the canonical basis has
-# m^2 + n m + 3 and the non-Cartan family 2 m, and the normal-form solve
-# and the prolongations grow quickly with the order
+# m^2 + n m + 3 and the non-Cartan family 2 m, and the normal-form
+# recursion, its recheck and the prolongations grow quickly with the order
 MAX_M = {"canonical": 6, "non-cartan": 20}
 MAX_N = 8
 
@@ -426,7 +427,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: `parse_args` keeps no state in it."""
     ap = _ArgumentParser(
         prog="noncartan",
         description="Lie point symmetry toolkit for ODE systems")

@@ -7,8 +7,8 @@ from noncartan import (
     format_expression, func, indep, invariance_residual, is_non_cartan,
     is_zero, isotropic_system, iterative_power, non_cartan_family,
     non_cartan_generators, nonlinear_counterexample, normal_form_coeffs,
-    normalize_s, reduction_transformation, scalar_context, scalar_non_cartan,
-    source_solution_basis, sym, zero, one,
+    normalize_s, parse, reduction_transformation, scalar_context,
+    scalar_non_cartan, source_solution_basis, sym, zero, one,
 )
 
 
@@ -49,11 +49,19 @@ def test_normalize_s():
     assert s2 == -rp / 2
     s3 = normalize_s(r, 3)
     assert s3 == -rp
+    assert normalize_s(x ** 2 + 1, 2) == -x
     # the choice kills the second-highest coefficient
-    ctx = scalar_context(2)
-    expanded = IterativeOperator(r, s2).power_applied(2, ctx)
-    coeff = differentiate(expanded, ctx.jet(1, 1))
-    assert coeff.is_rational_zero()
+    for r in (call(func("r"), x), x ** 2 + 1):
+        for n in range(2, 6):
+            ctx = scalar_context(n)
+            expanded = IterativeOperator(r, normalize_s(r, n)) \
+                .power_applied(n, ctx)
+            coeff = differentiate(expanded, ctx.jet(1, n - 1))
+            assert coeff.is_rational_zero(), (r, n)
+    # r must be a nonzero function of x alone
+    for bad in (zero(), sym(scalar_context().y(1))):
+        with pytest.raises(ValueError):
+            normalize_s(bad, 2)
 
 
 def test_iterative_power_normal_form():
@@ -81,6 +89,37 @@ def test_normal_form_coeffs_low_orders():
         "64*q(x)*q'(x) + 4*q'''(x)"]
 
 
+# the printed coefficients for given q, pinned so that a change of method
+# keeps every printed byte
+NORMAL_FORM_PINS = {
+    ("x", 2): ["x"],
+    ("x", 3): ["4*x", "2"],
+    ("x", 4): ["10*x", "10", "9*x^2"],
+    ("x", 5): ["20*x", "30", "64*x^2", "64*x"],
+    ("x^2+1", 2): ["1 + x^2"],
+    ("x^2+1", 3): ["4 + 4*x^2", "4*x"],
+    ("x^2+1", 4): ["10 + 10*x^2", "20*x", "15 + 18*x^2 + 9*x^4"],
+    ("x^2+1", 5): ["20 + 20*x^2", "60*x", "100 + 128*x^2 + 64*x^4",
+                   "128*x + 128*x^3"],
+    ("1/(x+1)", 2): ["1/(1 + x)"],
+    ("1/(x+1)", 3): ["4/(1 + x)", "(-2)/(1 + 2*x + x^2)"],
+}
+
+
+@pytest.mark.parametrize("q, n", sorted(NORMAL_FORM_PINS))
+def test_normal_form_coeffs_for_given_q(q, n):
+    nf = normal_form_coeffs(SourceEquation.for_q(parse(q)), n)
+    assert [format_expression(nf.coefficient(j))
+            for j in range(2, n + 1)] == NORMAL_FORM_PINS[q, n]
+
+
+def test_normal_form_coefficient_index_range():
+    nf = normal_form_coeffs(SourceEquation.symbolic(), 3)
+    for j in (-1, 0, 1, 4):
+        with pytest.raises(ValueError):
+            nf.coefficient(j)
+
+
 def test_normal_form_annihilates_basis():
     src = SourceEquation.symbolic()
     for n in (3, 4):
@@ -106,6 +145,14 @@ def test_canonical_basis_invariance():
         for v in canonical_basis(m, n, src, system.ctx):
             residuals = invariance_residual(v, system)
             assert all(is_zero(r, src.rules) for r in residuals)
+
+
+def test_isotropic_system_checks_its_context():
+    src = SourceEquation.symbolic()
+    with pytest.raises(ValueError):
+        isotropic_system(1, 2, src, JetContext(1, 3))
+    with pytest.raises(ValueError):
+        isotropic_system(2, 2, src, JetContext(1, 2))
 
 
 def test_non_cartan_generators_suite():

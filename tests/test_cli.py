@@ -128,6 +128,22 @@ def test_verify_counterexample_generator():
     assert code == 0
 
 
+def test_parser_built_once_keeps_no_state_between_calls():
+    # the parser is built once per process; the `append` default of
+    # --generator must not collect the first call's generators
+    code, out = run(["verify", "--system", "y''=0", "--generator", "dx"])
+    assert (code, out.splitlines()) == (0, ["v1   PASS  1*dx", "1/1 pass"])
+    code, out = run(["verify", "--system", "y''=0", "--generator", "x*dy"])
+    assert (code, out.splitlines()) == (0, ["v1   PASS  x*dy", "1/1 pass"])
+
+
+def test_help_exits_0():
+    for _ in range(2):
+        code, out = run(["--help"])
+        assert code == 0
+        assert out.startswith("usage: noncartan")
+
+
 def test_usage_error_exit_code():
     code, _ = run(["verify", "--system", "y'' = "])
     assert code == 2
