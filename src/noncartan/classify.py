@@ -1,18 +1,19 @@
 """Decision procedures: the cubic-in-p necessary linearization test,
 the isotropy test for canonical-class membership of linear systems, the
-trace-removal residual verifier, and the non-Cartan-existence decision
-for 2x2 systems."""
+trace-removal residual verifier and the brute-force polynomial oracle for
+m x m systems, and the non-Cartan-existence decision for 2x2 systems."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
 from .expr import (
     _ONE_TERMS, CollectError, Expression, OpaqueArgumentError, Symbol,
     ZeroStatus, _linear_terms, call, collect, differentiate, func, is_zero,
-    param, sym, zero, zero_status,
+    one, param, sym, zero, zero_status,
 )
 from .jet import JetContext, VectorField, prolong
 from .symmetry import (
@@ -26,7 +27,7 @@ __all__ = [
     "TraceReductionError", "cubic_in_p_test", "isotropy_test",
     "non_cartan_existence_2x2", "determining_system_2x2",
     "trace_free_reduce", "classify_linear_system",
-    "brute_force_non_cartan_search",
+    "brute_force_non_cartan_search", "non_cartan_search",
 ]
 
 
@@ -59,6 +60,8 @@ class LinearSystemSpec:
             if len(mat) != self.m or any(len(row) != self.m for row in mat):
                 raise ValueError("coefficient matrices must be %d x %d"
                                  % (self.m, self.m))
+            if any(e.max_jet_order() >= 0 for row in mat for e in row):
+                raise ValueError("coefficients must be functions of x only")
         if self.ctx is None:
             object.__setattr__(self, "ctx", JetContext(self.m, self.n))
         elif self.ctx.m != self.m or self.ctx.order != self.n:
@@ -213,25 +216,22 @@ def isotropy_test(spec: LinearSystemSpec, rules=()) -> bool:
 
 def trace_free_reduce(spec: LinearSystemSpec, q: Expression, rules=()):
     """Verify that the candidate auxiliary function q satisfies
-    -2 (a1 + a4) q^2 + 3 q'^2 - 2 q q'' = 0 and return the trace-free
-    coefficients (A, B, C) of the reduced system, expressed in the
-    original variable (divide by q^2)."""
-    if spec.m != 2 or spec.n != 2:
-        raise ValueError("trace removal is implemented for 2 x 2 systems")
-    _require_normal_form(spec)
-    x = spec.ctx.x
-    # y'' = M y with M = -A_0
-    m11, m12 = -spec.a0[0][0], -spec.a0[0][1]
-    m21, m22 = -spec.a0[1][0], -spec.a0[1][1]
-    trace = m11 + m22
-    qp = differentiate(q, x)
-    qpp = differentiate(qp, x)
-    residual = -2 * trace * q ** 2 + 3 * qp ** 2 - 2 * q * qpp
+    -4 s q^2 + 3 q'^2 - 2 q q'' = 0, where s = tr(M) / m for the system
+    y'' = M y, and return the rows of the trace-free matrix (M - s I) / q^2
+    of the reduced system, expressed in the original variable."""
+    if q.is_rational_zero() or q.max_jet_order() >= 0:
+        raise ValueError("q must be a nonzero function of x alone")
+    # y'' = M y with M = -A_0, so s = -tr(A_0) / m
+    neg_s, _ = _isotropy_defects(spec, rules)
+    qp = differentiate(q, spec.ctx.x)
+    qpp = differentiate(qp, spec.ctx.x)
+    residual = 4 * neg_s * q ** 2 + 3 * qp ** 2 - 2 * q * qpp
     if zero_status(residual, rules) is ZeroStatus.NONZERO:
         raise TraceReductionError(residual)
-    half = trace / 2
     scale = q ** -2
-    return ((m11 - half) * scale, m12 * scale, m21 * scale)
+    return tuple(tuple((neg_s - e if i == j else -e) * scale
+                       for j, e in enumerate(row))
+                 for i, row in enumerate(spec.a0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +284,17 @@ def _verified_witnesses(src: SourceEquation, system: OdeSystem):
     return witnesses
 
 
-def _normal_form_2x2(a: Expression, b: Expression, c: Expression) -> OdeSystem:
-    """The trace-free normal form y'' = A y + B w, w'' = C y - A w."""
-    ctx = JetContext(2, 2, dep_names=("y", "w"))
-    y = sym(ctx.y(1))
-    w = sym(ctx.y(2))
-    return OdeSystem(ctx, (a * y + b * w, c * y - a * w))
+def _trace_free_system(mat) -> OdeSystem:
+    """The system y_i'' = sum_j M_ij y_j of the m x m matrix M, in
+    JetContext(m, 2), whose names at m = 2 are y and w."""
+    m = len(mat)
+    if any(len(row) != m or any(e.max_jet_order() >= 0 for e in row)
+           for row in mat):
+        raise ValueError("expected a square matrix of functions of x")
+    ctx = JetContext(m, 2)
+    ys = [sym(ctx.y(j)) for j in range(1, m + 1)]
+    return OdeSystem(ctx, tuple(functools.reduce(Expression.__add__, map(
+        Expression.__mul__, row, ys)) for row in mat))
 
 
 @functools.lru_cache(maxsize=1)
@@ -297,7 +302,7 @@ def _trivial_witnesses() -> tuple:
     """The non-Cartan generators of the trivial 2x2 system, verified on
     first use; they depend on nothing, so later calls share them."""
     return _verified_witnesses(SourceEquation.trivial(),
-                               _normal_form_2x2(zero(), zero(), zero()))
+                               _trace_free_system(((zero(),) * 2,) * 2))
 
 
 def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
@@ -305,6 +310,8 @@ def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
     """A trace-free 2x2 normal form admits a non-Cartan symmetry iff it
     is the trivial system (A = B = C = 0).  The witnesses are those of
     the trivial system, verified once per process."""
+    if any(e.max_jet_order() >= 0 for e in (a, b, c)):
+        raise ValueError("coefficients must be functions of x only")
     reason = tuple("%s is nonzero" % name
                    for name, e in (("A", a), ("B", b), ("C", c))
                    if zero_status(e, rules) is ZeroStatus.NONZERO)
@@ -318,7 +325,7 @@ def determining_system_2x2(a: Expression, b: Expression, c: Expression,
     """Determining equations for a symmetry of the trace-free 2x2 normal
     form; when restricted, the xi-component is alpha(x) y + beta(x) w +
     gamma(x) with the induced forms of the other components."""
-    system = _normal_form_2x2(a, b, c)
+    system = _trace_free_system(((a, b), (c, -a)))
     build = _restricted_ansatz if restricted else _full_ansatz
     return determining_equations(system, build(system.ctx))
 
@@ -339,21 +346,21 @@ def classify_linear_system(spec: LinearSystemSpec,
 
 
 # ---------------------------------------------------------------------------
-# Brute-force restricted-ansatz search (independent route)
+# Brute-force polynomial-ansatz search (independent route)
 
 
 _ORACLE_CACHE_SIZE = 8
 
 
 @functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
-def _oracle_ansatz(degree_cap: int):
-    """The system-independent part of the brute-force search: the
-    parameter tuple, the indices of the non-Cartan slots (the alpha and
-    beta coefficients) and the second prolongation of the ansatz in the
-    context of the trace-free 2x2 normal form, with the on-shell split of
-    its top coefficients (`ProlongedField.top_split`)."""
-    ctx = JetContext(2, 2, dep_names=("y", "w"))
-    x, y, w = (sym(s) for s in ctx.point_symbols())
+def _oracle_ansatz(m: int, degree_cap: int):
+    """The system-independent part of the brute-force search on m
+    equations: the parameter tuple, the indices of the non-Cartan slots
+    (the alpha_i coefficients) and the second prolongation of the ansatz
+    in JetContext(m, 2), with the on-shell split of its top coefficients
+    (`ProlongedField.top_split`)."""
+    ctx = JetContext(m, 2)
+    x, *ys = map(sym, ctx.point_symbols())
     params = []
     noncartan_slots = []
 
@@ -367,50 +374,52 @@ def _oracle_ansatz(degree_cap: int):
             e = e + sym(pv) * x ** d
         return e
 
-    xi = poly("al", degree_cap, True) * y + poly("be", degree_cap, True) * w \
-        + poly("ga", degree_cap)
-    comp_deg = degree_cap + 2
-    names = [(i, j) for i in range(3) for j in range(3) if i + j <= 2]
-    eta = zero()
-    phi = zero()
-    for i, j in names:
-        eta = eta + poly("e%d%d" % (i, j), comp_deg) * y ** i * w ** j
-        phi = phi + poly("f%d%d" % (i, j), comp_deg) * y ** i * w ** j
-    pf = prolong(VectorField(xi, (eta, phi), ctx), 2)
+    xi = sum((poly("al%d_" % i, degree_cap, True) * y
+              for i, y in enumerate(ys, 1)), zero()) + poly("ga", degree_cap)
+    factors = [one()] + ys     # a monomial of degree <= 2 is a product of two
+    etas = [zero()] * m
+    for i, j in itertools.combinations_with_replacement(range(m + 1), 2):
+        etas = [eta + poly("e%d_%d_%d_" % (k, i, j), degree_cap + 2)
+                * factors[i] * factors[j] for k, eta in enumerate(etas, 1)]
+    pf = prolong(VectorField(xi, tuple(etas), ctx), 2)
     return tuple(params), tuple(noncartan_slots), pf
 
 
-def brute_force_non_cartan_search(a: Expression, b: Expression, c: Expression,
-                                  degree_cap: int = 4) -> bool:
-    """Search for a non-Cartan symmetry of the trace-free 2x2 normal
-    form with xi = alpha(x) y + beta(x) w + gamma(x) and polynomial
+def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
+    """Search for a non-Cartan symmetry of the trace-free normal form
+    y'' = M y with xi = sum_i alpha_i(x) y_i + gamma(x) and polynomial
     coefficient functions of degree <= degree_cap; the remaining
-    components are general quadratics in (y, w) with polynomial
-    x-coefficients.  Returns True when some solution of the determining
-    equations has alpha != 0 or beta != 0.  The ansatz and its
-    prolongation depend only on degree_cap, so they are built once per
-    degree cap per process.  The ansatz is a polynomial, so its cached
-    prolongation carries the split phi^(2) = E + y'' G_1 + w'' G_2 of
-    `ProlongedField.top_split`; for polynomial A, B and C the residuals
-    are E + sum F_k G_k - X^(1) F, one sum of products, and for rational
-    ones the solved form is substituted.  Each equation in the ansatz
+    components are general quadratics in y_1..y_m with polynomial
+    x-coefficients of degree <= degree_cap + 2.  Returns True when some
+    solution of the determining equations has an alpha_i != 0.  The
+    answer is one-sided, and trace removal comes first: the fields of an
+    isotropic y'' = -2 y are trigonometric.  The ansatz and its
+    prolongation depend only on (m, degree_cap), so they are built once
+    per pair per process.  The ansatz is a polynomial, so its cached
+    prolongation carries the split phi_k^(2) = E_k + sum_j y_j'' G_kj of
+    `ProlongedField.top_split`; for a polynomial M the residuals are
+    E + sum F_j G_j - X^(1) F, one sum of products, and for a rational
+    one the solved form is substituted.  Each equation in the ansatz
     parameters goes to `linalg.nullspace` as a dict row of its nonzero
     coefficients, keyed by the parameter's column."""
     if (not isinstance(degree_cap, int) or isinstance(degree_cap, bool)
             or degree_cap < 0):
         raise ValueError("degree_cap must be a non-negative int, got %r"
                          % (degree_cap,))
-    params, noncartan_slots, pf = _oracle_ansatz(degree_cap)
+    system = _trace_free_system(matrix)
+    params, noncartan_slots, pf = _oracle_ansatz(system.ctx.m, degree_cap)
     column = {p: i for i, p in enumerate(params)}
-    residuals = _prolonged_residuals(pf, _normal_form_2x2(a, b, c))
     rows = []
-    for res in residuals:
+    for res in _prolonged_residuals(pf, system):
         for lin, cst in linalg.linear_equations_in_params(res, params):
             if cst != 0:
                 raise AssertionError("homogeneous system expected")
             rows.append({column[p]: v for p, v in lin.items()})
-    basis = linalg.nullspace(rows, ncols=len(params))
-    for vec in basis:
-        if any(vec[i] != 0 for i in noncartan_slots):
-            return True
-    return False
+    return any(any(vec[i] != 0 for i in noncartan_slots)
+               for vec in linalg.nullspace(rows, ncols=len(params)))
+
+
+def brute_force_non_cartan_search(a: Expression, b: Expression, c: Expression,
+                                  degree_cap: int = 4) -> bool:
+    """`non_cartan_search` of y'' = A y + B w, w'' = C y - A w."""
+    return non_cartan_search(((a, b), (c, -a)), degree_cap)

@@ -128,7 +128,7 @@ def solve(rows, rhs, ncols: int = None):
     """Solve A x = b exactly; raises if inconsistent, returns one
     solution (free variables set to zero)."""
     if not rows:
-        return []
+        return [Fraction(0)] * (ncols or 0)
     ncols = _ncols(rows, ncols)
     red = _rref({**r, ncols: b} if isinstance(r, dict) else list(r) + [b]
                 for r, b in zip(rows, rhs))

@@ -505,18 +505,17 @@ def reference_solve(rows, rhs):
 # ---------------------------------------------------------------------------
 # Reference brute-force oracle: the ansatz built and prolonged afresh for
 # every system, then `invariance_residual` on the full field.  The library
-# builds the ansatz and its prolongation once per degree cap; tests assert
-# structural equality of the prolongation and the residuals, and equal
-# search results.
+# builds the ansatz and its prolongation once per (m, degree cap); tests
+# assert structural equality of the prolongation and the residuals, and
+# equal search results.
 
 
-def reference_oracle_ansatz(degree_cap):
+def reference_oracle_ansatz(m, degree_cap):
     """(params, non-Cartan slot indices, ansatz field) of the brute-force
-    search at this degree cap, built from scratch."""
-    ctx = JetContext(2, 2, dep_names=("y", "w"))
+    search on m equations at this degree cap, built from scratch."""
+    ctx = JetContext(m, 2)
     x = sym(ctx.x)
-    y = sym(ctx.y(1))
-    w = sym(ctx.y(2))
+    ys = [sym(ctx.y(j)) for j in range(1, m + 1)]
     params = []
     slots = []
 
@@ -530,19 +529,24 @@ def reference_oracle_ansatz(degree_cap):
             e = e + sym(pv) * x ** d
         return e
 
-    xi = (poly("al", degree_cap, True) * y + poly("be", degree_cap, True) * w
-          + poly("ga", degree_cap))
-    eta = zero()
-    phi = zero()
-    for i in range(3):
-        for j in range(3 - i):
-            eta = eta + poly("e%d%d" % (i, j), degree_cap + 2) * y ** i * w ** j
-            phi = phi + poly("f%d%d" % (i, j), degree_cap + 2) * y ** i * w ** j
-    return tuple(params), tuple(slots), VectorField(xi, (eta, phi), ctx)
+    xi = zero()
+    for i in range(1, m + 1):
+        xi = xi + poly("al%d_" % i, degree_cap, True) * ys[i - 1]
+    xi = xi + poly("ga", degree_cap)
+    # the monomials 1, y_j and y_i y_j (i <= j), each once, as the
+    # products u_i u_j (i <= j) of u = (1, y_1, ..., y_m)
+    u = [one()] + ys
+    etas = [zero()] * m
+    for i in range(m + 1):
+        for j in range(i, m + 1):
+            for k in range(m):
+                etas[k] = (etas[k] + poly("e%d_%d_%d_" % (k + 1, i, j),
+                                          degree_cap + 2) * u[i] * u[j])
+    return tuple(params), tuple(slots), VectorField(xi, tuple(etas), ctx)
 
 
 def reference_brute_force_search(system, degree_cap):
-    params, slots, ansatz = reference_oracle_ansatz(degree_cap)
+    params, slots, ansatz = reference_oracle_ansatz(system.ctx.m, degree_cap)
     rows = []
     for res in invariance_residual(ansatz, system):
         for lin, cst in linear_equations_in_params(res, params):

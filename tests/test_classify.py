@@ -9,13 +9,14 @@ from noncartan import (
     ZeroStatus, brute_force_non_cartan_search, call, classify_linear_system,
     const, cubic_in_p_test, determining_system_2x2, func, indep,
     invariance_residual, is_non_cartan, is_zero, non_cartan_existence_2x2,
-    nonlinear_counterexample, OdeSystem, scalar_context, sym,
-    trace_free_reduce, zero,
+    non_cartan_search, nonlinear_counterexample, OdeSystem, scalar_context,
+    sym, trace_free_reduce, zero,
     one, zero_status, isotropy_test, prolong,
 )
 from noncartan import classify as classify_module
 from noncartan.classify import (
-    _normal_form_2x2, _oracle_ansatz, _trivial_witnesses, _verified_witnesses,
+    _oracle_ansatz, _trace_free_system, _trivial_witnesses,
+    _verified_witnesses,
 )
 from noncartan.expr import format_expression
 from noncartan.symmetry import _prolonged_residuals
@@ -93,11 +94,18 @@ def test_isotropy():
         trace_free_reduce(first_order_term, one())
 
 
+def _same_rows(got, want):
+    return (len(got) == len(want)
+            and all(len(r) == len(s) for r, s in zip(got, want))
+            and all((g - w).is_rational_zero()
+                    for r, s in zip(got, want) for g, w in zip(r, s)))
+
+
 def test_trace_free_reduce_identity():
     z = zero()
     spec = _spec2(one(), z, const(2), -one())   # trace-free already
-    a, b, c = trace_free_reduce(spec, one())
-    assert a == -one() and b == z and c == const(-2)
+    rows = trace_free_reduce(spec, one())
+    assert rows == ((-one(), z), (const(-2), one()))
 
 
 def test_trace_free_reduce_rejects_bad_q():
@@ -105,6 +113,11 @@ def test_trace_free_reduce_rejects_bad_q():
     spec = _spec2(one(), z, const(2), one())    # trace 2, constant
     with pytest.raises(TraceReductionError):
         trace_free_reduce(spec, one())
+    # q = 0 and q = y are refused before the residual is formed
+    y = sym(spec.ctx.y(1))
+    for q in (zero(), y, sym(spec.ctx.jet(2, 1)) + sym(X)):
+        with pytest.raises(ValueError, match="nonzero function of x"):
+            trace_free_reduce(spec, q)
 
 
 def test_trace_free_reduce_rejects_exponential_growth_q():
@@ -124,10 +137,36 @@ def test_trace_free_reduce_with_valid_q():
     z = zero()
     d = const(-3) / (4 * x ** 2)
     spec = _spec2(d, z, z, d)
-    a, b, c = trace_free_reduce(spec, x)
-    assert a.is_rational_zero()
-    assert b.is_rational_zero()
-    assert c.is_rational_zero()
+    rows = trace_free_reduce(spec, x)
+    assert _same_rows(rows, ((z, z), (z, z)))
+    # off the diagonal, and against the 2x2 triple (A, B, C) of
+    # (M - tr(M)/2 I) / q^2: the rows are ((A, B), (C, -A))
+    spec = _spec2(d - x, const(-2), x ** 2, d + x)
+    m11, m12, m21, m22 = x - d, const(2), -x ** 2, -d - x
+    half = (m11 + m22) / 2
+    a, b, c = ((m11 - half) / x ** 2, m12 / x ** 2, m21 / x ** 2)
+    assert _same_rows(trace_free_reduce(spec, x), ((a, b), (c, -a)))
+
+
+def test_trace_free_reduce_3x3():
+    # y'' = M y with tr(M) = 9/(4x^2): s = 3/(4x^2) solves
+    # -4 s q^2 + 3 q'^2 - 2 q q'' = 0 at q = x
+    x = sym(X)
+    s = const(3) / (4 * x ** 2)
+    mat = ((s + x, one(), zero()),
+           (x ** 2, s - 1, const(5)),
+           (zero(), 2 * x + 1, s + 1 - x))
+    zmat = tuple((zero(),) * 3 for _ in range(3))
+    spec = LinearSystemSpec(3, 2, (zmat, tuple(tuple(-e for e in row)
+                                               for row in mat)))
+    want = tuple(tuple((e - s if i == j else e) / x ** 2
+                       for j, e in enumerate(row))
+                 for i, row in enumerate(mat))
+    assert _same_rows(trace_free_reduce(spec, x), want)
+    assert not _same_rows(trace_free_reduce(spec, x),
+                          tuple(tuple(e / x ** 2 for e in row) for row in mat))
+    with pytest.raises(TraceReductionError):
+        trace_free_reduce(spec, x + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +193,8 @@ def test_existence_witnesses_verified_once(monkeypatch):
             non_cartan_existence_2x2(z, z, z)
     assert _trivial_witnesses.cache_info().currsize == 0
     witnesses = non_cartan_existence_2x2(z, z, z).witnesses
-    assert witnesses == _verified_witnesses(SourceEquation.trivial(),
-                                            _normal_form_2x2(z, z, z))
+    trivial = _trace_free_system(((z, z), (z, z)))
+    assert witnesses == _verified_witnesses(SourceEquation.trivial(), trivial)
     assert non_cartan_existence_2x2(z, z, z).witnesses is witnesses
 
 
@@ -277,6 +316,26 @@ def test_from_system_rejects_other_systems():
     assert LinearSystemSpec.from_system(nonlinear_counterexample()) is None
 
 
+def test_linear_system_entries_must_be_functions_of_x():
+    # a dependent variable or a jet in a coefficient makes the system
+    # nonlinear; every entry point refuses it
+    z = zero()
+    ctx = JetContext(2, 2)
+    y, wp = sym(ctx.y(1)), sym(ctx.jet(2, 1))
+    for bad in (y, wp, call(func("H"), sym(X) + y)):
+        with pytest.raises(ValueError, match="functions of x"):
+            classify_linear_system(_spec2(bad, z, z, bad))
+        with pytest.raises(ValueError, match="functions of x"):
+            non_cartan_existence_2x2(bad, z, z)
+        with pytest.raises(ValueError, match="functions of x"):
+            brute_force_non_cartan_search(bad, z, z, degree_cap=0)
+        with pytest.raises(ValueError, match="functions of x"):
+            non_cartan_search(((z, z, z), (z, bad, z), (z, z, -bad)), 0)
+    for ragged in (((z, z), (z,)), ((z, z), (z, z), (z, z))):
+        with pytest.raises(ValueError, match="square"):
+            non_cartan_search(ragged, 0)
+
+
 def test_brute_force_oracle_small():
     z = zero()
     assert brute_force_non_cartan_search(z, z, z, degree_cap=2)
@@ -292,10 +351,12 @@ def test_brute_force_rejects_bad_degree_cap():
             brute_force_non_cartan_search(z, z, z, degree_cap=cap)
 
 
-def _trace_free_corpus(seed, count):
-    """The trivial system, the opaque system (A(x), B(x), C(x)) and
-    `count` seeded trace-free (A, B, C) with entries polynomial in x with
-    rational coefficients, some of them zero."""
+def _trace_free_corpus(m, seed, count):
+    """The trivial m x m system, the opaque trace-free one (entries
+    M_ij(x), the last diagonal entry minus the sum of the others) and
+    `count` seeded trace-free matrices with entries polynomial in x with
+    rational coefficients, some of them zero.  At m = 2 these are the
+    normal forms ((A, B), (C, -A))."""
     rng = random.Random(seed)
     x = sym(X)
 
@@ -309,10 +370,15 @@ def _trace_free_corpus(seed, count):
         e = e + rng.choice((-2, -1, 1, 2)) * x ** rng.randint(0, 2)
         return e
 
-    z = zero()
-    opaque = tuple(call(func(name), x) for name in "ABC")
-    return [(z, z, z), opaque] + [(entry(), entry(), entry())
-                                  for _ in range(count)]
+    def trace_free(make):
+        mat = [[make(i, j) if (i, j) != (m - 1, m - 1) else None
+                for j in range(m)] for i in range(m)]
+        mat[-1][-1] = -sum((mat[i][i] for i in range(m - 1)), zero())
+        return tuple(map(tuple, mat))
+
+    opaque = trace_free(lambda i, j: call(func("M%d%d" % (i + 1, j + 1)), x))
+    return ([tuple((zero(),) * m for _ in range(m)), opaque]
+            + [trace_free(lambda i, j: entry()) for _ in range(count)])
 
 
 def _snapshot(pf):
@@ -321,11 +387,12 @@ def _snapshot(pf):
 
 
 def test_oracle_ansatz_matches_fresh_prolongation():
-    for cap in (0, 1, 2):
-        params, slots, pf = _oracle_ansatz(cap)
-        ref_params, ref_slots, ansatz = reference_oracle_ansatz(cap)
+    for m, cap in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1)):
+        params, slots, pf = _oracle_ansatz(m, cap)
+        ref_params, ref_slots, ansatz = reference_oracle_ansatz(m, cap)
         assert params == ref_params
         assert slots == ref_slots
+        assert len(slots) == m * (cap + 1)
         assert pf.base == ansatz
         fresh = prolong(ansatz, 2)
         assert pf.p == fresh.p == 2
@@ -335,15 +402,15 @@ def test_oracle_ansatz_matches_fresh_prolongation():
             assert cached.num == coeff.num and cached.den == coeff.den
             assert ([type(c) for _, c in cached.num]
                     == [type(c) for _, c in coeff.num])
-        assert _oracle_ansatz(cap) is _oracle_ansatz(cap)
+        assert _oracle_ansatz(m, cap) is _oracle_ansatz(m, cap)
 
 
 def test_oracle_residuals_match_invariance_residual():
-    for cap in (0, 1):
-        _params, _slots, pf = _oracle_ansatz(cap)
-        _ref_params, _ref_slots, ansatz = reference_oracle_ansatz(cap)
-        for a, b, c in _trace_free_corpus(11 + cap, 8):
-            system = _normal_form_2x2(a, b, c)
+    for m, cap, count in ((2, 0, 8), (2, 1, 8), (3, 0, 3)):
+        _params, _slots, pf = _oracle_ansatz(m, cap)
+        _ref_params, _ref_slots, ansatz = reference_oracle_ansatz(m, cap)
+        for mat in _trace_free_corpus(m, 11 + cap, count):
+            system = _trace_free_system(mat)
             assert (_prolonged_residuals(pf, system)
                     == invariance_residual(ansatz, system))
 
@@ -352,18 +419,20 @@ def test_oracle_cache_reuse_keeps_answers_and_coefficients():
     x = sym(X)
     z = zero()
     cap = 1
-    before = _snapshot(_oracle_ansatz(cap)[2])
+    before = _snapshot(_oracle_ansatz(2, cap)[2])
     s1 = (z, z, z)
     s2 = (x, const(2), z)
     s3 = (z, z, const(-2))
     answers = [brute_force_non_cartan_search(*s, degree_cap=cap)
                for s in (s1, s2, s1, s3, s2)]
     assert answers == [True, False, True, False, False]
-    assert answers == [reference_brute_force_search(_normal_form_2x2(*s), cap)
-                       for s in (s1, s2, s1, s3, s2)]
-    after = _oracle_ansatz(cap)[2]
+    assert answers == [
+        reference_brute_force_search(_trace_free_system(((a, b), (c, -a))),
+                                     cap)
+        for a, b, c in (s1, s2, s1, s3, s2)]
+    after = _oracle_ansatz(2, cap)[2]
     assert _snapshot(after) == before
-    fresh = prolong(reference_oracle_ansatz(cap)[2], 2)
+    fresh = prolong(reference_oracle_ansatz(2, cap)[2], 2)
     assert after.coefficients == fresh.coefficients
 
 
@@ -380,13 +449,53 @@ def test_oracle_cache_fills_lazily_per_degree_cap():
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "0"
-    z = zero()
     _oracle_ansatz.cache_clear()
-    for cap in (0, 2, 0):
-        assert brute_force_non_cartan_search(z, z, z, degree_cap=cap)
+    for m, cap in ((2, 0), (2, 2), (3, 0), (2, 0)):
+        trivial = tuple((zero(),) * m for _ in range(m))
+        assert non_cartan_search(trivial, degree_cap=cap)
     info = _oracle_ansatz.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
-    for cap in (0, 2):
-        _oracle_ansatz(cap)
-    assert _oracle_ansatz.cache_info().hits == 3
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 3)
+    for key in ((2, 0), (2, 2), (3, 0)):
+        _oracle_ansatz(*key)
+    assert _oracle_ansatz.cache_info().hits == 4
 
+
+def _corpus_3x3(seed, count):
+    """The trivial 3x3 system, the nilpotent e12, x e12, the Jordan block
+    e12 + e23 and diag(1, -1, 0), then `count` seeded trace-free matrices
+    with entries int + int x."""
+    rng = random.Random(seed)
+    x = sym(X)
+    z, o = zero(), one()
+
+    def entry():
+        return const(rng.randint(-3, 3)) + rng.randint(-2, 2) * x
+
+    structured = [
+        ((z, z, z), (z, z, z), (z, z, z)),
+        ((z, o, z), (z, z, z), (z, z, z)),
+        ((z, x, z), (z, z, z), (z, z, z)),
+        ((z, o, z), (z, z, o), (z, z, z)),
+        ((o, z, z), (z, -o, z), (z, z, z)),
+    ]
+    seeded = []
+    for _ in range(count):
+        mat = [[entry() for _ in range(3)] for _ in range(3)]
+        mat[2][2] = -(mat[0][0] + mat[1][1])
+        seeded.append(tuple(map(tuple, mat)))
+    return structured + seeded
+
+
+def test_search_agrees_with_classification_3x3():
+    """Criterion 9 at m = 3: the polynomial search at degree cap 2 and
+    the isotropy decision agree on every item, and only the trivial
+    system admits a non-Cartan field."""
+    zmat = tuple((zero(),) * 3 for _ in range(3))
+    found = []
+    for mat in _corpus_3x3(5, 15):
+        spec = LinearSystemSpec(3, 2, (zmat, tuple(tuple(-e for e in row)
+                                                   for row in mat)))
+        searched = non_cartan_search(mat, degree_cap=2)
+        assert searched == classify_linear_system(spec).in_canonical_class
+        found.append(searched)
+    assert found == [True] + [False] * 19

@@ -115,6 +115,7 @@ def test_linalg_empty_and_degenerate():
     assert nullspace([], ncols=3) == reference_nullspace([], ncols=3)
     assert nullspace([], ncols=0) == []
     assert solve([], []) == []
+    assert solve([], [], ncols=3) == [Fraction(0)] * 3
     zero_rows = [[0, 0, 0], [0, 0, 0]]
     assert rank(zero_rows) == 0
     assert nullspace(zero_rows) == reference_nullspace(zero_rows)
