@@ -6,9 +6,8 @@ from .expr import (
     Call, CollectError, CyclicBindingError, Expression, OpaqueArgumentError,
     ParseContext, ParseError, RewriteRule, Symbol, UndecidedZeroError,
     ZeroStatus, apply_rules, call, collect, const, dep, differentiate,
-    evaluate, format_expression, format_monomial, func, indep, is_zero, jet,
-    normalize, one, param, parse, replace_atoms, substitute, sym, zero,
-    zero_status,
+    format_expression, format_monomial, func, indep, is_zero, jet, normalize,
+    one, param, parse, replace_atoms, substitute, sym, zero, zero_status,
 )
 from .jet import (
     JetContext, JetOrderError, MAX_PROLONGATION, ProlongedField, VectorField,

@@ -393,7 +393,8 @@ def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
     x-coefficients of degree <= degree_cap + 2.  Returns True when some
     solution of the determining equations has an alpha_i != 0.  The
     answer is one-sided, and trace removal comes first: the fields of an
-    isotropic y'' = -2 y are trigonometric.  The ansatz and its
+    isotropic y'' = -2 y are trigonometric, so a matrix whose trace is
+    not zero is refused with ValueError.  The ansatz and its
     prolongation depend only on (m, degree_cap), so they are built once
     per pair per process.  The ansatz is a polynomial, so its cached
     prolongation carries the split phi_k^(2) = E_k + sum_j y_j'' G_kj of
@@ -407,6 +408,10 @@ def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
         raise ValueError("degree_cap must be a non-negative int, got %r"
                          % (degree_cap,))
     system = _trace_free_system(matrix)
+    trace = sum((row[i] for i, row in enumerate(matrix)), zero())
+    if zero_status(trace) is ZeroStatus.NONZERO:
+        raise ValueError("expected a trace-free matrix, got trace %s"
+                         % trace)
     params, noncartan_slots, pf = _oracle_ansatz(system.ctx.m, degree_cap)
     column = {p: i for i, p in enumerate(params)}
     rows = []

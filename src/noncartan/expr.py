@@ -22,7 +22,6 @@ is a free coordinate (see `zero_status`).
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,7 @@ __all__ = [
     "const", "atom_expr", "sym", "zero", "one",
     "monomial_expression", "format_monomial",
     "normalize", "differentiate", "substitute", "replace_atoms",
-    "apply_rules", "collect", "is_zero", "zero_status", "evaluate",
+    "apply_rules", "collect", "is_zero", "zero_status",
     "parse", "format_expression", "ParseContext", "ParseError",
     "CollectError", "CyclicBindingError", "OpaqueArgumentError",
     "UndecidedZeroError",
@@ -206,6 +205,10 @@ def _mon_key(mon):
     return tuple([(a._key, e) for a, e in mon])
 
 
+def _terms_key(terms):
+    return tuple([(_mon_key(m), c) for m, c in terms])
+
+
 def _mk_mon(powers: dict) -> tuple:
     items = [(a, e) for a, e in powers.items() if e != 0]
     items.sort(key=lambda ae: ae[0]._key)
@@ -306,7 +309,13 @@ def _quo(a, b):
 class Expression:
     """An immutable numerator/denominator pair of sorted term tuples.
     Only common monomial factors cancel, so `==` is structural; compare
-    values with `(a - b).is_rational_zero()`."""
+    values with `(a - b).is_rational_zero()`.
+
+    The rebuilds sum their pieces grouped by denominator (`_sum`,
+    `_over`): a sum's form does not depend on the order of its pieces;
+    over monomial denominators alone it is the fold with `+`; otherwise
+    it equals that fold in value, over at most the product of the
+    distinct denominators, each taken once."""
 
     num: tuple
     den: tuple
@@ -401,8 +410,7 @@ class Expression:
         return best
 
     def sort_key(self):
-        return (tuple((_mon_key(m), c) for m, c in self.num),
-                tuple((_mon_key(m), c) for m, c in self.den))
+        return _terms_key(self.num), _terms_key(self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -566,88 +574,75 @@ def normalize(e: Expression) -> Expression:
 # Rebuilding
 
 
-def _sum(pieces: Iterable[Expression]) -> Expression:
-    """The pieces added left to right, structurally equal to folding them
-    with `+` from zero.
+def _over(groups: dict) -> Expression:
+    """The sum of N/D over the term dicts N keyed by their denominators
+    D, the one accumulator of every rebuild.
 
-    The leading run of pieces whose denominator is one monomial (a
-    polynomial's is the empty one) is summed in one pass: the numerators
-    are grouped by denominator, each group is raised to the lcm of the
-    denominators, and the sum is normalized once.  This equals the fold
-    because the fold of such pieces is again a fraction N/m over one
-    monomial m that, after `_make`, shares no monomial factor with N,
-    and such a form of a value is unique: from N1 m2 = N2 m1, an atom
-    dividing m1 does not divide N1, so it divides m2 at least as often,
-    hence not N2, and the two powers agree; so m1 = m2 and N1 = N2.
-    From the first piece with another denominator on, the sum goes
-    through `+`."""
-    return _sum_into({}, iter(pieces))
-
-
-def _sum_into(acc: dict, pieces: Iterator[Expression]) -> Expression:
-    """`_sum` of the polynomial whose terms are in the term dict acc,
-    followed by the pieces."""
-    groups = {_ONE_MON: acc}
-    for piece in pieces:
-        den = piece.den
-        if len(den) != 1 or den[0][1] != 1:
-            total = _over_lcm(groups) + piece
-            for piece in pieces:
-                total = total + piece
-            return total
-        group = groups.get(den[0][0])
-        if group is None:
-            groups[den[0][0]] = group = {}
-        _tadd(group, piece.num)
-    return _over_lcm(groups)
-
-
-def _over_lcm(groups: dict) -> Expression:
-    """The sum of N/m over the term dicts N keyed by their monomial
-    denominators m, the empty monomial among them, written over the lcm
-    of the denominators."""
-    if len(groups) == 1:
-        return Expression._make(groups[_ONE_MON], _ONE_TERMS)
+    The groups over one monomial are summed over the lcm of the
+    monomials and normalized once; then each group over a longer
+    denominator is made once and added with `+`, shortest denominator
+    first, ties broken by the denominator's sort key.  So the result
+    does not depend on the order of the groups, nor on the order in
+    which their terms came in."""
+    if len(groups) == 1 and _ONE_TERMS in groups:
+        return Expression._make(groups[_ONE_TERMS], _ONE_TERMS)
+    mono = {den[0][0]: terms for den, terms in groups.items() if len(den) == 1}
     powers = {}
-    for m in groups:
+    for m in mono:
         for a, e in m:
             if e > powers.get(a, 0):
                 powers[a] = e
     lcm = _mk_mon(powers)
     acc = {}
-    for m, terms in groups.items():
+    for m, terms in mono.items():
         q = _mon_sub(lcm, m)
         _tadd(acc, ((_mon_mul(t, q), c) for t, c in terms.items()))
-    return Expression._make(acc, ((lcm, 1),))
+    total = Expression._make(acc, ((lcm, 1),))
+    for den in sorted((d for d in groups if len(d) > 1),
+                      key=lambda d: (len(d), _terms_key(d))):
+        total = total + Expression._make(groups[den], den)
+    return total
+
+
+def _sum(pieces: Iterable[Expression]) -> Expression:
+    """The sum of the pieces, grouped by denominator (see `_over`).
+
+    Its form does not depend on the order of the pieces.  When every
+    denominator is one monomial (a polynomial's is the empty one) it is
+    structurally equal to folding the pieces with `+` from zero: that
+    fold is again a fraction N/m over one monomial m that, after
+    `_make`, shares no monomial factor with N, and such a form of a
+    value is unique: from N1 m2 = N2 m1, an atom dividing m1 does not
+    divide N1, so it divides m2 at least as often, hence not N2, and the
+    two powers agree; so m1 = m2 and N1 = N2.  Otherwise it equals the
+    fold in value, over at most the product of the distinct
+    denominators, each taken once, where the fold multiplies its running
+    denominator by that of every piece that differs from it.  Where a
+    partial sum of the fold collapses to a constant, the fold's
+    denominator can be the shorter: -(x+1) + (x^2-1)/(x-1) + p folds to
+    p but groups to p(1-x)/(1-x)."""
+    groups = {}
+    for piece in pieces:
+        _tadd(groups.setdefault(piece.den, {}), piece.num)
+    return _over(groups)
 
 
 def _dot(pairs: Iterable[tuple]) -> Expression:
-    """The sum of f * g over the pairs (f, g), structurally equal to
+    """The sum of f * g over the pairs (f, g), the same expression as
     `_sum(f * g for f, g in pairs)`.  The product of two polynomials is
     their term products, with nothing to cancel, rescale or collapse, so
-    while both factors are polynomials those go straight into the sum's
-    term dict; from the first pair with a rational factor on, each
-    product goes through `*` and the sum continues as in `_sum`."""
+    those go straight into the polynomial group; any other product goes
+    through `*` and its numerator into the group of its denominator."""
     acc = {}
-    pairs = iter(pairs)
+    groups = {_ONE_TERMS: acc}
     for f, g in pairs:
-        if f.den != _ONE_TERMS or g.den != _ONE_TERMS:
-            return _sum_into(acc, itertools.chain(
-                [f * g], (f * g for f, g in pairs)))
-        _tadd(acc, ((_mon_mul(m1, m2), c1 * c2)
-                    for m1, c1 in f.num for m2, c2 in g.num))
-    return Expression._make(acc, _ONE_TERMS)
-
-
-def _product(c, mon, image) -> Expression:
-    """const(c) times image(a) ** k for each (a, k) of the monomial, in
-    order, structurally equal to folding with `*` from const(c).
-    Multiplying polynomials (denominator one) cancels, rescales and
-    collapses nothing, and their product is exact and commutative, so the
-    leading run of polynomial factors is multiplied in one term dict (see
-    `_lead_product`).  From the first other factor on, the product goes
-    through `*`."""
-    return _finish_product(*_lead_product(c, mon, image), image)
+        if f.den == _ONE_TERMS and g.den == _ONE_TERMS:
+            _tadd(acc, ((_mon_mul(m1, m2), c1 * c2)
+                        for m1, c1 in f.num for m2, c2 in g.num))
+        else:
+            fg = f * g
+            _tadd(groups.setdefault(fg.den, {}), fg.num)
+    return _over(groups)
 
 
 def _lead_product(c, mon, image):
@@ -678,15 +673,6 @@ def _lead_product(c, mon, image):
     return acc, rest
 
 
-def _finish_product(acc, rest, image) -> Expression:
-    """The polynomial with term dict acc times image(a) ** k for each
-    (a, k) of rest, in order, through `*`."""
-    out = Expression._make(acc, _ONE_TERMS)
-    for a, k in rest:
-        out = out * image(a) ** k
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Differentiation
 
@@ -709,29 +695,27 @@ def differentiate(e: Expression, s: Symbol) -> Expression:
 
 
 def _diff_poly(terms, s: Symbol) -> Expression:
-    """The derivative of a polynomial's terms, structurally equal to
-    `_sum` of the pieces c * k * (mon lowered by a) * d(a)/ds.  Lowering
-    one exponent of a sorted monomial keeps it sorted, so it is a slice;
-    while the atom derivatives are polynomials the pieces go straight
-    into the sum's term dict, and from the first rational one on the sum
-    continues as in `_sum`."""
+    """The derivative of a polynomial's terms, equal in value to `_sum`
+    of the pieces c * k * (mon lowered by a) * d(a)/ds.  Lowering one
+    exponent of a sorted monomial keeps it sorted, so it is a slice; each
+    piece's numerator, the lowered term times that of d(a)/ds, goes
+    straight into the group of d(a)/ds's denominator."""
     acc = {}
-    pieces = ((mon[:i] + ((a, k - 1),) + mon[i + 1:] if k > 1
-               else mon[:i] + mon[i + 1:], c * k, da)
-              for mon, c in terms
-              for i, (a, k) in enumerate(mon)
-              if not (da := _diff_atom(a, s)).is_rational_zero())
-    for piece in pieces:
-        lowered, ck, da = piece
-        if da is _ONE:
-            _tadd(acc, ((lowered, ck),))
-        elif da.den == _ONE_TERMS:
-            _tadd(acc, ((_mon_mul(lowered, m), ck * cd) for m, cd in da.num))
-        else:
-            return _sum_into(acc, (
-                Expression(((lowered, ck),), _ONE_TERMS) * da
-                for lowered, ck, da in itertools.chain([piece], pieces)))
-    return Expression._make(acc, _ONE_TERMS)
+    groups = {_ONE_TERMS: acc}
+    for mon, c in terms:
+        for i, (a, k) in enumerate(mon):
+            da = _diff_atom(a, s)
+            if da.is_rational_zero():
+                continue
+            lowered = (mon[:i] + ((a, k - 1),) + mon[i + 1:] if k > 1
+                       else mon[:i] + mon[i + 1:])
+            ck = c * k
+            if da is _ONE:
+                _tadd(acc, ((lowered, ck),))
+            else:
+                _tadd(groups.setdefault(da.den, {}),
+                      ((_mon_mul(lowered, m), ck * cd) for m, cd in da.num))
+    return _over(groups)
 
 
 def _diff_atom(a: Atom, s: Symbol) -> Expression:
@@ -785,12 +769,13 @@ def replace_atoms(e: Expression, mapping: Mapping[Atom, Expression]) -> Expressi
 
 def _replace(e: Expression, mapping) -> Expression:
     """Map every atom through `mapping` and rebuild e from the images,
-    structurally equal to `_sum` of the `_product`s of its terms.  While
-    a term's images are polynomials, its term product goes straight into
-    the sum's term dict; from the first term with another image on, the
-    sum continues as in `_sum`.  An atom the mapping lacks stands for
-    itself, except that an opaque call has its arguments rebuilt the same
-    way.  Each atom's image is computed once per call."""
+    equal to `_sum` of its terms' products of images.  While a term's
+    images are polynomials, its term product goes straight into the
+    polynomial group; from its first other image on, the product goes
+    through `*`, and its numerator into the group of its denominator
+    (see `_over`).  An atom the mapping lacks stands for itself, except
+    that an opaque call has its arguments rebuilt the same way.  Each
+    atom's image is computed once per call."""
     images = dict(mapping)
 
     def image(a):
@@ -806,15 +791,17 @@ def _replace(e: Expression, mapping) -> Expression:
 
     def poly(terms):
         acc = {}
-        terms = iter(terms)
+        groups = {_ONE_TERMS: acc}
         for mon, c in terms:
             t, rest = _lead_product(c, mon, image)
-            if rest:
-                return _sum_into(acc, itertools.chain(
-                    [_finish_product(t, rest, image)],
-                    (_product(c, mon, image) for mon, c in terms)))
-            _tadd(acc, t.items())
-        return Expression._make(acc, _ONE_TERMS)
+            if not rest:
+                _tadd(acc, t.items())
+                continue
+            out = Expression._make(t, _ONE_TERMS)
+            for a, k in rest:
+                out = out * image(a) ** k
+            _tadd(groups.setdefault(out.den, {}), out.num)
+        return _over(groups)
 
     def rebuild(x):
         n = poly(x.num)
@@ -949,7 +936,7 @@ def _linear_terms(e: Expression, symbols: Sequence[Symbol]):
 
 
 def monomial_expression(mon) -> Expression:
-    return _product(1, mon, atom_expr)
+    return Expression._make(_lead_product(1, mon, atom_expr)[0], _ONE_TERMS)
 
 
 def format_monomial(mon) -> str:
@@ -1036,63 +1023,6 @@ def _same_point(p: tuple, q: tuple) -> bool:
     if all(g.den == _ONE_TERMS for g in p + q):
         return p == q
     return all((g - h).is_rational_zero() for g, h in zip(p, q))
-
-
-def _head_ranks(e: Expression) -> dict:
-    """Each base function symbol of e, numbered in sort order."""
-    bases = sorted({a.head.base() for a in e.atoms() if isinstance(a, Call)},
-                   key=Symbol.sort_key)
-    return {b: i for i, b in enumerate(bases)}
-
-
-def evaluate(e: Expression, env: Mapping[Symbol, float],
-             source_mode: bool = False) -> float:
-    """Numeric evaluation; each opaque function is a test function picked
-    by its rank among e's, or with source_mode u, v, q are cos, sin, 1."""
-    ranks = _head_ranks(e)
-    dv = _eval_poly(e.den, env, ranks, source_mode)
-    return _eval_poly(e.num, env, ranks, source_mode) / dv
-
-
-def _eval_poly(terms, env, ranks, source_mode=False) -> float:
-    total = 0.0
-    for mon, c in terms:
-        v = float(c)
-        for a, k in mon:
-            v *= _eval_atom(a, env, ranks, source_mode) ** k
-        total += v
-    return total
-
-
-def _eval_atom(a: Atom, env, ranks, source_mode) -> float:
-    if isinstance(a, Symbol):
-        return env[a]
-    args = [_eval_poly(g.num, env, ranks, source_mode)
-            / _eval_poly(g.den, env, ranks, source_mode) for g in a.args]
-    name = a.head.name
-    ds = a.head.dorders
-    if source_mode and name in ("u", "v", "q") and a.head.arity == 1:
-        k = ds[0]
-        if name == "u":
-            return math.cos(args[0] + k * math.pi / 2)
-        if name == "v":
-            return math.sin(args[0] + k * math.pi / 2)
-        return 1.0 if k == 0 else 0.0
-    # generic smooth test function: f(t1..tn) = sin(3 s) + s^2 with
-    # s = sum(c_i t_i), the coefficients c_i fixed by the function's rank
-    rank = ranks[a.head.base()]
-    cs = [1.0 + (rank + i + 1) / 7.0 for i in range(a.head.arity)]
-    s = sum(ci * ti for ci, ti in zip(cs, args))
-    k = sum(ds)
-    scale = math.prod(ci ** di for ci, di in zip(cs, ds))
-    val = 3.0 ** k * math.sin(3.0 * s + k * math.pi / 2)
-    if k == 0:
-        val += s * s
-    elif k == 1:
-        val += 2.0 * s
-    elif k == 2:
-        val += 2.0
-    return scale * val
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,9 @@ def nullspace(rows, ncols: int = None):
 def solve(rows, rhs, ncols: int = None):
     """Solve A x = b exactly; raises if inconsistent, returns one
     solution (free variables set to zero)."""
+    if len(rows) != len(rhs):
+        raise ValueError("%d rows but %d right-hand sides"
+                         % (len(rows), len(rhs)))
     if not rows:
         return [Fraction(0)] * (ncols or 0)
     ncols = _ncols(rows, ncols)

@@ -1,6 +1,7 @@
 """Shared generators and reference implementations for the randomized
 property suites."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -61,10 +62,73 @@ def random_point_field(rng: random.Random, ctx: JetContext = None):
 
 
 # ---------------------------------------------------------------------------
+# Float evaluation, for numeric cross-checks in tests only: the package's
+# zero test is exact and evaluates no float.
+
+
+def _head_ranks(e: Expression) -> dict:
+    """Each base function symbol of e, numbered in sort order."""
+    bases = sorted({a.head.base() for a in e.atoms() if isinstance(a, Call)},
+                   key=Symbol.sort_key)
+    return {b: i for i, b in enumerate(bases)}
+
+
+def evaluate(e: Expression, env, source_mode: bool = False) -> float:
+    """Numeric evaluation; each opaque function is a test function picked
+    by its rank among e's, or with source_mode u, v, q are cos, sin, 1."""
+    ranks = _head_ranks(e)
+    dv = _eval_poly(e.den, env, ranks, source_mode)
+    return _eval_poly(e.num, env, ranks, source_mode) / dv
+
+
+def _eval_poly(terms, env, ranks, source_mode=False) -> float:
+    total = 0.0
+    for mon, c in terms:
+        v = float(c)
+        for a, k in mon:
+            v *= _eval_atom(a, env, ranks, source_mode) ** k
+        total += v
+    return total
+
+
+def _eval_atom(a, env, ranks, source_mode) -> float:
+    if isinstance(a, Symbol):
+        return env[a]
+    args = [_eval_poly(g.num, env, ranks, source_mode)
+            / _eval_poly(g.den, env, ranks, source_mode) for g in a.args]
+    name = a.head.name
+    ds = a.head.dorders
+    if source_mode and name in ("u", "v", "q") and a.head.arity == 1:
+        k = ds[0]
+        if name == "u":
+            return math.cos(args[0] + k * math.pi / 2)
+        if name == "v":
+            return math.sin(args[0] + k * math.pi / 2)
+        return 1.0 if k == 0 else 0.0
+    # generic smooth test function: f(t1..tn) = sin(3 s) + s^2 with
+    # s = sum(c_i t_i), the coefficients c_i fixed by the function's rank
+    rank = ranks[a.head.base()]
+    cs = [1.0 + (rank + i + 1) / 7.0 for i in range(a.head.arity)]
+    s = sum(ci * ti for ci, ti in zip(cs, args))
+    k = sum(ds)
+    scale = math.prod(ci ** di for ci, di in zip(cs, ds))
+    val = 3.0 ** k * math.sin(3.0 * s + k * math.pi / 2)
+    if k == 0:
+        val += s * s
+    elif k == 1:
+        val += 2.0 * s
+    elif k == 2:
+        val += 2.0
+    return scale * val
+
+
+# ---------------------------------------------------------------------------
 # Reference rebuild loops: the term-by-term `total = total + piece` forms
 # of substitute, replace_atoms, differentiate and collect.  The library
-# folds them into one exact sum; tests assert structural equality with
-# these.
+# sums the pieces in one accumulator grouped by denominator; tests assert
+# with `assert_matches_fold` that its result equals these in value, over
+# a denominator with no more terms, and structurally wherever every
+# denominator involved is one monomial.
 
 
 def reference_sum(pieces):
@@ -73,6 +137,26 @@ def reference_sum(pieces):
     for piece in pieces:
         total = total + piece
     return total
+
+
+def monomial_denominators(*exprs):
+    """Whether every denominator in the expressions, those of the
+    arguments of their opaque calls included, is one monomial."""
+    return all(len(g.den) == 1
+               for e in exprs
+               for g in [e] + [arg for a in e.atoms() if isinstance(a, Call)
+                               for arg in a.args])
+
+
+def assert_matches_fold(got, expected, structural):
+    """got, a grouped sum, equals the reference fold `expected` in value
+    (calls at arguments equal as rational functions are one point), its
+    denominator has at most as many terms, and when `structural` holds
+    the two are the same expression."""
+    assert is_zero(got - expected), (got, expected)
+    assert len(got.den) <= len(expected.den), (got, expected)
+    if structural:
+        assert got == expected
 
 
 def reference_apply_rules(e, rules):

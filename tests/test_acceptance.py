@@ -18,13 +18,13 @@ from noncartan import (
     is_zero, isotropic_system, IterativeOperator, non_cartan_family,
     non_cartan_generators, nonlinear_counterexample, normal_form_coeffs,
     normalize, normalize_s, scalar_context, scalar_non_cartan,
-    source_solution_basis, sym, zero, one, zero_status, apply_rules, evaluate,
+    source_solution_basis, sym, zero, one, zero_status, apply_rules,
 )
 from noncartan import linalg
 from noncartan.symmetry import _flatten_fields
 from noncartan.cli import main as cli_main
 
-from helpers import random_expression, random_point_field
+from helpers import evaluate, random_expression, random_point_field
 
 X = indep("x")
 TOL = 1e-8

@@ -103,6 +103,9 @@ NORMAL_FORM_PINS = {
                    "128*x + 128*x^3"],
     ("1/(x+1)", 2): ["1/(1 + x)"],
     ("1/(x+1)", 3): ["4/(1 + x)", "(-2)/(1 + 2*x + x^2)"],
+    ("1/(x+1)", 4): ["10/(1 + x)", "(-10)/(1 + 2*x + x^2)",
+                     "(15 + 54*x + 72*x^2 + 42*x^3 + 9*x^4)"
+                     "/(1 + 6*x + 15*x^2 + 20*x^3 + 15*x^4 + 6*x^5 + x^6)"],
 }
 
 

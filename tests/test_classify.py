@@ -336,6 +336,16 @@ def test_linear_system_entries_must_be_functions_of_x():
             non_cartan_search(ragged, 0)
 
 
+def test_search_refuses_a_matrix_with_nonzero_trace():
+    # y'' = y is isotropic, so in the canonical class, but its fields are
+    # exponential: the polynomial search once answered False here
+    o, z = one(), zero()
+    for mat in (((o, z), (z, o)),
+                ((sym(X), z, z), (z, z, z), (z, z, z))):
+        with pytest.raises(ValueError, match="trace-free"):
+            non_cartan_search(mat, degree_cap=2)
+
+
 def test_brute_force_oracle_small():
     z = zero()
     assert brute_force_non_cartan_search(z, z, z, degree_cap=2)

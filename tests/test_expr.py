@@ -14,8 +14,8 @@ from noncartan import (
     Call, CollectError, CyclicBindingError, Expression, ParseContext,
     ParseError, RewriteRule, SourceEquation, Symbol, UndecidedZeroError,
     ZeroStatus, apply_rules, call, collect, const, dep, differentiate,
-    evaluate, format_expression, func, indep, is_zero, jet, normalize, one,
-    param, parse, replace_atoms, substitute, sym, zero, zero_status,
+    format_expression, func, indep, is_zero, jet, normalize, one, param,
+    parse, replace_atoms, substitute, sym, zero, zero_status,
 )
 from noncartan import expr as expr_module
 from noncartan.expr import (
@@ -25,7 +25,8 @@ from noncartan.expr import (
 )
 
 from helpers import (
-    random_expression, reference_apply_rules, reference_cancel_monomial_gcd,
+    assert_matches_fold, evaluate, monomial_denominators, random_expression,
+    reference_apply_rules, reference_cancel_monomial_gcd,
     reference_collect, reference_contains, reference_differentiate,
     reference_mon_mul, reference_monomial_expression, reference_replace_atoms,
     reference_sort_key, reference_substitute, reference_sum,
@@ -161,11 +162,14 @@ def test_zero_status_modes():
     assert is_zero(wronskian, rules)
 
 
-def test_zero_status_decides_free_jets_without_sampling(monkeypatch):
-    def no_floats(*_args):
-        raise AssertionError("a zero test evaluated a float")
+def _assert_no_evaluator():
+    # with no float evaluator in the package, no zero test evaluates one
+    for name in ("evaluate", "_eval_poly"):
+        assert not hasattr(expr_module, name)
 
-    monkeypatch.setattr(expr_module, "_eval_poly", no_floats)
+
+def test_zero_status_decides_free_jets_without_sampling():
+    _assert_no_evaluator()
     src = SourceEquation.symbolic()
     x, y = sym(X), sym(Y)
     q = src.q
@@ -192,13 +196,10 @@ def test_zero_status_decides_free_jets_without_sampling(monkeypatch):
         assert zero_status(e, rules) is ZeroStatus.SYMBOLIC_ZERO
 
 
-def test_zero_status_samples_compound_arguments_by_rank(monkeypatch):
+def test_zero_status_samples_compound_arguments_by_rank():
     # A and O once shared a test function, keyed on a hash of the name;
     # these are now decided exactly, without evaluating a float
-    def no_floats(*_args):
-        raise AssertionError("a zero test evaluated a float")
-
-    monkeypatch.setattr(expr_module, "_eval_poly", no_floats)
+    _assert_no_evaluator()
     x = sym(X)
     a, o = (call(func(name), x + 1) for name in "AO")
     assert zero_status(a - o) is ZeroStatus.NONZERO
@@ -354,19 +355,30 @@ def test_numeric_evaluation():
 
 
 def _assert_same(fn, reference, *args):
+    """fn(*args) matches the term-by-term loop reference(*args) as
+    `assert_matches_fold` states, structurally when every denominator
+    in the arguments is one monomial; or both raise ZeroDivisionError.
+    collect's pieces are polynomials, so its maps are always the same."""
     try:
         expected = reference(*args)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             fn(*args)
         return
-    assert fn(*args) == expected
+    got = fn(*args)
+    if isinstance(expected, dict):
+        assert got == expected
+        return
+    exprs = [g for arg in args
+             for g in (arg.values() if isinstance(arg, dict) else [arg])
+             if isinstance(g, Expression)]
+    assert_matches_fold(got, expected, monomial_denominators(*exprs))
 
 
 def test_rebuild_matches_reference_loops_randomized():
-    """The one-sum rebuild equals, structurally, the term-by-term loops
-    it replaced, also for images with non-monomial denominators and for
-    atoms inside opaque-call arguments."""
+    """The one-sum rebuild matches the term-by-term loops it replaced
+    (see `_assert_same`), also for images with non-monomial denominators
+    and for atoms inside opaque-call arguments."""
     rng = random.Random(11)
     A = param("a")
     x, y, p, a, b = sym(X), sym(Y), sym(P), sym(A), sym(param("b"))
@@ -422,11 +434,10 @@ def _random_polynomial(rng, atoms, terms, degree):
 
 def test_polynomial_rebuild_matches_reference_randomized():
     """Substituting polynomial and rational images into monomials with
-    exponents up to 4 equals, structurally, multiplying the images one at
-    a time.  A rational image may come before, between or after the
-    polynomial ones in a monomial; from it on the product must go through
-    `*` in order, because (x + 1) * (1/(x + 1)) collapses to 1 before a
-    later polynomial factor is multiplied in."""
+    exponents up to 4 matches multiplying the images one at a time (see
+    `_assert_same`).  A rational image may come before, between or after
+    the polynomial ones in a monomial, and (x + 1) * (1/(x + 1))
+    collapses to 1 before a later polynomial factor is multiplied in."""
     rng = random.Random(17)
     A, B = param("a"), param("b")
     x, y, p, a, b = sym(X), sym(Y), sym(P), sym(A), sym(B)
@@ -798,47 +809,58 @@ def test_dot_matches_sum_of_products():
         assert _dot(iter(pairs)) == _sum(f * g for f, g in pairs)
 
 
-def test_sum_matches_plus_fold_randomized():
-    """_sum equals, structurally, folding the pieces with `+`: constants,
-    polynomials, pieces over one monomial (summed over the lcm in one
-    pass) and pieces over a multi-term denominator (from the first of
-    which the sum folds), in shuffled orders, with Fraction
-    coefficients, pieces that cancel each other and numerators that
-    share a monomial factor with the lcm."""
-    rng = random.Random(37)
-    x, y, a = sym(X), sym(Y), sym(param("a"))
-    u = call(func("u"), x)
-    atoms = [x, y, a, u]
-    monomials = [x, y ** 2, x * u, u ** 3, x ** 2 * y]
-    multi = [x + 1, x - a, u + y]
-
+def _random_piece(rng, atoms, monomials, multi):
+    """A constant, a polynomial in the atoms, or a polynomial over one
+    of the monomials or over one of the multi-term polynomials, with
+    Fraction coefficients."""
     def coefficient():
         return const(Fraction(rng.choice((-5, -2, -1, 1, 3, 4)),
                               rng.choice((1, 1, 2, 3, 7))))
 
-    def piece():
-        kind = rng.random()
-        num = coefficient() * _random_polynomial(rng, atoms,
-                                                  rng.randint(1, 3), 2)
-        if kind < 0.15:
-            return coefficient()
-        if kind < 0.3:
-            return num
-        if kind < 0.85:
-            return num / rng.choice(monomials)
-        return num / rng.choice(multi)
+    kind = rng.random()
+    num = coefficient() * _random_polynomial(rng, atoms, rng.randint(1, 3), 2)
+    if kind < 0.15:
+        return coefficient()
+    if kind < 0.3:
+        return num
+    if kind < 0.85:
+        return num / rng.choice(monomials)
+    return num / rng.choice(multi)
 
+
+def _piece_family():
+    x, y, a = sym(X), sym(Y), sym(param("a"))
+    u = call(func("u"), x)
+    return ([x, y, a, u], [x, y ** 2, x * u, u ** 3, x ** 2 * y],
+            [x + 1, x - a, u + y])
+
+
+def test_sum_matches_plus_fold_randomized():
+    """_sum matches folding the pieces with `+` (see
+    `assert_matches_fold`), structurally when every piece is over one
+    monomial: constants, polynomials, pieces over one monomial (summed
+    over the lcm in one pass) and pieces over a multi-term denominator,
+    in shuffled orders, with Fraction coefficients, pieces that cancel
+    each other and numerators that share a monomial factor with the
+    lcm."""
+    rng = random.Random(37)
+    x, y = sym(X), sym(Y)
+    u = call(func("u"), x)
+    family = _piece_family()
     grouped = 0
     for case in range(400):
-        pieces = [piece() for _ in range(rng.randint(0, 6))]
+        pieces = [_random_piece(rng, *family)
+                  for _ in range(rng.randint(0, 6))]
         if case % 3 == 0 and pieces:
             # a piece and its negative, so that the running sum collapses
             pieces.append(-rng.choice(pieces))
         rng.shuffle(pieces)
         got = _sum(pieces)
         expected = reference_sum(pieces)
-        assert got == expected, case
-        assert format_expression(got) == format_expression(expected)
+        monomial = all(len(p.den) == 1 for p in pieces)
+        assert_matches_fold(got, expected, monomial)
+        if monomial:
+            assert format_expression(got) == format_expression(expected)
         dens = {p.den for p in pieces if len(p.den) == 1}
         grouped += len(dens) > 1
     assert grouped > 150
@@ -847,6 +869,25 @@ def test_sum_matches_plus_fold_randomized():
     assert _sum([u ** 2 / x, u / x ** 2, -(u ** 2) / x]) == u / x ** 2
     assert _sum([1 / x, -1 / x]) == zero()
     assert _sum([x * y / x ** 2, y / x]) == 2 * y / x
+
+
+def test_sum_is_independent_of_piece_order_randomized():
+    """_sum of the pieces in a shuffled order is the same expression as
+    in the original order, also with multi-term denominators, where a
+    fold with `+` depends on the order."""
+    rng = random.Random(43)
+    family = _piece_family()
+    x = sym(X)
+    for case in range(300):
+        pieces = [_random_piece(rng, *family)
+                  for _ in range(rng.randint(1, 6))]
+        if case % 3 == 0:
+            # the fold of (x^2-1)/(x-1), -(x+1), 1/(x+1) collapses to zero
+            # halfway in one order and not in another
+            pieces += [(x ** 2 - 1) / (x - 1), -(x + 1), 1 / (x + 1)]
+        shuffled = list(pieces)
+        rng.shuffle(shuffled)
+        assert _sum(shuffled) == _sum(pieces), case
 
 
 def test_apply_rules_matches_per_pass_lifting_randomized():
@@ -878,10 +919,11 @@ def test_apply_rules_matches_per_pass_lifting_randomized():
 
 def test_fused_rebuilds_fall_back_at_the_first_rational_term():
     """substitute, replace_atoms and differentiate put polynomial term
-    products straight into one term dict and fall back to the ordered
-    sum at the first term with a rational image or derivative; placed
-    first, in the middle or last among the terms, and first, in the middle
-    or last within its monomial, the result equals the running sum's."""
+    products straight into one term dict and a term with a rational
+    image or derivative into the group of its denominator; placed first,
+    in the middle or last among the terms, and first, in the middle or
+    last within its monomial, the result matches the running sum's (see
+    `_assert_same`)."""
     x, y, a = sym(X), sym(Y), sym(param("a"))
     A = param("a")
     g = call(func("G"), 1 / (x + 1))     # d/dx is rational
@@ -894,11 +936,6 @@ def test_fused_rebuilds_fall_back_at_the_first_rational_term():
                 if any(b == atom for b, _k in mon)]
         return hits[0]
 
-    def same(fn, ref, *args):
-        got, expected = fn(*args), ref(*args)
-        assert got == expected
-        assert format_expression(got) == format_expression(expected)
-
     # the term holding the parameter a, whose image is rational
     for place, e in (("first", x * a + x ** 2 + y),
                      ("middle", x + y * a * h + y ** 2),
@@ -906,24 +943,29 @@ def test_fused_rebuilds_fall_back_at_the_first_rational_term():
         assert len(e.num) == 3 and where(e, A) == position[place]
         for img in (1 / (x + 1), (x ** 2 - 1) / (x - 1), -x / (y + 2)):
             bindings = {A: img, Y: x + 2}
-            same(substitute, reference_substitute, e, bindings)
+            _assert_same(substitute, reference_substitute, e, bindings)
             mapping = {A: img, h.num[0][0][0][0]: x - 1}
-            same(replace_atoms, reference_replace_atoms, e, mapping)
+            _assert_same(replace_atoms, reference_replace_atoms, e, mapping)
     # the term holding G(1/(x+1)), whose x-derivative is rational
     for place, e in (("first", x * g + x ** 2 + x ** 3 * y),
                      ("middle", x + x ** 2 * g * h + x ** 3),
                      ("last", x + x ** 2 + g)):
         assert len(e.num) == 3 and where(e, G) == position[place]
-        same(differentiate, reference_differentiate, e, X)
-        same(differentiate, reference_differentiate, e * (x + 1), X)
-        same(differentiate, reference_differentiate, e / (x + 1), X)
-    # the running sum -(x+1) + (x^2-1)/(x-1) is zero before p is added;
-    # adding p before the rational image would leave (p*x - p)/(x - 1)
+        _assert_same(differentiate, reference_differentiate, e, X)
+        _assert_same(differentiate, reference_differentiate, e * (x + 1), X)
+        _assert_same(differentiate, reference_differentiate, e / (x + 1), X)
+    # the running sum -(x+1) + (x^2-1)/(x-1) is zero before p is added,
+    # so the fold is p; the grouped sum adds p to the polynomial group
+    # first and, with no polynomial GCD, keeps the one denominator of its
+    # pieces: p*(1 - x)/(1 - x), longer than the fold's
     e = y + a + sym(param("b"))
     bindings = {Y: -(x + 1), A: (x ** 2 - 1) / (x - 1), param("b"): sym(P)}
-    assert substitute(e, bindings) == sym(P)
-    same(substitute, reference_substitute, e, bindings)
+    got = substitute(e, bindings)
+    assert reference_substitute(e, bindings) == sym(P)
+    assert got == sym(P) * (1 - x) / (1 - x)
+    assert is_zero(got - sym(P))
     # within a monomial: x * a * G(..) with a rational image for a
     # multiplies the polynomial lead x, then a, then G through `*`
     e = 3 * x * a * g - y
-    same(substitute, reference_substitute, e, {A: 1 / (x + 1), X: y + 1})
+    _assert_same(substitute, reference_substitute, e,
+                 {A: 1 / (x + 1), X: y + 1})

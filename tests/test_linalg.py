@@ -110,6 +110,16 @@ def test_dict_rows_need_ncols():
         solve([{0: 1, 4: 1}], [1], ncols=3)
 
 
+def test_solve_refuses_unequal_lengths():
+    # a short or long right-hand side once dropped equations silently
+    for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 5]),
+                      ([], [1]), ([{0: 1}], [])):
+        with pytest.raises(ValueError, match="right-hand sides"):
+            solve(rows, rhs, ncols=2)
+    with pytest.raises(ValueError, match="right-hand sides"):
+        solve([], [1])
+
+
 def test_linalg_empty_and_degenerate():
     assert rank([]) == 0
     assert nullspace([], ncols=3) == reference_nullspace([], ncols=3)
