@@ -192,15 +192,16 @@ def _require_normal_form(spec: LinearSystemSpec) -> None:
                     "system is not in normal form (first-order term present)")
 
 
+def _trace(rows):
+    return sum((row[i] for i, row in enumerate(rows)), zero())
+
+
 def _isotropy_defects(spec: LinearSystemSpec, rules=()):
     """The scalar part q = tr(A_0) / m of the normal-form system and a lazy
     iterator over the entries (i, j) where A_0 - q I is not zero."""
     _require_normal_form(spec)
     m = spec.m
-    trace = zero()
-    for i in range(m):
-        trace = trace + spec.a0[i][i]
-    q = trace / m
+    q = _trace(spec.a0) / m
     defects = ((i, j) for i in range(m) for j in range(m)
                if zero_status(spec.a0[i][j] - (q if i == j else zero()),
                               rules) is ZeroStatus.NONZERO)
@@ -408,7 +409,7 @@ def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
         raise ValueError("degree_cap must be a non-negative int, got %r"
                          % (degree_cap,))
     system = _trace_free_system(matrix)
-    trace = sum((row[i] for i, row in enumerate(matrix)), zero())
+    trace = _trace(matrix)
     if zero_status(trace) is ZeroStatus.NONZERO:
         raise ValueError("expected a trace-free matrix, got trace %s"
                          % trace)

@@ -3,9 +3,10 @@
 An expression is a pair of multivariate polynomials (numerator,
 denominator) with exact rational coefficients over a vocabulary of atoms,
 with sorted terms and a denominator whose leading coefficient is one.
-The form is not canonical: only common monomial factors cancel, never a
-polynomial GCD, so `==` is structural equality, and two expressions with
-the same value may compare unequal.  Equality of values is
+The form is not canonical: common monomial factors cancel and a
+denominator dividing its numerator leaves a polynomial, but no GCD is
+taken, so `==` is structural equality, and two expressions with the same
+value may compare unequal.  Equality of values is
 `(a - b).is_rational_zero()`.  Atoms are either plain symbols
 (independent variable, dependent variables, jet derivatives, parameters)
 or applications of opaque function symbols whose arguments are again
@@ -22,6 +23,7 @@ is a free coordinate (see `zero_status`).
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -308,14 +310,10 @@ def _quo(a, b):
 @dataclass(frozen=True)
 class Expression:
     """An immutable numerator/denominator pair of sorted term tuples.
-    Only common monomial factors cancel, so `==` is structural; compare
-    values with `(a - b).is_rational_zero()`.
-
-    The rebuilds sum their pieces grouped by denominator (`_sum`,
-    `_over`): a sum's form does not depend on the order of its pieces;
-    over monomial denominators alone it is the fold with `+`; otherwise
-    it equals that fold in value, over at most the product of the
-    distinct denominators, each taken once."""
+    Common monomial factors cancel and a denominator that divides its
+    numerator leaves a polynomial (`_make`), so `==` is structural;
+    compare values with `(a - b).is_rational_zero()`.  The form of a
+    rebuild's sum is stated at `_sum`."""
 
     num: tuple
     den: tuple
@@ -338,21 +336,10 @@ class Expression:
         if lead != 1:
             num = tuple((m, _quo(c, lead)) for m, c in num)
             den = tuple((m, _quo(c, lead)) for m, c in den)
-        # constant-multiple collapse: num == k * den
-        if len(num) == len(den) and den != _ONE_TERMS:
-            ratio = None
-            for (mn, cn), (md, cd) in zip(num, den):
-                if mn != md:
-                    ratio = None
-                    break
-                r = _quo(cn, cd)
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    ratio = None
-                    break
-            if ratio is not None:
-                return Expression(((_ONE_MON, ratio),), _ONE_TERMS)
+        # a denominator that divides the numerator leaves a polynomial
+        q = len(den) > 1 and _divide(num, den)
+        if q:
+            return Expression(_terms_from_dict(q), _ONE_TERMS)
         return Expression(num, den)
 
     # -- predicates ---------------------------------------------------
@@ -478,7 +465,7 @@ class Expression:
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is _ONE else result * base
             k >>= 1
             if k:
                 base = base * base
@@ -519,10 +506,87 @@ def _cancel_monomial_gcd(num, den):
 
 
 def _mon_sub(mon, g):
+    """The monomial mon / g, or None when g does not divide mon."""
     powers = dict(mon)
     for a, e in g:
-        powers[a] -= e
+        k = powers.get(a, 0) - e
+        if k < 0:
+            return None
+        powers[a] = k
     return _mk_mon(powers)
+
+
+_LAST = ((len(_KIND_RANK),),)   # sorts after every (atom key, exponent)
+_P = (1 << 61) - 1   # a prime
+
+
+def _lex(mon):
+    """Sorts monomials from the largest down, in lex order by atom key."""
+    return tuple([(a._key, -e) for a, e in mon]) + (_LAST,)
+
+
+def _may_divide(num, den):
+    """False when den cannot divide num: with every atom but one of den's
+    set to its hash mod _P (atoms hashing like that one kept with it), a
+    product num = q * den maps to univariate polynomials n = q' * d, as
+    q is free of 1/_P: a coefficient of den is one."""
+    kept = den[-1][0][0][0]._hash
+
+    def image(terms):
+        out = {}
+        for mon, c in terms:
+            c = c.numerator * pow(c.denominator, -1, _P)
+            k = 0
+            for a, e in mon:
+                if a._hash == kept:
+                    k += e
+                else:
+                    c = c * (a._hash if e == 1 else pow(a._hash, e, _P)) % _P
+            out[k] = (out.get(k, 0) + c) % _P
+        return [out.get(k, 0) for k in range(max(out) + 1)]
+
+    try:
+        n, d = image(num), image(den)
+        inv = pow(d[-1], -1, _P)
+    except ValueError:   # _P divides a coefficient's denominator or d's top
+        return True
+    top = len(d) - 1
+    for i in range(len(n) - 1, top - 1, -1):
+        f = n[i] * inv % _P
+        for j, dc in enumerate(d):
+            n[i - top + j] -= f * dc
+    return not any(c % _P for c in n[:top])
+
+
+def _divide(num, den):
+    """The quotient num / den as a term dict when den divides num
+    exactly, else None, by long division in the order of `_lex`.  A
+    product of den and a polynomial has two terms or more."""
+    if len(num) < 2 or not _may_divide(num, den):
+        return None
+    lead, lc = min(den, key=lambda t: _lex(t[0]))
+    rest = [(m, c) for m, c in den if m != lead]
+    r = dict(num)
+    heap = [(_lex(m), m) for m in r]
+    heapq.heapify(heap)
+    q = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = r.pop(m, None)
+        if c is None:   # cancelled, or queued twice
+            continue
+        t = _mon_sub(m, lead)
+        if t is None:
+            return None
+        c = q[t] = _quo(c, lc)
+        for dm, dc in rest:
+            pm = _mon_mul(t, dm)
+            if pm not in r:   # new to the remainder: queue it
+                heapq.heappush(heap, (_lex(pm), pm))
+            v = r.pop(pm, 0) - c * dc
+            if v:
+                r[pm] = v
+    return None if r else q
 
 
 _ZERO = Expression((), _ONE_TERMS)
@@ -565,8 +629,8 @@ def call(head: Symbol, *args) -> Expression:
 
 def normalize(e: Expression) -> Expression:
     """The identity: every expression is already in the engine's
-    normal form, which cancels only common monomial factors.  `==` stays
-    structural; compare values with `(a - b).is_rational_zero()`."""
+    normal form (see `Expression`).  `==` stays structural; compare
+    values with `(a - b).is_rational_zero()`."""
     return e
 
 
@@ -576,22 +640,17 @@ def normalize(e: Expression) -> Expression:
 
 def _over(groups: dict) -> Expression:
     """The sum of N/D over the term dicts N keyed by their denominators
-    D, the one accumulator of every rebuild.
-
-    The groups over one monomial are summed over the lcm of the
-    monomials and normalized once; then each group over a longer
-    denominator is made once and added with `+`, shortest denominator
-    first, ties broken by the denominator's sort key.  So the result
-    does not depend on the order of the groups, nor on the order in
-    which their terms came in."""
+    D, the one accumulator of every rebuild (its form is stated at
+    `_sum`): the groups over one monomial are summed over their lcm and
+    normalized once, then each group over a longer denominator is made
+    once and added with `+`, shortest denominator first, ties broken by
+    the denominator's sort key."""
     if len(groups) == 1 and _ONE_TERMS in groups:
         return Expression._make(groups[_ONE_TERMS], _ONE_TERMS)
     mono = {den[0][0]: terms for den, terms in groups.items() if len(den) == 1}
     powers = {}
     for m in mono:
-        for a, e in m:
-            if e > powers.get(a, 0):
-                powers[a] = e
+        powers.update((a, max(e, powers.get(a, 0))) for a, e in m)
     lcm = _mk_mon(powers)
     acc = {}
     for m, terms in mono.items():
@@ -610,17 +669,20 @@ def _sum(pieces: Iterable[Expression]) -> Expression:
     Its form does not depend on the order of the pieces.  When every
     denominator is one monomial (a polynomial's is the empty one) it is
     structurally equal to folding the pieces with `+` from zero: that
-    fold is again a fraction N/m over one monomial m that, after
-    `_make`, shares no monomial factor with N, and such a form of a
-    value is unique: from N1 m2 = N2 m1, an atom dividing m1 does not
-    divide N1, so it divides m2 at least as often, hence not N2, and the
-    two powers agree; so m1 = m2 and N1 = N2.  Otherwise it equals the
-    fold in value, over at most the product of the distinct
-    denominators, each taken once, where the fold multiplies its running
-    denominator by that of every piece that differs from it.  Where a
-    partial sum of the fold collapses to a constant, the fold's
-    denominator can be the shorter: -(x+1) + (x^2-1)/(x-1) + p folds to
-    p but groups to p(1-x)/(1-x)."""
+    fold is again N/m over one monomial m sharing no monomial factor
+    with N, a form unique to the value: from N1 m2 = N2 m1, an atom
+    dividing m1 does not divide N1, so it divides m2 at least as often,
+    hence not N2, and the two powers agree.
+
+    Otherwise it equals the fold in value.  It takes in each distinct
+    denominator at most once, where the fold multiplies in that of every
+    piece unequal to its running one, and `_make` leaves a polynomial
+    wherever a denominator divides its numerator; so its denominator is
+    no longer than the fold's, except in two known cases: the fold's
+    running sum cancels a factor two distinct denominators share (the
+    first two of (2+x)/((1+x)(2+x)) - (3+x)/((1+x)(3+x)) + p/((1+x)(2+x))
+    do), which takes a polynomial GCD to see here; or a further factor
+    shortens the fold's product, as (1-x)^2 does (1 + x + ... + x^5)^2."""
     groups = {}
     for piece in pieces:
         _tadd(groups.setdefault(piece.den, {}), piece.num)
@@ -628,11 +690,10 @@ def _sum(pieces: Iterable[Expression]) -> Expression:
 
 
 def _dot(pairs: Iterable[tuple]) -> Expression:
-    """The sum of f * g over the pairs (f, g), the same expression as
-    `_sum(f * g for f, g in pairs)`.  The product of two polynomials is
-    their term products, with nothing to cancel, rescale or collapse, so
-    those go straight into the polynomial group; any other product goes
-    through `*` and its numerator into the group of its denominator."""
+    """`_sum(f * g for f, g in pairs)`.  The product of two polynomials
+    is their term products, with nothing to cancel, rescale or divide,
+    so those go straight into the polynomial group; any other product
+    goes through `*`, and its numerator into its denominator's group."""
     acc = {}
     groups = {_ONE_TERMS: acc}
     for f, g in pairs:
@@ -768,14 +829,13 @@ def replace_atoms(e: Expression, mapping: Mapping[Atom, Expression]) -> Expressi
 
 
 def _replace(e: Expression, mapping) -> Expression:
-    """Map every atom through `mapping` and rebuild e from the images,
-    equal to `_sum` of its terms' products of images.  While a term's
-    images are polynomials, its term product goes straight into the
-    polynomial group; from its first other image on, the product goes
-    through `*`, and its numerator into the group of its denominator
-    (see `_over`).  An atom the mapping lacks stands for itself, except
-    that an opaque call has its arguments rebuilt the same way.  Each
-    atom's image is computed once per call."""
+    """Map every atom through `mapping` and rebuild e from the images:
+    `_sum` of its terms' products of images.  While a term's images are
+    polynomials, its term product goes straight into the polynomial
+    group; from its first other image on, it goes through `*`, and its
+    numerator into the group of its denominator.  An atom the mapping
+    lacks stands for itself, but an opaque call has its arguments
+    rebuilt the same way.  Each atom's image is computed once per call."""
     images = dict(mapping)
 
     def image(a):

@@ -126,9 +126,7 @@ def _eval_atom(a, env, ranks, source_mode) -> float:
 # Reference rebuild loops: the term-by-term `total = total + piece` forms
 # of substitute, replace_atoms, differentiate and collect.  The library
 # sums the pieces in one accumulator grouped by denominator; tests assert
-# with `assert_matches_fold` that its result equals these in value, over
-# a denominator with no more terms, and structurally wherever every
-# denominator involved is one monomial.
+# with `assert_matches_fold` the form that `expr._sum` states.
 
 
 def reference_sum(pieces):
@@ -149,10 +147,12 @@ def monomial_denominators(*exprs):
 
 
 def assert_matches_fold(got, expected, structural):
-    """got, a grouped sum, equals the reference fold `expected` in value
-    (calls at arguments equal as rational functions are one point), its
-    denominator has at most as many terms, and when `structural` holds
-    the two are the same expression."""
+    """got, a grouped sum, has the form `expr._sum` states against the
+    reference fold `expected`: the same value (calls at arguments equal
+    as rational functions are one point), a denominator with no more
+    terms, and when `structural` holds (every denominator involved is
+    one monomial) the same expression.  The drawn cases meet neither of
+    the two exceptions to the bound that `_sum` names."""
     assert is_zero(got - expected), (got, expected)
     assert len(got.den) <= len(expected.den), (got, expected)
     if structural:

@@ -48,6 +48,28 @@ def test_rational_cancellation():
     assert (x + y) - y == x
 
 
+def test_exact_division_leaves_a_polynomial():
+    """A denominator that divides its numerator leaves the quotient, also
+    where the numerator is no constant multiple of it; a denominator that
+    only shares a factor with its numerator stays."""
+    x, y, p = sym(X), sym(Y), sym(P)
+    assert (x ** 2 - 1) / (x - 1) == x + 1
+    assert (x + 1) * (1 / (x + 1)) == one()
+    assert (x ** 3 - y ** 3) / (x - y) == x ** 2 + x * y + y ** 2
+    shared = (x ** 2 - 1) / ((x - 1) * (x + 2))
+    assert len(shared.den) == 3 and is_zero(shared - (x + 1) / (x + 2))
+    rng = random.Random(29)
+    atoms = [x, y, p, call(func("u"), x / (x + 1))]
+    for case in range(200):
+        a = const(Fraction(rng.choice((1, 2, -3)), rng.choice((1, 5)))) \
+            * _random_polynomial(rng, atoms, rng.randint(1, 4), 3)
+        b = _random_polynomial(rng, atoms, rng.randint(2, 3), 2)
+        if len(b.num) < 2:
+            continue
+        assert a * b / b == a, case
+        assert len(((a * b + 1) / b).den) > 1, case
+
+
 def test_denominator_normalization():
     x = sym(X)
     a = x / (2 * x + 2)
@@ -355,10 +377,9 @@ def test_numeric_evaluation():
 
 
 def _assert_same(fn, reference, *args):
-    """fn(*args) matches the term-by-term loop reference(*args) as
-    `assert_matches_fold` states, structurally when every denominator
-    in the arguments is one monomial; or both raise ZeroDivisionError.
-    collect's pieces are polynomials, so its maps are always the same."""
+    """fn(*args) matches the term-by-term loop reference(*args) (see
+    `assert_matches_fold`), or both raise ZeroDivisionError.  collect's
+    pieces are polynomials, so its maps are always the same."""
     try:
         expected = reference(*args)
     except ZeroDivisionError:
@@ -882,9 +903,10 @@ def test_sum_is_independent_of_piece_order_randomized():
         pieces = [_random_piece(rng, *family)
                   for _ in range(rng.randint(1, 6))]
         if case % 3 == 0:
-            # the fold of (x^2-1)/(x-1), -(x+1), 1/(x+1) collapses to zero
-            # halfway in one order and not in another
-            pieces += [(x ** 2 - 1) / (x - 1), -(x + 1), 1 / (x + 1)]
+            # the first two sum to zero, which the fold sees when it adds
+            # them one after the other and not when 1/(x+1) comes between
+            pieces += [(2 + x) / ((1 + x) * (2 + x)),
+                       -(3 + x) / ((1 + x) * (3 + x)), 1 / (x + 1)]
         shuffled = list(pieces)
         rng.shuffle(shuffled)
         assert _sum(shuffled) == _sum(pieces), case
@@ -954,16 +976,12 @@ def test_fused_rebuilds_fall_back_at_the_first_rational_term():
         _assert_same(differentiate, reference_differentiate, e, X)
         _assert_same(differentiate, reference_differentiate, e * (x + 1), X)
         _assert_same(differentiate, reference_differentiate, e / (x + 1), X)
-    # the running sum -(x+1) + (x^2-1)/(x-1) is zero before p is added,
-    # so the fold is p; the grouped sum adds p to the polynomial group
-    # first and, with no polynomial GCD, keeps the one denominator of its
-    # pieces: p*(1 - x)/(1 - x), longer than the fold's
+    # (x^2-1)/(x-1) divides out to x + 1 when it is built, so the fold's
+    # running sum is zero before p is added, and both sums give p
     e = y + a + sym(param("b"))
     bindings = {Y: -(x + 1), A: (x ** 2 - 1) / (x - 1), param("b"): sym(P)}
-    got = substitute(e, bindings)
-    assert reference_substitute(e, bindings) == sym(P)
-    assert got == sym(P) * (1 - x) / (1 - x)
-    assert is_zero(got - sym(P))
+    assert substitute(e, bindings) == sym(P)
+    _assert_same(substitute, reference_substitute, e, bindings)
     # within a monomial: x * a * G(..) with a rational image for a
     # multiplies the polynomial lead x, then a, then G through `*`
     e = 3 * x * a * g - y

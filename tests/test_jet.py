@@ -97,8 +97,8 @@ def test_jet_sums_match_reference_loops_randomized():
     """total_derivative, both apply_to methods and prolong (through
     total_derivative) sum their pieces in one exact sum; the results equal,
     structurally, the running `out = out + piece` loops."""
-    # (x^2 - 1)/(x - 1) - (x + 1) is zero before 1/(x + 1) is added; in
-    # another order the pieces would sum to a larger, unequal quotient
+    # (x^2 - 1)/(x - 1) divides out to x + 1, so with -(x + 1) it is zero
+    # before 1/(x + 1) is added
     ctx = JetContext(2, 4)
     x = sym(ctx.x)
     v = VectorField((x ** 2 - 1) / (x - 1), (-(x + 1), 1 / (x + 1)), ctx)

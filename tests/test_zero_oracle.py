@@ -4,7 +4,8 @@ expressions whose opaque calls sit at rational and nested arguments,
 expression is 0.  Each expression is the difference of a random tree and
 either a disguised copy of it (arguments rewritten to an equal rational
 function of another form, now and then moved by one) or a second random
-tree."""
+tree.  The exact division that the engine's normal form applies is
+checked against SymPy's `div` the same way."""
 
 import pytest
 
@@ -13,7 +14,8 @@ sympy = pytest.importorskip("sympy")
 st = hypothesis.strategies
 
 from noncartan import (  # noqa: E402
-    ZeroStatus, call, const, func, indep, param, sym, zero_status,
+    ZeroStatus, call, const, format_expression, func, indep, param, sym,
+    zero_status,
 )
 
 X, Y = sym(indep("x")), sym(param("y"))
@@ -101,3 +103,33 @@ def test_zero_status_agrees_with_sympy(tree, other, data):
     e = _engine(tree) - _engine(other)
     expected = sympy.simplify(_sympy(tree) - _sympy(other)) == 0
     assert (zero_status(e) is ZeroStatus.SYMBOLIC_ZERO) == expected
+
+
+POLYS = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2),
+                           st.integers(0, 2)), max_size=4)
+
+
+def _poly(terms, x, y, zero_):
+    out = zero_
+    for c, i, j in terms:
+        out = out + c * x ** i * y ** j
+    return out
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, deadline=None,
+                     database=None)
+@hypothesis.given(a=POLYS, b=POLYS, r=POLYS)
+def test_exact_division_agrees_with_sympy_div(a, b, r):
+    """(a*b + r)/b is a polynomial exactly when SymPy's `div` leaves no
+    remainder, and then it is SymPy's quotient."""
+    den = _poly(b, X, Y, const(0))
+    hypothesis.assume(len(den.num) > 1)
+    e = (_poly(a, X, Y, const(0)) * den + _poly(r, X, Y, const(0))) / den
+    sden = _poly(b, SX, SY, sympy.Integer(0))
+    snum = sympy.expand(_poly(a, SX, SY, sympy.Integer(0)) * sden
+                        + _poly(r, SX, SY, sympy.Integer(0)))
+    quotient, remainder = sympy.div(snum, sden, SX, SY)
+    assert (len(e.den) == 1 and not e.den[0][0]) == (remainder == 0)
+    if remainder == 0:
+        got = sympy.sympify(format_expression(e), locals={"x": SX, "y": SY})
+        assert sympy.expand(got - quotient) == 0
