@@ -17,7 +17,8 @@ equality, hashing nor printing, and ints are far cheaper to compute
 with.  Exponents are positive integers; negative powers live in the
 denominator.  The zero test is exact and evaluates no float: after the
 rewrite rules and the merging of equal argument tuples, every opaque call
-is a free coordinate (see `zero_status`).
+is a free coordinate (see `zero_status`).  One derivation routine,
+`_derive`, takes both the partial derivative and the total derivative.
 """
 
 from __future__ import annotations
@@ -740,32 +741,59 @@ def _lead_product(c, mon, image):
 
 def differentiate(e: Expression, s: Symbol) -> Expression:
     """Partial derivative treating distinct jet symbols as independent
-    coordinates; the chain rule through opaque calls raises the
-    function's derivative order."""
+    coordinates: `_derive` with s sent to one and every other symbol to
+    zero."""
     if s.kind == OPAQUE:
         raise ValueError("cannot differentiate with respect to a function symbol")
     if not e.contains(s):
         return _ZERO
-    n = Expression(e.num, _ONE_TERMS)
-    d = Expression(e.den, _ONE_TERMS)
-    dn = _diff_poly(e.num, s)
-    if e.den == _ONE_TERMS:
-        return dn
-    dd = _diff_poly(e.den, s)
-    return (dn * d - n * dd) / (d * d)
+    return _derive(e, lambda a: _ONE if a == s else _ZERO, {})
 
 
-def _diff_poly(terms, s: Symbol) -> Expression:
-    """The derivative of a polynomial's terms, equal in value to `_sum`
-    of the pieces c * k * (mon lowered by a) * d(a)/ds.  Lowering one
-    exponent of a sorted monomial keeps it sorted, so it is a slice; each
-    piece's numerator, the lowered term times that of d(a)/ds, goes
-    straight into the group of d(a)/ds's denominator."""
+def _derive(e: Expression, dsym, memo: dict) -> Expression:
+    """The derivation D of e with D a = dsym(a) on each symbol a, the one
+    routine behind `differentiate` and `jet.total_derivative`.  A call
+    takes the chain rule, D f(u) = sum_i f_i(u) * D u_i, with f_i the
+    head's derivative in slot i; a polynomial goes through `_diff_poly`,
+    and N/M through the quotient rule once, (D N * M - N * D M)/M^2.
+    Atom images are kept in memo, which callers may share between
+    expressions derived by one dsym."""
+
+    def image(a):
+        da = memo.get(a)
+        if da is None:
+            if isinstance(a, Symbol):
+                da = dsym(a)
+            else:
+                da = _dot((atom_expr(Call(a.head.d(slot), a.args)), darg)
+                          for slot, arg in enumerate(a.args)
+                          if not (darg := derive(arg)).is_rational_zero())
+            memo[a] = da
+        return da
+
+    def derive(x):
+        dn = _diff_poly(x.num, image)
+        if x.den == _ONE_TERMS:
+            return dn
+        n = Expression(x.num, _ONE_TERMS)
+        d = Expression(x.den, _ONE_TERMS)
+        return (dn * d - n * _diff_poly(x.den, image)) / (d * d)
+
+    return derive(e)
+
+
+def _diff_poly(terms, image) -> Expression:
+    """The derivative of a polynomial's terms under the derivation that
+    sends each atom a to image(a), equal in value to `_sum` of the
+    pieces c * k * (mon lowered by a) * image(a).  Lowering one exponent
+    of a sorted monomial keeps it sorted, so it is a slice; each piece's
+    numerator, the lowered term times that of image(a), goes straight
+    into the group of image(a)'s denominator."""
     acc = {}
     groups = {_ONE_TERMS: acc}
     for mon, c in terms:
         for i, (a, k) in enumerate(mon):
-            da = _diff_atom(a, s)
+            da = image(a)
             if da.is_rational_zero():
                 continue
             lowered = (mon[:i] + ((a, k - 1),) + mon[i + 1:] if k > 1
@@ -777,14 +805,6 @@ def _diff_poly(terms, s: Symbol) -> Expression:
                 _tadd(groups.setdefault(da.den, {}),
                       ((_mon_mul(lowered, m), ck * cd) for m, cd in da.num))
     return _over(groups)
-
-
-def _diff_atom(a: Atom, s: Symbol) -> Expression:
-    if isinstance(a, Symbol):
-        return _ONE if a == s else _ZERO
-    return _sum(atom_expr(Call(a.head.d(slot), a.args)) * darg
-                for slot, arg in enumerate(a.args)
-                if not (darg := differentiate(arg, s)).is_rational_zero())
 
 
 # ---------------------------------------------------------------------------

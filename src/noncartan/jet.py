@@ -1,5 +1,6 @@
 """Jet-space bookkeeping: total derivatives and prolongation of point
-vector fields."""
+vector fields.  D_x is `expr._derive`, the one derivation behind
+`differentiate` too, with x -> 1 and y_j^(k) -> y_j^(k+1)."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    _ONE_TERMS, DEP, JET, Call, Expression, Symbol, _dot, _mon_mul, _tadd,
-    default_dep_names, dep, differentiate, indep, jet, one, sym,
+    _ONE_TERMS, DEP, JET, Expression, Symbol, _derive, _dot,
+    default_dep_names, dep, differentiate, indep, jet, one, sym, zero,
 )
 
 __all__ = ["JetContext", "VectorField", "ProlongedField",
@@ -135,70 +136,20 @@ def total_derivative(e: Expression, ctx: JetContext) -> Expression:
 def _total_derivative(e: Expression, ctx: JetContext, memo: dict) -> Expression:
     """`total_derivative`, with the total derivatives of atoms kept in
     memo, which callers may share between expressions of one context.
-
-    A polynomial goes through its terms once: the term c * a^k * rest
-    contributes c * k * a^(k-1) * rest * D_x a, where D_x x = 1, D_x
-    y_j^(k) = y_j^(k+1), and a call takes the chain rule through its
-    arguments' total derivatives.  That is the same polynomial as the
-    sum of partials, and a polynomial has one form, so the two are
-    structurally equal.  When e or the total derivative of an atom in
-    it is rational, the sum of partials is taken as written above."""
-    top = e.max_jet_order()
-    if top > ctx.order:
+    Every symbol but x and the context's own jets is a constant."""
+    if e.max_jet_order() > ctx.order:
         raise JetOrderError(
             "total derivative would exceed jet order %d" % (ctx.order + 1))
-    if e.den == _ONE_TERMS:
-        acc = _dx_terms(e.num, ctx, memo)
-        if acc is not None:
-            return Expression._make(acc, _ONE_TERMS)
-    pairs = [(one(), differentiate(e, ctx.x))]
-    for j in range(1, ctx.m + 1):
-        for k in range(0, max(top, 0) + 1):
-            d = differentiate(e, ctx.jet(j, k))
-            if not d.is_rational_zero():
-                pairs.append((sym(ctx.jet(j, k + 1)), d))
-    return _dot(pairs)
 
-
-def _dx_terms(terms, ctx: JetContext, memo: dict):
-    """The term dict of D_x of a polynomial's terms, or None when the
-    total derivative of one of its atoms is rational."""
-    acc = {}
-    for mon, c in terms:
-        for i, (a, k) in enumerate(mon):
-            da = memo.get(a)
-            if da is None:
-                da = memo[a] = _dx_atom(a, ctx, memo)
-            if da is False:
-                return None
-            if not da:
-                continue
-            lowered = (mon[:i] + ((a, k - 1),) + mon[i + 1:] if k > 1
-                       else mon[:i] + mon[i + 1:])
-            _tadd(acc, ((_mon_mul(lowered, m), c * k * cd) for m, cd in da))
-    return acc
-
-
-def _dx_atom(a, ctx: JetContext, memo: dict):
-    """The terms of D_x a, or False when it is rational."""
-    if isinstance(a, Symbol):
+    def dsym(a):
         if a == ctx.x:
-            return _ONE_TERMS
+            return one()
         if a.kind in (DEP, JET) and 1 <= a.index <= ctx.m \
                 and a == ctx.jet(a.index, a.order):
-            return ((((ctx.jet(a.index, a.order + 1), 1),), 1),)
-        return ()
-    acc = {}
-    for slot, arg in enumerate(a.args):
-        if arg.den != _ONE_TERMS:
-            return False
-        darg = _dx_terms(arg.num, ctx, memo)
-        if darg is None:
-            return False
-        if darg:
-            f = ((Call(a.head.d(slot), a.args), 1),)
-            _tadd(acc, ((_mon_mul(f, m), c) for m, c in darg.items()))
-    return tuple(acc.items())
+            return sym(ctx.jet(a.index, a.order + 1))
+        return zero()
+
+    return _derive(e, dsym, memo)
 
 
 def prolong(v: VectorField, p: int, max_order: int = MAX_PROLONGATION) -> ProlongedField:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import linalg
 from .expr import (
     _ONE_TERMS, DEP, Call, Expression, Symbol, _dot, _mon_key, apply_rules,
-    collect, differentiate, is_zero, one, substitute, sym,
+    collect, differentiate, is_zero, one, replace_atoms, substitute, sym,
 )
 from .jet import JetContext, ProlongedField, VectorField, prolong
 
@@ -87,7 +87,6 @@ class PointTransformation:
     def push_old_to_new(self, e: Expression) -> Expression:
         """Rewrite an expression in old point coordinates through the
         declared inverse."""
-        from .expr import replace_atoms
         if self.inverse is None:
             raise MissingInverseError("transformation has no declared inverse")
         e = apply_rules(e, self.rules)

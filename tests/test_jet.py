@@ -138,8 +138,8 @@ def test_jet_sums_match_reference_loops_randomized():
 
     # nested calls: polynomial arguments, where total_derivative takes
     # one pass with the chain rule through every level, jets inside
-    # arguments, and a rational argument inside a call, which sends the
-    # whole expression back to the sum of partials
+    # arguments, and a rational argument inside a call, whose total
+    # derivative the chain rule takes through the quotient rule
     for case in range(32):
         ctx = JetContext(1 + case % 2, 3)
         coords = [sym(s) for s in ctx.point_symbols()]
@@ -162,6 +162,19 @@ def test_jet_sums_match_reference_loops_randomized():
         je = random_expression(rng, 3, coords + jets + nested)
         assert total_derivative(je, ctx) == \
             reference_total_derivative(je, ctx), case
+
+
+def test_rational_prolongation_does_not_multiply_denominators():
+    """D_x of a rational coefficient takes the quotient rule once, over
+    its own denominator; a sum of partials multiplies their unequal
+    denominators together, 13 terms for phi^(2) here."""
+    ctx = scalar_context(2)
+    x, y = sym(ctx.x), sym(ctx.y(1))
+    v = VectorField(call(func("H"), y / x), (y / (x + 1),), ctx)
+    got = prolong(v, 2).coeff(1, 2)
+    expected = reference_prolong_coefficients(v, 2)[(1, 2)]
+    assert (got - expected).is_rational_zero()
+    assert len(got.den) <= 5
 
 
 def test_top_split_rebuilds_the_top_coefficient():

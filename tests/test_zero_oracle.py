@@ -5,7 +5,10 @@ expression is 0.  Each expression is the difference of a random tree and
 either a disguised copy of it (arguments rewritten to an equal rational
 function of another form, now and then moved by one) or a second random
 tree.  The exact division that the engine's normal form applies is
-checked against SymPy's `div` the same way."""
+checked against SymPy's `div` the same way, and `differentiate` against
+SymPy's `diff` on the same trees."""
+
+import functools
 
 import pytest
 
@@ -14,8 +17,8 @@ sympy = pytest.importorskip("sympy")
 st = hypothesis.strategies
 
 from noncartan import (  # noqa: E402
-    ZeroStatus, call, const, format_expression, func, indep, param, sym,
-    zero_status,
+    Call, ZeroStatus, call, const, differentiate, format_expression, func,
+    indep, param, sym, zero_status,
 )
 
 X, Y = sym(indep("x")), sym(param("y"))
@@ -133,3 +136,58 @@ def test_exact_division_agrees_with_sympy_div(a, b, r):
     if remainder == 0:
         got = sympy.sympify(format_expression(e), locals={"x": SX, "y": SY})
         assert sympy.expand(got - quotient) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _head(name, dorders):
+    """The engine head (name, dorders) as a SymPy function whose
+    derivative in slot i is the head with that slot's order raised by
+    one, as the engine's chain rule writes it."""
+
+    def fdiff(self, argindex=1):
+        raised = list(dorders)
+        raised[argindex - 1] += 1
+        return _head(name, tuple(raised))(*self.args)
+
+    return type("%s_d%s" % (name, "".join(map(str, dorders))),
+                (sympy.Function,), {"fdiff": fdiff})
+
+
+def _modelled(t):
+    return _build(t, SX, SY, sympy.Integer, lambda name, k, *args: _head(
+        name, (k,) + (0,) * (len(args) - 1))(*args))
+
+
+def _to_sympy(e):
+    """The engine expression e in SymPy, each call through `_head`."""
+
+    def atom(a):
+        if isinstance(a, Call):
+            return _head(a.head.name, a.head.dorders)(
+                *[_to_sympy(arg) for arg in a.args])
+        return {"x": SX, "y": SY}[a.name]
+
+    def poly(terms):
+        return sympy.Add(*[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[atom(a) ** k for a, k in mon])
+            for mon, c in terms])
+
+    return poly(e.num) / poly(e.den)
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
+                     database=None)
+@hypothesis.given(tree=TREES, under=st.one_of(st.none(), TREES))
+def test_differentiate_agrees_with_sympy_diff(tree, under):
+    """d/dx and d/dy of a tree, or of the quotient of two trees, are
+    SymPy's `diff` of the same tree with each head modelled by `_head`.
+    `expand` writes every call argument in one form on both sides, so
+    `cancel` decides the difference exactly."""
+    e, model = _engine(tree), _modelled(tree)
+    if under is not None and not _engine(under).is_rational_zero():
+        e, model = e / _engine(under), model / _modelled(under)
+    for s, ss in ((indep("x"), SX), (param("y"), SY)):
+        got = _to_sympy(differentiate(e, s))
+        expected = sympy.diff(model, ss)
+        assert sympy.cancel(sympy.expand(got - expected)) == 0
