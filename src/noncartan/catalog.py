@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from . import linalg
 from .expr import (
-    PARAM, Call, Expression, RewriteRule, Symbol, call, const, differentiate,
-    func, indep, is_zero, one, sym, zero,
+    PARAM, Call, Expression, RewriteRule, Symbol, _dot, _fresh_params, call,
+    const, differentiate, func, indep, is_zero, one, sym, zero,
 )
 from .jet import JetContext, VectorField, total_derivative
 from .symmetry import OdeSystem, PointTransformation
@@ -208,17 +208,29 @@ def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
             nxt[i] = nxt[i] + k * (n - k) * q * c
         prev, cur = cur, nxt
     result = NormalFormCoefficients(n, (cur[n - j] for j in range(2, n + 1)))
-    # recheck under the rules of src, taking s_k, s_k', .., s_k^(n) once
-    for s_k in source_solution_basis(src, n):
-        chain = [s_k]
-        for _ in range(n):
-            chain.append(differentiate(chain[-1], x))
-        resid = sum((c * chain[n - j] for j, c in enumerate(result.coeffs, 2)),
-                    chain[n])
-        if not is_zero(resid, src.rules):
-            raise linalg.InconsistentSystemError(
-                "normal-form coefficients fail to annihilate s_k")
+    _check_annihilates(src, result)
     return result
+
+
+def _check_annihilates(src: SourceEquation,
+                       nf: NormalFormCoefficients) -> None:
+    """Raise InconsistentSystemError unless L_n = D^n + sum_j A_n^j D^(n-j)
+    annihilates every s_k under the rules of src, checked once on
+    s = sum_k t_k s_k with parameters t_k that no atom of src or of the
+    coefficients carries: L_n is linear, so L_n[s] = sum_k t_k L_n[s_k]
+    is zero iff every L_n[s_k] is."""
+    n = nf.n
+    basis = source_solution_basis(src, n)
+    ts = _fresh_params(n, basis + list(nf.coeffs)
+                       + [r.replacement for r in src.rules])
+    chain = [_dot(zip(map(sym, ts), basis))]
+    for _ in range(n):
+        chain.append(differentiate(chain[-1], src.x))
+    resid = sum((c * chain[n - j] for j, c in enumerate(nf.coeffs, 2)),
+                chain[n])
+    if not is_zero(resid, src.rules):
+        raise linalg.InconsistentSystemError(
+            "normal-form coefficients fail to annihilate s_k")
 
 
 def isotropic_system(m: int, n: int, src: SourceEquation,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from . import linalg
 from .expr import (
     _ONE_TERMS, CollectError, Expression, OpaqueArgumentError, Symbol,
-    ZeroStatus, _linear_terms, call, collect, differentiate, func, is_zero,
-    one, param, sym, zero, zero_status,
+    ZeroStatus, _dot, _fresh_params, _linear_terms, call, collect,
+    differentiate, func, is_zero, one, param, sym, zero, zero_status,
 )
 from .jet import JetContext, VectorField, prolong
 from .symmetry import (
@@ -275,13 +275,20 @@ def _restricted_ansatz(ctx: JetContext) -> VectorField:
 
 
 def _verified_witnesses(src: SourceEquation, system: OdeSystem):
-    """The non-Cartan generators built from src in the system's context,
-    each residual rechecked under the system's rules."""
+    """The non-Cartan generators C_k built from src in the system's
+    context, rechecked under the system's rules as the one field
+    W = sum_k t_k C_k, with parameters t_k that no atom of the system or
+    the generators carries.  Prolongation is linear in the field, so W's
+    residuals are sum_k t_k R_k, which is zero iff every R_k is."""
     witnesses = tuple(non_cartan_generators(system.ctx.m, src, system.ctx))
-    for wfield in witnesses:
-        for r in invariance_residual(wfield, system):
-            if zero_status(r, system.rules) is ZeroStatus.NONZERO:
-                raise AssertionError("witness failed re-verification")
+    slots = list(zip(*(c.components() for c in witnesses)))
+    ts = [sym(t) for t in _fresh_params(len(witnesses), itertools.chain(
+        system.rhs, (r.replacement for r in system.rules), *slots))]
+    xi, *phi = (_dot(zip(ts, slot)) for slot in slots)
+    for r in invariance_residual(VectorField(xi, tuple(phi), system.ctx),
+                                 system):
+        if zero_status(r, system.rules) is ZeroStatus.NONZERO:
+            raise AssertionError("witness failed re-verification")
     return witnesses
 
 

@@ -164,6 +164,18 @@ def func(name: str, arity: int = 1, dorders: tuple = None) -> Symbol:
                   dorders=tuple(dorders) if dorders else (0,) * arity)
 
 
+def _fresh_params(count: int, exprs) -> list:
+    """count parameters _t0, _t1, .. whose names no atom of exprs carries,
+    nested atoms included.  The parser makes no name that begins with an
+    underscore, so only a caller's own symbols can take them."""
+    taken = {(a.head if isinstance(a, Call) else a).name
+             for e in exprs for a in e.atoms()}
+    prefix = "_t"
+    while any("%s%d" % (prefix, k) in taken for k in range(count)):
+        prefix += "_"
+    return [param("%s%d" % (prefix, k)) for k in range(count)]
+
+
 @dataclass(frozen=True)
 class Call:
     """An opaque function symbol applied to expression arguments.
@@ -854,14 +866,16 @@ def _replace(e: Expression, mapping) -> Expression:
     polynomials, its term product goes straight into the polynomial
     group; from its first other image on, it goes through `*`, and its
     numerator into the group of its denominator.  An atom the mapping
-    lacks stands for itself, but an opaque call has its arguments
-    rebuilt the same way.  Each atom's image is computed once per call."""
+    lacks stands for itself, but an opaque call with a mapped atom in its
+    arguments, nested ones included, has them rebuilt the same way.  Each
+    atom's image is computed once per call."""
     images = dict(mapping)
 
     def image(a):
         f = images.get(a)
         if f is None:
-            if isinstance(a, Call):
+            if isinstance(a, Call) and any(b in mapping for g in a.args
+                                           for b in g.atoms()):
                 f = atom_expr(Call(a.head, tuple(rebuild(arg)
                                                  for arg in a.args)))
             else:

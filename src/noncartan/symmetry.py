@@ -241,12 +241,13 @@ def _partials(v: VectorField) -> tuple:
 def _bracket(v: VectorField, dv: tuple, w: VectorField,
              dw: tuple) -> VectorField:
     """`commutator(v, w)` from the partials dv of v and dw of w (see
-    `_partials`): component c is v.apply_to(w_c) - w.apply_to(v_c) with
-    the same pairs in the same `_dot`, so it is the same expression, and
-    the partials of a field can serve all its brackets."""
+    `_partials`), so that the partials of a field can serve all its
+    brackets: component c is v.apply_to(w_c) - w.apply_to(v_c) in value,
+    taken as one `_dot` over the pairs (v_s, d_s w_c) and
+    (-w_s, d_s v_c)."""
     vc = v.components()
-    wc = w.components()
-    comps = [_dot(zip(vc, dw[c])) - _dot(zip(wc, dv[c]))
+    neg_wc = [-e for e in w.components()]
+    comps = [_dot(list(zip(vc, dw[c])) + list(zip(neg_wc, dv[c])))
              for c in range(len(vc))]
     return VectorField(comps[0], tuple(comps[1:]), v.context)
 
@@ -328,17 +329,28 @@ def _flat_vector(comps, dens, columns):
     return vec
 
 
-def _span_solve(vectors, target, nfields):
-    """`linalg.solve` for coefficients c with sum_k c_k vectors[k] =
-    target, one equation per column."""
+def _span_solve(vectors, targets):
+    """For each target, the coefficients c with sum_k c_k vectors[k] =
+    target and every free coefficient zero, the solution `linalg.solve`
+    gives, or None when the target lies outside the span; and whether
+    the vectors are independent.  One `linalg._rref` of [vectors |
+    targets], one row per column, serves them all: its rows with a pivot
+    among the vectors give the solutions, the reduced form being unique,
+    and a target with an entry in a row whose pivot lies past the vectors
+    is outside the span."""
+    n = len(vectors)
     rows = {}
-    for k, vec in enumerate(vectors + [target]):
+    for k, vec in enumerate(vectors + targets):
         for col, c in vec.items():
             rows.setdefault(col, {})[k] = c
-    return linalg.solve([{k: c for k, c in row.items() if k < nfields}
-                         for row in rows.values()],
-                        [row.get(nfields, 0) for row in rows.values()],
-                        ncols=nfields)
+    red = linalg._rref(rows.values())
+    outside = {c for pc, row in red.items() if pc >= n for c in row}
+    zero = Fraction(0)
+    sols = [None if n + t in outside else
+            tuple(red[k].get(n + t, zero) if k in red else zero
+                  for k in range(n))
+            for t in range(len(targets))]
+    return sols, all(k in red for k in range(n))
 
 
 def algebra_report(fields, rules=()) -> LieAlgebraReport:
@@ -350,11 +362,13 @@ def algebra_report(fields, rules=()) -> LieAlgebraReport:
     them (see `_bracket`).  The basis is flattened once, and a bracket
     whose denominators all occur in the basis is flattened over the
     basis's columns, a new (slot, monomial) pair getting a column of its
-    own that makes the solve inconsistent.  A bracket with a new
-    denominator is flattened together with the basis.  The
-    solve's solution, with the free coefficients zero, is fixed by the
-    reduced form whatever the order of the rows and columns, so it is
-    that of a solve against the basis flattened with the bracket."""
+    own that puts the bracket outside the span; all those brackets are
+    solved, and the basis's independence read, in one `_span_solve`.  A
+    bracket with a new denominator is flattened together with the basis
+    and solved alone.  A solution, with the free coefficients zero, is
+    fixed by the reduced form whatever the order of the rows and columns,
+    so it is that of a solve against the basis flattened with the
+    bracket."""
     fields = list(fields)
     if not fields:
         raise ValueError("algebra_report needs at least one vector field")
@@ -369,9 +383,8 @@ def algebra_report(fields, rules=()) -> LieAlgebraReport:
     dens = _slot_denominators(simplified)
     columns = {}
     vectors = [_flat_vector(comps, dens, columns) for comps in simplified]
-    independent = linalg.rank(vectors) == n
     structure = {}
-    failures = []
+    pending = {}     # (i, j) -> the bracket's vector over the basis columns
     abelian = True
     for i in range(n):
         for j in range(i + 1, n):
@@ -381,17 +394,16 @@ def algebra_report(fields, rules=()) -> LieAlgebraReport:
                 structure[(i, j)] = tuple(Fraction(0) for _ in fields)
                 continue
             abelian = False
-            try:
-                if any(c.den not in slot for c, slot in zip(br_comps, dens)):
-                    stacked = _flatten_fields(simplified + [br_comps])
-                    sol = _span_solve(stacked[:-1], stacked[-1], n)
-                else:
-                    target = _flat_vector(br_comps, dens, columns)
-                    sol = _span_solve(vectors, target, n)
-                structure[(i, j)] = tuple(sol)
-            except linalg.InconsistentSystemError:
+            if any(c.den not in slot for c, slot in zip(br_comps, dens)):
+                stacked = _flatten_fields(simplified + [br_comps])
+                sols, _ = _span_solve(stacked[:-1], stacked[-1:])
+                structure[(i, j)] = sols[0]
+            else:
                 structure[(i, j)] = None
-                failures.append((i, j))
+                pending[(i, j)] = _flat_vector(br_comps, dens, columns)
+    sols, independent = _span_solve(vectors, list(pending.values()))
+    structure.update(zip(pending, sols))
+    failures = tuple(p for p, row in structure.items() if row is None)
     ncc = sum(1 for f in fields if is_non_cartan(f))
     return LieAlgebraReport(tuple(fields), structure, independent,
-                            abelian, ncc, tuple(failures))
+                            abelian, ncc, failures)

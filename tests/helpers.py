@@ -18,6 +18,9 @@ from noncartan.linalg import (
     InconsistentSystemError, linear_equations_in_params, nullspace, rank,
     solve,
 )
+from noncartan.symmetry import (
+    _bracket, _flat_vector, _flatten_fields, _partials, _slot_denominators,
+)
 
 X = indep("x")
 
@@ -430,6 +433,56 @@ def reference_algebra_report(fields, rules=()):
                 structure[(i, j)] = None
                 failures.append((i, j))
     return independent, abelian, structure, tuple(failures)
+
+
+def reference_span_solve(vectors, target, nfields):
+    """`linalg.solve` for coefficients c with sum_k c_k vectors[k] =
+    target, one equation per column."""
+    rows = {}
+    for k, vec in enumerate(vectors + [target]):
+        for col, c in vec.items():
+            rows.setdefault(col, {})[k] = c
+    return solve([{k: c for k, c in row.items() if k < nfields}
+                  for row in rows.values()],
+                 [row.get(nfields, 0) for row in rows.values()],
+                 ncols=nfields)
+
+
+def reference_bracket_solves(fields, rules=()):
+    """(independent, structure constants, failures) the way
+    `algebra_report` computed them with one solve per bracket: the basis
+    flattened once and its rank taken apart, and each bracket solved on
+    its own against it, or against the basis flattened together with the
+    bracket when the bracket has a denominator the basis lacks."""
+    n = len(fields)
+    partials = [_partials(f) for f in fields]
+    simplified = [tuple(apply_rules(c, rules) for c in f.components())
+                  for f in fields]
+    dens = _slot_denominators(simplified)
+    columns = {}
+    vectors = [_flat_vector(comps, dens, columns) for comps in simplified]
+    independent = rank(vectors) == n
+    structure = {}
+    failures = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = _bracket(fields[i], partials[i], fields[j], partials[j])
+            br_comps = tuple(apply_rules(c, rules) for c in br.components())
+            if all(is_zero(c, rules) for c in br_comps):
+                structure[(i, j)] = tuple(Fraction(0) for _ in fields)
+                continue
+            try:
+                if any(c.den not in slot for c, slot in zip(br_comps, dens)):
+                    stacked = _flatten_fields(simplified + [br_comps])
+                    sol = reference_span_solve(stacked[:-1], stacked[-1], n)
+                else:
+                    target = _flat_vector(br_comps, dens, columns)
+                    sol = reference_span_solve(vectors, target, n)
+                structure[(i, j)] = tuple(sol)
+            except InconsistentSystemError:
+                structure[(i, j)] = None
+                failures.append((i, j))
+    return independent, structure, tuple(failures)
 
 
 def reference_prolonged_apply(pf, e):

@@ -10,6 +10,8 @@ from noncartan import (
     normalize_s, parse, reduction_transformation, scalar_context,
     scalar_non_cartan, source_solution_basis, sym, zero, one,
 )
+from noncartan.catalog import NormalFormCoefficients, _check_annihilates
+from noncartan.linalg import InconsistentSystemError
 
 
 X = indep("x")
@@ -132,6 +134,27 @@ def test_normal_form_annihilates_basis():
             for j in range(2, n + 1):
                 resid = resid + nf.coefficient(j) * src.d(s_k, n - j)
             assert is_zero(resid, src.rules)
+
+
+def test_normal_form_recheck_catches_each_bad_coefficient():
+    """The recheck runs once, on a combination of the s_k, and still
+    refuses coefficients off by one in any A_n^j, and coefficients off by
+    s_k D - s_k', which annihilates s_k and no other member of the basis."""
+    src = SourceEquation.symbolic()
+    for n in (3, 4):
+        nf = normal_form_coeffs(src, n)
+        _check_annihilates(src, nf)
+        wrong = [list(nf.coeffs) for _ in range(n - 1)]
+        for j, coeffs in enumerate(wrong):
+            coeffs[j] = coeffs[j] + 1
+        for s_k in source_solution_basis(src, n):
+            coeffs = list(nf.coeffs)
+            coeffs[-2] = coeffs[-2] + s_k
+            coeffs[-1] = coeffs[-1] - src.d(s_k)
+            wrong.append(coeffs)
+        for coeffs in wrong:
+            with pytest.raises(InconsistentSystemError, match="annihilate"):
+                _check_annihilates(src, NormalFormCoefficients(n, coeffs))
 
 
 def test_canonical_basis_counts():

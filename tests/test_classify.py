@@ -11,7 +11,7 @@ from noncartan import (
     invariance_residual, is_non_cartan, is_zero, non_cartan_existence_2x2,
     non_cartan_search, nonlinear_counterexample, OdeSystem, scalar_context,
     sym, trace_free_reduce, zero,
-    one, zero_status, isotropy_test, prolong,
+    one, zero_status, isotropy_test, prolong, VectorField,
 )
 from noncartan import classify as classify_module
 from noncartan.classify import (
@@ -285,6 +285,30 @@ def test_classify_m3():
     verdict = classify_linear_system(spec)
     assert verdict.in_canonical_class
     assert len(verdict.witnesses) == 6
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_witness_recheck_catches_each_bad_generator(monkeypatch, m):
+    """The 2m witnesses are rechecked as one combined field, and that
+    check still fails when any single one of them is not a symmetry."""
+    q = call(func("q"), sym(X))
+    z = zero()
+    spec = LinearSystemSpec(m, 2, (
+        tuple((z,) * m for _ in range(m)),
+        tuple(tuple(q if i == j else z for j in range(m)) for i in range(m))))
+    assert classify_linear_system(spec).in_canonical_class
+    generators = classify_module.non_cartan_generators
+    for k in range(2 * m):
+        def corrupted(m_, src, ctx=None, k=k):
+            fields = generators(m_, src, ctx)
+            bad = fields[k]
+            fields[k] = VectorField(2 * bad.xi, bad.phi, bad.context)
+            return fields
+
+        monkeypatch.setattr(classify_module, "non_cartan_generators",
+                            corrupted)
+        with pytest.raises(AssertionError, match="re-verification"):
+            classify_linear_system(spec)
 
 
 def test_from_system_round_trip():

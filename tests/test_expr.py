@@ -363,6 +363,24 @@ def test_replace_atoms():
     assert out == (x + 1) ** 2 + x
 
 
+def test_replace_atoms_rebuilds_only_calls_with_a_mapped_atom():
+    """A call none of whose atoms, nested ones included, is mapped comes
+    back as the same atom; a mapped atom nested in a call is still
+    replaced, as g(x) in f(g(x))."""
+    x = sym(X)
+    g = call(func("g"), x)
+    h = call(func("h"), x + 1)
+    out = replace_atoms(call(func("f"), g) + h, {g.num[0][0][0][0]: x ** 2})
+    assert out == call(func("f"), x ** 2) + h
+    (h_out,) = [a for a in out.atoms()
+                if isinstance(a, Call) and a.head.name == "h"]
+    assert h_out is h.num[0][0][0][0]
+    e = call(func("h"), call(func("k"), sym(Y)) + x) * sym(Y)
+    assert replace_atoms(e, {Y: x + 1}) == (
+        call(func("h"), call(func("k"), x + 1) + x) * (x + 1))
+    assert replace_atoms(e, {P: x}) == e
+
+
 def test_normalize_idempotent_randomized():
     rng = random.Random(0)
     for _ in range(300):

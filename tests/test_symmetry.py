@@ -15,8 +15,8 @@ from noncartan.symmetry import _bracket, _partials, _prolonged_residuals
 
 from helpers import (
     assert_matches_fold, monomial_denominators, random_expression,
-    random_point_field, reference_algebra_report, reference_commutator,
-    reference_prolonged_residuals,
+    random_point_field, reference_algebra_report, reference_bracket_solves,
+    reference_commutator, reference_prolonged_residuals,
 )
 
 
@@ -194,6 +194,53 @@ def test_algebra_report_matches_reference():
         seen.add((independent, bool(failures)))
     assert seen == {(True, False), (True, True), (False, False),
                     (False, True)}
+
+
+def test_bracket_solve_matches_per_bracket_solves_randomized():
+    """The one elimination of every in-span bracket against the basis
+    gives the structure constants, failures and independence of one
+    solve per bracket (`reference_bracket_solves`), on random
+    combinations of closed algebras, with dependent members, fields whose
+    brackets leave the span and fields with new denominators."""
+    src = SourceEquation.symbolic()
+    bases = [(free_fall_symmetries(), ()),
+             (canonical_basis(2, 2, SourceEquation.trivial()), ()),
+             (canonical_basis(1, 2, src), src.rules)]
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(40):
+        base, rules = rng.choice(bases)
+        ctx = base[0].context
+
+        def combination():
+            terms = rng.sample(base, rng.randint(1, 3))
+            out = terms[0].scale(rng.choice((-2, -1, 1, 2)))
+            for f in terms[1:]:
+                out = out + f.scale(Fraction(rng.randint(-3, 3), 2))
+            return out
+
+        fields = [combination() for _ in range(rng.randint(2, 4))]
+        if rng.random() < 0.4:
+            a, b = rng.sample(fields, 2)
+            fields.insert(rng.randrange(len(fields) + 1),
+                          a.scale(Fraction(1, 3)) - b.scale(2))
+        if rng.random() < 0.4:
+            fields.append(random_point_field(rng, ctx))
+        if rng.random() < 0.2:
+            fields.append(_random_rational_field(rng, ctx))
+        report = algebra_report(fields, rules)
+        independent, structure, failures = \
+            reference_bracket_solves(fields, rules)
+        assert report.independent == independent
+        assert report.structure_constants == structure
+        assert report.bracket_failures == failures
+        seen.add(("dependent", not independent))
+        seen.add(("outside", bool(failures)))
+        seen.add(("inside", any(row is not None and any(row)
+                                for row in structure.values())))
+    assert seen == {(kind, flag) for kind in ("dependent", "outside",
+                                              "inside")
+                    for flag in (True, False)}
 
 
 def test_determining_equations_free_fall():
