@@ -10,7 +10,9 @@ value may compare unequal.  Equality of values is
 `(a - b).is_rational_zero()`.  Atoms are either plain symbols
 (independent variable, dependent variables, jet derivatives, parameters)
 or applications of opaque function symbols whose arguments are again
-expressions.  A coefficient is an `int` while its value is integral and a
+expressions.  Atoms are interned, one object per distinct atom, so their
+`==` is still structural, and it and their hash run as object identity.
+A coefficient is an `int` while its value is integral and a
 `Fraction` otherwise; since `Fraction(n) == n`, `hash(Fraction(n)) ==
 hash(n)` and `str(Fraction(n)) == str(n)`, the choice shows in neither
 equality, hashing nor printing, and ints are far cheaper to compute
@@ -26,6 +28,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -50,6 +53,9 @@ OPAQUE = "opaque"
 
 _KIND_RANK = {INDEP: 0, DEP: 1, JET: 2, PARAM: 3, OPAQUE: 4}
 
+# every live atom, keyed by its fields: a Symbol's six, a Call's two
+_ATOMS = weakref.WeakValueDictionary()
+
 
 class CollectError(ValueError):
     """Non-polynomial dependence on a collection variable."""
@@ -73,13 +79,15 @@ class UndecidedZeroError(ValueError):
 # Symbols and atoms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Symbol:
-    """A named atomic symbol; structural identity on all fields.
+    """A named atomic symbol.
 
-    The sort key and the hash are computed once, at construction (after
-    a jet of order zero has become a dependent variable), and stored.
-    Equality stays the structural comparison of the fields."""
+    Symbols are interned: constructing one with the fields of a live
+    symbol returns that symbol (a jet of order zero becomes a dependent
+    variable first).  So `==` is still structural on the fields, but it
+    and the hash are those of object identity.  The sort key is computed
+    once, on the first construction, and stored."""
 
     name: str
     kind: str
@@ -88,29 +96,30 @@ class Symbol:
     arity: int = 0
     dorders: tuple = ()
 
-    def __post_init__(self):
-        if self.kind == JET and self.order == 0:
-            object.__setattr__(self, "kind", DEP)
-        if self.kind == JET and self.order < 0:
+    def __new__(cls, name, kind, index=0, order=0, arity=0, dorders=()):
+        if kind == JET and order == 0:
+            kind = DEP
+        fields = (name, kind, index, order, arity, dorders)
+        self = _ATOMS.get(fields)
+        if self is not None:
+            return self
+        if kind == JET and order < 0:
             raise ValueError("jet derivative order must be >= 0")
-        if self.kind == OPAQUE:
-            if self.arity < 1:
+        if kind == OPAQUE:
+            if arity < 1:
                 raise ValueError("opaque function arity must be >= 1")
-            if len(self.dorders) != self.arity or any(d < 0 for d in self.dorders):
-                raise ValueError("bad derivative orders %r" % (self.dorders,))
-        object.__setattr__(self, "_key", (
-            _KIND_RANK[self.kind], self.index, self.order, self.name,
-            self.dorders, ()))
-        object.__setattr__(self, "_hash", hash((
-            self.name, self.kind, self.index, self.order, self.arity,
-            self.dorders)))
-
-    def __hash__(self):
-        return self._hash
+            if len(dorders) != arity or any(d < 0 for d in dorders):
+                raise ValueError("bad derivative orders %r" % (dorders,))
+        self = object.__new__(cls)
+        self.__dict__.update(
+            name=name, kind=kind, index=index, order=order, arity=arity,
+            dorders=dorders,
+            _key=(_KIND_RANK[kind], index, order, name, dorders, ()))
+        _ATOMS[fields] = self
+        return self
 
     def __reduce__(self):
-        # Rebuild through the constructor: a stored string hash is only
-        # valid in the process that computed it.
+        # rebuild through the constructor, which returns the live atom
         return (Symbol, (self.name, self.kind, self.index, self.order,
                          self.arity, self.dorders))
 
@@ -176,29 +185,34 @@ def _fresh_params(count: int, exprs) -> list:
     return [param("%s%d" % (prefix, k)) for k in range(count)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Call:
     """An opaque function symbol applied to expression arguments.
 
-    Like `Symbol`, the sort key and the hash are computed once, at
-    construction, and stored; equality stays structural."""
+    Like `Symbol`, calls are interned on (head, args), so `==` is
+    structural and runs as identity, and the sort key is computed once,
+    on the first construction, and stored."""
 
     head: Symbol
     args: tuple
 
-    def __post_init__(self):
-        if self.head.kind != OPAQUE:
+    def __new__(cls, head, args):
+        fields = (head, args)
+        self = _ATOMS.get(fields)
+        if self is not None:
+            return self
+        if head.kind != OPAQUE:
             raise ValueError("Call head must be an opaque function symbol")
-        if len(self.args) != self.head.arity:
+        if len(args) != head.arity:
             raise ValueError("arity mismatch for %s: expected %d args, got %d"
-                             % (self.head.name, self.head.arity, len(self.args)))
-        object.__setattr__(self, "_key", (
-            4, 0, 0, self.head.name, self.head.dorders,
-            tuple(a.sort_key() for a in self.args)))
-        object.__setattr__(self, "_hash", hash((self.head, self.args)))
-
-    def __hash__(self):
-        return self._hash
+                             % (head.name, head.arity, len(args)))
+        self = object.__new__(cls)
+        self.__dict__.update(
+            head=head, args=args,
+            _key=(4, 0, 0, head.name, head.dorders,
+                  tuple(a.sort_key() for a in args)))
+        _ATOMS[fields] = self
+        return self
 
     def __reduce__(self):
         return (Call, (self.head, self.args))
@@ -540,10 +554,11 @@ def _lex(mon):
 
 def _may_divide(num, den):
     """False when den cannot divide num: with every atom but one of den's
-    set to its hash mod _P (atoms hashing like that one kept with it), a
-    product num = q * den maps to univariate polynomials n = q' * d, as
-    q is free of 1/_P: a coefficient of den is one."""
-    kept = den[-1][0][0][0]._hash
+    set to its hash mod _P, a product num = q * den maps to univariate
+    polynomials n = q' * d, as q is free of 1/_P: a coefficient of den is
+    one.  The map is a ring homomorphism at any point, so the test is
+    sound whatever the hashes are."""
+    kept = den[-1][0][0][0]
 
     def image(terms):
         out = {}
@@ -551,10 +566,11 @@ def _may_divide(num, den):
             c = c.numerator * pow(c.denominator, -1, _P)
             k = 0
             for a, e in mon:
-                if a._hash == kept:
+                if a is kept:
                     k += e
                 else:
-                    c = c * (a._hash if e == 1 else pow(a._hash, e, _P)) % _P
+                    h = hash(a)
+                    c = c * (h if e == 1 else pow(h, e, _P)) % _P
             out[k] = (out.get(k, 0) + c) % _P
         return [out.get(k, 0) for k in range(max(out) + 1)]
 
@@ -983,15 +999,15 @@ def collect(e: Expression, variables: Sequence[Symbol]) -> dict:
     for a in e.atoms():
         if isinstance(a, Call):
             for arg in a.args:
-                for s in vset:
+                for s in variables:
                     if arg.contains(s):
-                        raise CollectError(
-                            "%s occurs inside an opaque argument" % s.name)
+                        raise CollectError("%s occurs inside an opaque "
+                                           "argument" % _format_atom(s))
     for mon, _ in e.den:
         for a, _k in mon:
             if isinstance(a, Symbol) and a in vset:
                 raise CollectError(
-                    "non-polynomial dependence on %s" % a.name)
+                    "non-polynomial dependence on %s" % _format_atom(a))
     den = Expression(e.den, _ONE_TERMS)
     groups = {}
     for mon, c in e.num:

@@ -288,6 +288,15 @@ HOSTILE = [
       "--catalog", "canonical"],
      "error: catalog 'canonical' takes at most 6 dependent variables, "
      "got 7"),
+    # the first dependent variable, in the system's order, that the
+    # residual nests in a call
+    (["determining", "--system", "y''=H(y'+w'); w''=0"],
+     "error: cannot split the invariance condition into determining "
+     "equations: y' occurs inside an opaque argument"),
+    (["determining", "--system", "y''=1/(y'+1)", "--ansatz",
+      "xi=xi(x),phi=phi(x)"],
+     "error: cannot split the invariance condition into determining "
+     "equations: non-polynomial dependence on y'"),
     (["catalog", "normal-form-coeffs", "--n", "9"],
      "error: argument --n: must be at most 8, got 9"),
     (["verify", "--system", "y" + "'" * 12 + "=0", "--catalog", "canonical"],

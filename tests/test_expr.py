@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import os
 import pickle
@@ -20,8 +21,8 @@ from noncartan import (
 from noncartan import expr as expr_module
 from noncartan.expr import (
     JET, MAX_EXPANSION_TERMS, MAX_INTEGER_DIGITS, MAX_NESTING_DEPTH, OPAQUE,
-    _ONE_MON, _cancel_monomial_gcd, _dot, _mk_mon, _mon_mul, _sum,
-    _terms_from_dict, atom_expr, monomial_expression,
+    _ONE_MON, _ONE_TERMS, _cancel_monomial_gcd, _divide, _dot, _mk_mon,
+    _mon_mul, _sum, _terms_from_dict, atom_expr, monomial_expression,
 )
 
 from helpers import (
@@ -68,6 +69,34 @@ def test_exact_division_leaves_a_polynomial():
             continue
         assert a * b / b == a, case
         assert len(((a * b + 1) / b).den) > 1, case
+
+
+def test_may_divide_passes_every_quotient(monkeypatch):
+    """The mod-p test at the atoms' hashes is a ring homomorphism, so it
+    passes every exact quotient; what it refuses, long division refuses
+    too, and it refuses most remainders."""
+    x, y, p = sym(X), sym(Y), sym(P)
+    rng = random.Random(31)
+    atoms = [x, y, p, call(func("u"), x / (x + 1))]
+    cases = []
+    for _ in range(300):
+        a = _random_polynomial(rng, atoms, rng.randint(1, 4), 3)
+        b = _random_polynomial(rng, atoms, rng.randint(2, 3), 2)
+        if len(b.num) < 2 or len(a.num) < 2:
+            continue
+        den = (1 / b).den
+        b = Expression(den, _ONE_TERMS)
+        cases.append((a, (a * b).num, (a * b + 1).num, den))
+    refused = []
+    for a, exact, off, den in cases:
+        assert expr_module._may_divide(exact, den)
+        assert Expression(_terms_from_dict(_divide(exact, den)),
+                          _ONE_TERMS) == a
+        if not expr_module._may_divide(off, den):
+            refused.append((off, den))
+    monkeypatch.setattr(expr_module, "_may_divide", lambda num, den: True)
+    assert all(_divide(off, den) is None for off, den in refused)
+    assert len(cases) > 100 and len(refused) > 0.9 * len(cases)
 
 
 def test_denominator_normalization():
@@ -160,8 +189,17 @@ def test_collect():
     assert groups[((P, 2),)] == x + y
     assert groups[((P, 1),)] == const(3)
     assert groups[()] == x
-    with pytest.raises(CollectError):
+    with pytest.raises(CollectError, match="^non-polynomial dependence on y'$"):
         collect(x / p, [P])
+
+
+def test_collect_names_the_first_variable_in_an_argument_as_it_prints():
+    """The variables are tried in the caller's order, not in a set's."""
+    h = call(func("h"), sym(P) + sym(Y))
+    for variables, name in (([Y, P], "y"), ([P, Y], "y'"), ([X, P], "y'")):
+        with pytest.raises(CollectError) as info:
+            collect(h * sym(X), variables)
+        assert str(info.value) == "%s occurs inside an opaque argument" % name
 
 
 def test_zero_status_modes():
@@ -557,7 +595,7 @@ def test_cancel_monomial_gcd_matches_reference_randomized():
 
 
 # ---------------------------------------------------------------------------
-# Atoms: cached sort keys and hashes, structural equality
+# Atoms: interned, with cached sort keys
 
 
 def _random_head(rng):
@@ -581,29 +619,59 @@ def _random_atoms(rng, n):
 
 
 def test_atom_keys_cached_and_structural():
+    """Atoms are interned: equal fields give the one live object, so `==`
+    and the hash are identity, and copies and pickles come back as it."""
     x = sym(X)
-    assert Symbol("y", JET, index=1, order=2) == jet(1, 2, "y")
-    assert hash(Symbol("y", JET, index=1, order=2)) == hash(jet(1, 2, "y"))
-    # a jet of order zero is the dependent variable, in key and hash too
+    assert Symbol("y", JET, index=1, order=2) is jet(1, 2, "y")
+    assert Symbol("y", JET, index=1, order=3) is not jet(1, 2, "y")
+    # a jet of order zero is the dependent variable, the same object
     y0 = Symbol("y", JET, order=0)
-    assert y0 == dep(0, "y")
-    assert hash(y0) == hash(dep(0, "y"))
+    assert y0 is dep(0, "y")
     assert y0.sort_key() == dep(0, "y").sort_key() == reference_sort_key(y0)
     c1 = Call(func("f", 2, (1, 0)), (x + 1, call(func("g"), x / 3)))
     c2 = Call(func("f", 2, (1, 0)), (x + 1, call(func("g"), x / 3)))
-    assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
+    assert c1 is c2
     assert c1 != Call(func("f", 2, (0, 1)), c1.args)
     for a in (X, y0, c1):
-        # the dataclass hash of the fields, so set orders are unchanged
-        fields = tuple(getattr(a, f) for f in a.__dataclass_fields__)
-        assert hash(a) == hash(fields)
         for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-            assert b == a and hash(b) == hash(a)
+            assert b is a
             assert b.sort_key() == a.sort_key()
             assert {a: 1}[b] == 1
     rng = random.Random(5)
     for a in _random_atoms(rng, 60):
         assert a.sort_key() == reference_sort_key(a)
+
+
+def test_atoms_built_twice_are_one_object():
+    for seed in range(5):
+        first = _random_atoms(random.Random(seed), 40)
+        again = _random_atoms(random.Random(seed), 40)
+        assert all(a is b for a, b in zip(first, again))
+
+
+def test_atom_table_keeps_no_atom_alive():
+    gc.collect()
+    before = len(expr_module._ATOMS)
+    made = [param("_probe%d" % k) for k in range(10000)]
+    assert len(expr_module._ATOMS) == before + 10000
+    del made
+    gc.collect()
+    assert len(expr_module._ATOMS) == before
+
+
+def test_calls_on_int_and_fraction_coefficients_are_one_atom():
+    """Fraction(3) == 3 with equal hashes, so arguments that differ only
+    in the type of a coefficient make one call, which prints as either."""
+    x = sym(X)
+    for first, second in ((_fraction_number(3), const(3)),
+                          (x + 3, x + _fraction_number(3)),
+                          (_fraction_atom(X) * 2, 2 * x)):
+        a = Call(func("k"), (first,))
+        b = Call(func("k"), (second,))
+        assert a is b
+        assert format_expression(first) == format_expression(second)
+        assert format_expression(atom_expr(a)) == "k(%s)" % (
+            format_expression(second))
 
 
 def test_atom_hash_survives_pickle_across_processes():
