@@ -736,21 +736,21 @@ def _dot(pairs: Iterable[tuple]) -> Expression:
 
 
 def _lead_product(c, mon, image):
-    """The term dict of const(c) times image(a) ** k over the leading run
-    of polynomial factors (a, k) of the monomial, and the rest of the
-    monomial from the first other factor on.  One-term factors go
-    straight into one monomial and coefficient, then the dict is
-    multiplied by each multi-term factor, k times for the power k."""
+    """The term dict of const(c) times image(a) ** k over the factors
+    (a, k) of the monomial whose images are polynomials, and the tuple of
+    the other factors, those whose images are rational, in the
+    monomial's order.  One-term factors go straight into one monomial and
+    coefficient, then the dict is multiplied by each multi-term factor, k
+    times for the power k."""
     coeff = c
     powers = {}
     polys = []
-    rest = ()
-    for i, (a, k) in enumerate(mon):
+    rest = []
+    for a, k in mon:
         f = image(a)
         if f.den != _ONE_TERMS:
-            rest = mon[i:]
-            break
-        if len(f.num) == 1:
+            rest.append((a, k))
+        elif len(f.num) == 1:
             (m, fc), = f.num
             coeff *= fc ** k
             for b, e in m:
@@ -760,7 +760,7 @@ def _lead_product(c, mon, image):
     acc = {_mk_mon(powers): coeff}
     for p in polys:
         acc = _tmul(acc.items(), p)
-    return acc, rest
+    return acc, tuple(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -878,10 +878,15 @@ def replace_atoms(e: Expression, mapping: Mapping[Atom, Expression]) -> Expressi
 
 def _replace(e: Expression, mapping) -> Expression:
     """Map every atom through `mapping` and rebuild e from the images:
-    `_sum` of its terms' products of images.  While a term's images are
-    polynomials, its term product goes straight into the polynomial
-    group; from its first other image on, it goes through `*`, and its
-    numerator into the group of its denominator.  An atom the mapping
+    `_sum` of its terms' products of images.  Each term splits into the
+    product of its polynomial images, a term dict, and the tuple of its
+    atoms with rational images (`_lead_product`).  The term dicts of the
+    terms with one tuple are summed, and each tuple's sum is multiplied
+    through its rational images with `*` once, its numerator going into
+    the group of its denominator; the empty tuple's sum is the polynomial
+    group itself.  The sum of the groups equals the sum of the terms'
+    products in value, and is structurally equal to it when every
+    denominator is one monomial (see `_sum`).  An atom the mapping
     lacks stands for itself, but an opaque call with a mapped atom in its
     arguments, nested ones included, has them rebuilt the same way.  Each
     atom's image is computed once per call."""
@@ -900,14 +905,14 @@ def _replace(e: Expression, mapping) -> Expression:
         return f
 
     def poly(terms):
-        acc = {}
-        groups = {_ONE_TERMS: acc}
+        leads = {}
         for mon, c in terms:
             t, rest = _lead_product(c, mon, image)
-            if not rest:
-                _tadd(acc, t.items())
-                continue
-            out = Expression._make(t, _ONE_TERMS)
+            _tadd(leads.setdefault(rest, {}), t.items())
+        acc = leads.pop((), {})
+        groups = {_ONE_TERMS: acc}
+        for rest, lead in leads.items():
+            out = Expression._make(lead, _ONE_TERMS)
             for a, k in rest:
                 out = out * image(a) ** k
             _tadd(groups.setdefault(out.den, {}), out.num)

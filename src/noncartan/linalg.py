@@ -3,7 +3,11 @@ linear systems in unknown parameters from symbolic identities.
 
 `rank`, `nullspace` and `solve` share one sparse Gauss-Jordan routine,
 `_rref`, which keeps each row as a dict of its nonzero entries: the
-determining systems it serves are large and mostly zeros.  The
+determining systems it serves are large and mostly zeros.  Most of their
+unknowns are zero outright: a row with one entry forces its column to
+zero, and striking that column out of the other rows leaves more such
+rows.  `_rref` peels those columns first, which changes nothing in the
+unique reduced form, and eliminates only the rows that are left.  The
 elimination is fraction-free: each row is scaled to integers and reduced
 by integer cross-multiplication, and only the reduced form it returns is
 divided out into Fractions.  A row is either a dense sequence of ints
@@ -33,22 +37,48 @@ def _rref(rows) -> dict:
     {column: Fraction} of its nonzero entries.  An incoming row is a
     dense sequence or a dict {column: value}.
 
-    Each incoming row is scaled to integers by the lcm of its
-    denominators, reduced by the pivot rows so far and divided by the
-    gcd of its entries; the earlier pivot rows with an entry in its pivot
-    column are then reduced by it.  A reduction is the integer
-    cross-multiplication p * row - row[c] * pivot_row, with p the pivot
-    row's entry in its pivot column c.  Every pivot row is kept primitive
-    with a positive entry in its own pivot column and 0 in the others,
-    so the reductions of one row commute and no pivot row gains an entry
-    left of its pivot.  Dividing each row by its pivot entry at the end
-    gives the reduced form."""
-    pivots = {}
-    for row in rows:
-        r = {c: v for c, v in (row.items() if isinstance(row, dict)
+    First the peel: a row with one entry c * x_j, c != 0, forces x_j = 0,
+    so column j is struck out of every row, which may leave further rows
+    with one entry; passes repeat until one finds no new forced column,
+    and rows left empty are dropped.  The reduced form is unique, and the
+    row space is spanned by the unit rows of the forced columns together
+    with the struck rows, so the forced columns get the reduced rows
+    {j: 1} and the struck rows are eliminated on their own.
+
+    Each row left is scaled to integers by the lcm of its denominators,
+    reduced by the pivot rows so far and divided by the gcd of its
+    entries; the earlier pivot rows with an entry in its pivot column are
+    then reduced by it.  A reduction is the integer cross-multiplication
+    p * row - row[c] * pivot_row, with p the pivot row's entry in its
+    pivot column c.  Every pivot row is kept primitive with a positive
+    entry in its own pivot column and 0 in the others, so the reductions
+    of one row commute and no pivot row gains an entry left of its
+    pivot.  Dividing each row by its pivot entry at the end gives the
+    reduced form."""
+    rows = [{c: v for c, v in (row.items() if isinstance(row, dict)
                                else enumerate(row)) if v}
-        if not r:
-            continue
+            for row in rows]
+    forced = set()
+    new = set()
+    while True:
+        # strike the columns the last pass forced; the earlier ones are
+        # gone already, so a row left with one entry forces a new column
+        left = []
+        found = set()
+        for r in rows:
+            if not new.isdisjoint(r):
+                r = {c: v for c, v in r.items() if c not in new}
+            if len(r) > 1:
+                left.append(r)
+            elif r:
+                found.update(r)
+        rows = left
+        if not found:
+            break
+        forced |= found
+        new = found
+    pivots = {}
+    for r in rows:
         den = math.lcm(*[v.denominator for v in r.values()])
         r = {c: v.numerator * (den // v.denominator) for c, v in r.items()}
         for c in pivots.keys() & r.keys():
@@ -64,8 +94,11 @@ def _rref(rows) -> dict:
             if f is not None:
                 pivots[c] = _primitive(_combine(a, prow, -f, r), c)
         pivots[pc] = r
-    return {pc: {c: Fraction(v, r[pc]) for c, v in r.items()}
-            for pc, r in pivots.items()}
+    red = {pc: {c: Fraction(v, r[pc]) for c, v in r.items()}
+           for pc, r in pivots.items()}
+    one = Fraction(1)
+    red.update((c, {c: one}) for c in forced)
+    return red
 
 
 def _combine(a: int, row: dict, b: int, other: dict) -> dict:

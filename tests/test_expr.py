@@ -1073,3 +1073,57 @@ def test_fused_rebuilds_fall_back_at_the_first_rational_term():
     e = 3 * x * a * g - y
     _assert_same(substitute, reference_substitute, e,
                  {A: 1 / (x + 1), X: y + 1})
+
+
+def test_replace_sums_the_leads_of_terms_with_equal_rational_atoms():
+    """`replace_atoms` multiplies the polynomial images of each term into
+    its lead, sums the leads of the terms whose atoms with rational
+    images agree, and runs one `*` chain per such group; the result
+    equals the term-by-term `*` fold in value, on monomials whose atoms
+    with polynomial and rational images interleave, and when the leads of
+    a group cancel to zero."""
+    rng = random.Random(53)
+    x, b = sym(X), sym(param("b"))
+    # a0 < a1 < ... in every monomial, so the kinds of image alternate
+    atoms = [param("a%d" % i) for i in range(6)]
+    polys, rats = atoms[0::2], atoms[1::2]
+    interleaved = cancelled = 0
+    for case in range(80):
+        mapping = {}
+        for a in polys:
+            mapping[a] = (_random_polynomial(rng, [x, b], rng.randint(1, 2), 2)
+                          if rng.random() < 0.8 else const(rng.randint(2, 3)))
+        for a in rats:
+            mapping[a] = (_random_polynomial(rng, [x, b], rng.randint(1, 2), 1)
+                          / (x + rng.randint(1, 3)) ** rng.randint(1, 2))
+        # a twin of a0: the terms a0 * r and -a4 * r have leads that cancel
+        mapping[atoms[4]] = mapping[atoms[0]]
+        e = zero()
+        for _ in range(rng.randint(2, 5)):
+            term = const(rng.choice((-2, -1, 1, 3)))
+            for a in rng.sample(atoms, rng.randint(1, 5)):
+                term = term * sym(a) ** rng.choice((1, 1, 2))
+            e = e + term
+        rest = sym(rng.choice(rats))
+        twin = const(rng.choice((-2, 1, 3))) * rest
+        if rng.random() < 0.5:
+            twin = twin * sym(atoms[2])
+        e = e + twin * (sym(atoms[0]) - sym(atoms[4]))
+        got = replace_atoms(e, mapping)
+        assert is_zero(got - reference_replace_atoms(e, mapping)), case
+        for mon, _c in e.num:
+            kinds = [a in polys for a, _k in mon]
+            interleaved += any(kinds[i] and not kinds[i + 1] and kinds[i + 2]
+                               for i in range(len(kinds) - 2))
+        # the twin terms' group cancels unless a random term joins it
+        groups = {}
+        for mon, c in e.num:
+            key = tuple((a, k) for a, k in mon if a in rats)
+            lead = const(c)
+            for a, k in mon:
+                if a in polys:
+                    lead = lead * mapping[a] ** k
+            groups[key] = groups.get(key, zero()) + lead
+        cancelled += any(g.is_rational_zero() for g in groups.values())
+    assert interleaved > 30
+    assert cancelled > 30

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from noncartan import Expression, const, indep, jet, param, sym
+from noncartan import (
+    Expression, brute_force_non_cartan_search, const, indep, jet, linalg,
+    param, sym, zero,
+)
 from noncartan.expr import _ONE_TERMS, monomial_expression
 from noncartan.linalg import (
     InconsistentSystemError, _rref, linear_equations_in_params, nullspace,
@@ -276,3 +279,124 @@ def test_integer_rref_matches_fraction_reference():
         deficient += len(red) < min(len(rows), ncols)
     assert negative_leads > 100
     assert deficient > 50
+
+
+def _nonzero(rng):
+    if rng.random() < 0.5:
+        return rng.choice([-3, -2, -1, 1, 2, 5])
+    return Fraction(rng.choice([-7, -2, -1, 1, 3, 4]), rng.randint(2, 9))
+
+
+def _cascade_matrix(rng, ncols):
+    """Dense rows whose one-entry rows force a chain of columns in
+    cascade: the first chain row has one entry, and each later one an
+    entry in its own column and in the column before it, so it is left
+    with one entry only after the pass that forced that column.  Rows
+    with entries only in chain columns peel to empty; the core rows have
+    two or more entries in the other columns, with chain entries mixed
+    in.  Returns the rows and the chain."""
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    chain = cols[:rng.randint(1, ncols - 2)]
+    core = cols[len(chain):]
+    rows = []
+    for i, c in enumerate(chain):
+        row = {c: _nonzero(rng)}
+        if i:
+            row[chain[i - 1]] = _nonzero(rng)
+            for d in rng.sample(chain[:i], rng.randint(0, min(i, 2))):
+                row[d] = _nonzero(rng)
+        rows.append(row)
+    if len(chain) > 1:
+        for _ in range(rng.randint(1, 3)):
+            rows.append({d: _nonzero(rng)
+                         for d in rng.sample(chain, rng.randint(2, len(chain)))})
+    for _ in range(rng.randint(0, 2 * len(core))):
+        row = {d: _nonzero(rng)
+               for d in rng.sample(core, rng.randint(2, len(core)))}
+        for d in rng.sample(chain, rng.randint(0, len(chain))):
+            row[d] = _nonzero(rng)
+        rows.append(row)
+    rng.shuffle(rows)
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows], chain
+
+
+def test_peeled_rref_matches_reference_on_cascades():
+    """Columns forced to zero by one-entry rows, directly or only once an
+    earlier pass has struck a column, get the unit reduced row, and the
+    whole reduced form equals the reference elimination's, for dense
+    rows, dict rows and the rows in any order."""
+    rng = random.Random(43)
+    deep = 0
+    for case in range(200):
+        ncols = rng.randint(3, 14)
+        rows, chain = _cascade_matrix(rng, ncols)
+        ref = reference_rref(rows)
+        red = _rref(rows)
+        assert red == ref, case
+        assert all(red[c] == {c: 1} for c in chain), case
+        assert all(type(v) is Fraction for r in red.values()
+                   for v in r.values()), case
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert _rref(shuffled) == ref, case
+        assert _rref(_dict_rows(rng, shuffled)) == ref, case
+        assert rank(rows) == reference_rank(rows), case
+        assert nullspace(rows) == reference_nullspace(rows), case
+        deep += len(chain) >= 3
+    assert deep > 60
+
+
+def test_solve_raises_on_a_peeled_right_hand_side():
+    """An inconsistency that shows only as a one-entry row in the
+    right-hand-side column, at once or after a column is struck, still
+    raises."""
+    cases = [
+        # a zero row with a nonzero right-hand side
+        ([[1, 2, 0], [0, 0, 0], [0, 1, 1]], [1, 3, 0]),
+        # x0 = 0, then 2 x0 = 5 is left with its right-hand side alone
+        ([[1, 0, 0], [2, 0, 0], [0, 1, 1]], [0, 5, 1]),
+        # x2 = 0 forces x1 = 0, which leaves x1 + x2 = 1/2 inconsistent
+        ([[0, 0, 3], [0, 4, Fraction(1, 3)], [0, 1, 1], [1, 1, 0]],
+         [0, 0, Fraction(1, 2), 2]),
+    ]
+    for rows, rhs in cases:
+        with pytest.raises(InconsistentSystemError):
+            reference_solve(rows, rhs)
+        with pytest.raises(InconsistentSystemError):
+            solve(rows, rhs)
+        drows = [{c: v for c, v in enumerate(r) if v} for r in rows]
+        with pytest.raises(InconsistentSystemError):
+            solve(drows, rhs, ncols=3)
+    # the same rows with right-hand sides that fit solve as the reference
+    rows, rhs = cases[2][0], [0, 0, 0, 2]
+    assert solve(rows, rhs) == reference_solve(rows, rhs) == [2, 0, 0]
+
+
+def test_peeled_rref_matches_reference_on_oracle_rows(monkeypatch):
+    """The dict rows that `non_cartan_search` sends to the elimination
+    for the criterion-9 corpus, at degree caps 1 and 2, reduce as the
+    reference elimination reduces them densified."""
+    x = sym(indep("x"))
+    z = zero()
+    captured = []
+    real = linalg.nullspace
+
+    def spy(rows, ncols=None):
+        captured.append((rows, ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    corpus = [
+        (z, z, z), (z, z, const(-2)), (const(1), z, const(2)),
+        (x, z, z), (z, const(1), z), (z, z, x ** 2),
+        (const(1), const(1), const(1)), (x ** 2, x, const(1)),
+        (z, x, z), (2 * x + 1, z, const(3)),
+    ]
+    for cap in (1, 2):
+        for a, b, c in corpus:
+            brute_force_non_cartan_search(a, b, c, degree_cap=cap)
+    assert len(captured) == 2 * len(corpus)
+    for rows, ncols in captured:
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        assert _rref(rows) == reference_rref(dense)
