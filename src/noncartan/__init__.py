@@ -6,12 +6,12 @@ from .expr import (
     Call, CollectError, CyclicBindingError, Expression, OpaqueArgumentError,
     ParseContext, ParseError, RewriteRule, Symbol, UndecidedZeroError,
     ZeroStatus, apply_rules, call, collect, const, dep, differentiate,
-    format_expression, format_monomial, func, indep, is_zero, jet, normalize,
-    one, param, parse, replace_atoms, substitute, sym, zero, zero_status,
+    format_expression, format_monomial, func, indep, is_zero, jet, one,
+    param, parse, replace_atoms, substitute, sym, zero, zero_status,
 )
 from .jet import (
-    JetContext, JetOrderError, MAX_PROLONGATION, ProlongedField, VectorField,
-    prolong, total_derivative,
+    JetContext, JetOrderError, ProlongedField, VectorField, prolong,
+    total_derivative,
 )
 from .linalg import (
     InconsistentSystemError, linear_equations_in_params, nullspace, rank,

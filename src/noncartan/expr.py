@@ -38,7 +38,7 @@ __all__ = [
     "indep", "dep", "jet", "param", "func", "call", "default_dep_names",
     "const", "atom_expr", "sym", "zero", "one",
     "monomial_expression", "format_monomial",
-    "normalize", "differentiate", "substitute", "replace_atoms",
+    "differentiate", "substitute", "replace_atoms",
     "apply_rules", "collect", "is_zero", "zero_status",
     "parse", "format_expression", "ParseContext", "ParseError",
     "CollectError", "CyclicBindingError", "OpaqueArgumentError",
@@ -87,7 +87,9 @@ class Symbol:
     symbol returns that symbol (a jet of order zero becomes a dependent
     variable first).  So `==` is still structural on the fields, but it
     and the hash are those of object identity.  The sort key is computed
-    once, on the first construction, and stored."""
+    once, on the first construction, and stored.  Only an opaque symbol
+    has an arity, and only a non-opaque one an index or an order, so the
+    key determines the symbol: unequal atoms have unequal keys."""
 
     name: str
     kind: str
@@ -110,6 +112,10 @@ class Symbol:
                 raise ValueError("opaque function arity must be >= 1")
             if len(dorders) != arity or any(d < 0 for d in dorders):
                 raise ValueError("bad derivative orders %r" % (dorders,))
+            if index or order:
+                raise ValueError("an opaque function has no index or order")
+        elif arity:
+            raise ValueError("only an opaque function has an arity")
         self = object.__new__(cls)
         self.__dict__.update(
             name=name, kind=kind, index=index, order=order, arity=arity,
@@ -245,12 +251,9 @@ def _mk_mon(powers: dict) -> tuple:
 
 
 def _mon_mul(m1, m2):
-    """The product of two monomials, by merging the sorted tuples.
-
-    Atoms are compared by key, and by `==` only when the keys tie.
-    Unequal atoms with equal keys keep the order a stable sort of m1's
-    atoms followed by m2's new ones gives: within such a run of ties,
-    m1's atoms first."""
+    """The product of two monomials, by merging the sorted tuples.  An
+    atom's key determines it (see `Symbol`), so atoms that are not the
+    same object are ordered by their keys."""
     if not m1:
         return m2
     if not m2:
@@ -262,31 +265,16 @@ def _mon_mul(m1, m2):
     while i < n1 and j < n2:
         a, e = m1[i]
         b, f = m2[j]
-        ka = a._key
-        kb = b._key
-        if ka < kb:
-            out.append(m1[i])
-            i += 1
-        elif kb < ka:
-            out.append(m2[j])
-            j += 1
-        elif a == b:
+        if a is b:
             out.append((a, e + f))
             i += 1
             j += 1
+        elif a._key < b._key:
+            out.append(m1[i])
+            i += 1
         else:
-            i1 = i
-            while i1 < n1 and m1[i1][0]._key == ka:
-                i1 += 1
-            j1 = j
-            while j1 < n2 and m2[j1][0]._key == ka:
-                j1 += 1
-            powers = dict(m1[i:i1])
-            for b, f in m2[j:j1]:
-                powers[b] = powers.get(b, 0) + f
-            out.extend(powers.items())
-            i = i1
-            j = j1
+            out.append(m2[j])
+            j += 1
     if i < n1:
         out.extend(m1[i:])
     elif j < n2:
@@ -403,8 +391,7 @@ class Expression:
 
     def contains(self, s: Symbol) -> bool:
         # a call matches s when its head is s or has s as its base()
-        s_is_base = (s.kind == OPAQUE and s.index == 0 and s.order == 0
-                     and not any(s.dorders))
+        s_is_base = s.kind == OPAQUE and not any(s.dorders)
         for a in self.atoms():
             if isinstance(a, Call):
                 h = a.head
@@ -557,7 +544,9 @@ def _may_divide(num, den):
     set to its hash mod _P, a product num = q * den maps to univariate
     polynomials n = q' * d, as q is free of 1/_P: a coefficient of den is
     one.  The map is a ring homomorphism at any point, so the test is
-    sound whatever the hashes are."""
+    sound whatever the hashes are.  It stays as the guard against hangs:
+    long division by a den that does not divide num can run for a time
+    that grows with num's degree, as it would on (x^100000+1)/(x-y-1)."""
     kept = den[-1][0][0][0]
 
     def image(terms):
@@ -654,13 +643,6 @@ def sym(s: Symbol) -> Expression:
 def call(head: Symbol, *args) -> Expression:
     args = tuple(Expression._coerce(a) for a in args)
     return atom_expr(Call(head, args))
-
-
-def normalize(e: Expression) -> Expression:
-    """The identity: every expression is already in the engine's
-    normal form (see `Expression`).  `==` stays structural; compare
-    values with `(a - b).is_rational_zero()`."""
-    return e
 
 
 # ---------------------------------------------------------------------------

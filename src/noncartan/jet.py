@@ -13,10 +13,7 @@ from .expr import (
 )
 
 __all__ = ["JetContext", "VectorField", "ProlongedField",
-           "total_derivative", "prolong", "JetOrderError",
-           "MAX_PROLONGATION"]
-
-MAX_PROLONGATION = 4
+           "total_derivative", "prolong", "JetOrderError"]
 
 
 class JetOrderError(ValueError):
@@ -152,15 +149,13 @@ def _total_derivative(e: Expression, ctx: JetContext, memo: dict) -> Expression:
     return _derive(e, dsym, memo)
 
 
-def prolong(v: VectorField, p: int, max_order: int = MAX_PROLONGATION) -> ProlongedField:
+def prolong(v: VectorField, p: int) -> ProlongedField:
     """The p-th prolongation, via the recursion
     phi^(k+1) = D_x phi^(k) - y^(k+1) D_x xi.  The total derivatives of
-    atoms are taken once per call."""
+    atoms are taken once per call.  No order is refused: the work grows
+    with p and, for a rational field, with the size of each D_x."""
     if p < 1:
         raise ValueError("prolongation order must be >= 1")
-    if p > max_order:
-        raise ValueError("prolongation order %d exceeds the cap %d"
-                         % (p, max_order))
     ctx = v.context
     work = ctx if ctx.order >= p else JetContext(
         ctx.m, p, ctx.indep_name, ctx.dep_names)
@@ -180,9 +175,9 @@ def _top_split(v: VectorField, p: int, coeffs: dict, ctx: JetContext):
     sum_k y_k^(p) G_jk, from one pass over the terms of each phi_j^(p):
     a term without a top jet goes to E_j, a term with one to G_jk with
     that factor sliced out of its sorted monomial.  None when p < 2 (the
-    first prolongation is quadratic in y'), when a component or
-    coefficient is not a polynomial, or when a term is not affine in the
-    top jets."""
+    first prolongation is quadratic in y'), or when a component or
+    coefficient is not a polynomial.  For p >= 2 every term is affine in
+    the top jets: only D_x of a jet of order p - 1 makes y^(p)."""
     if p < 2 or any(c.den != _ONE_TERMS for c in (v.xi, *coeffs.values())):
         return None
     top = {ctx.jet(k, p): k for k in range(1, ctx.m + 1)}
@@ -191,15 +186,12 @@ def _top_split(v: VectorField, p: int, coeffs: dict, ctx: JetContext):
         rest = []
         parts = [{} for _ in range(ctx.m)]
         for mon, c in coeffs[(j, p)].num:
-            hits = [i for i, (a, _e) in enumerate(mon) if a in top]
-            if not hits:
+            for i, (a, _e) in enumerate(mon):
+                if a in top:
+                    parts[top[a] - 1][mon[:i] + mon[i + 1:]] = c
+                    break
+            else:
                 rest.append((mon, c))
-                continue
-            i = hits[0]
-            a, e = mon[i]
-            if len(hits) > 1 or e > 1:
-                return None
-            parts[top[a] - 1][mon[:i] + mon[i + 1:]] = c
         split.append((Expression(tuple(rest), _ONE_TERMS),
                       tuple(Expression._make(g, _ONE_TERMS) for g in parts)))
     return tuple(split)

@@ -148,7 +148,7 @@ def invariance_residual(v: VectorField, system: OdeSystem) -> list:
     n = system.ctx.order
     ctx = system.ctx
     vv = v if v.context == ctx else VectorField(v.xi, v.phi, ctx)
-    return _prolonged_residuals(prolong(vv, n, max_order=max(n, 4)), system)
+    return _prolonged_residuals(prolong(vv, n), system)
 
 
 def _prolonged_residuals(pf: ProlongedField, system: OdeSystem) -> list:
@@ -196,7 +196,8 @@ def determining_equations(system: OdeSystem, ansatz: VectorField) -> Determining
     for nu, res in enumerate(residuals, start=1):
         groups = collect(res, jet_vars)
         for mon in sorted(groups, key=_mon_key):
-            eq = _scale_equation(groups[mon])
+            # collect drops zero coefficients, so each has a leading term
+            eq = groups[mon] / groups[mon].num[0][1]
             try:
                 pos = equations.index(eq)
             except ValueError:
@@ -211,12 +212,6 @@ def determining_equations(system: OdeSystem, ansatz: VectorField) -> Determining
                 if base not in unknowns:
                     unknowns.append(base)
     return DeterminingSystem(tuple(unknowns), tuple(equations), index)
-
-
-def _scale_equation(e: Expression) -> Expression:
-    if e.is_rational_zero():
-        return e
-    return e / e.num[0][1]
 
 
 def commutator(v: VectorField, w: VectorField) -> VectorField:
@@ -302,15 +297,6 @@ def _slot_denominators(component_lists) -> list:
     return dens
 
 
-def _flatten_fields(component_lists) -> list:
-    """Given per-field component tuples, clear denominators per slot and
-    return each field's exact coefficient vector as a dict {column:
-    value}, one column per (slot, monomial) pair that occurs."""
-    dens = _slot_denominators(component_lists)
-    columns = {}
-    return [_flat_vector(comps, dens, columns) for comps in component_lists]
-
-
 def _flat_vector(comps, dens, columns):
     """The coefficient vector of one component tuple: each component's
     numerator times the other denominators of its slot.  A pair that has
@@ -359,16 +345,14 @@ def algebra_report(fields, rules=()) -> LieAlgebraReport:
     non-Cartan count.
 
     Each field's partials are taken once and every bracket is built from
-    them (see `_bracket`).  The basis is flattened once, and a bracket
-    whose denominators all occur in the basis is flattened over the
-    basis's columns, a new (slot, monomial) pair getting a column of its
-    own that puts the bracket outside the span; all those brackets are
-    solved, and the basis's independence read, in one `_span_solve`.  A
-    bracket with a new denominator is flattened together with the basis
-    and solved alone.  A solution, with the free coefficients zero, is
-    fixed by the reduced form whatever the order of the rows and columns,
-    so it is that of a solve against the basis flattened with the
-    bracket."""
+    them (see `_bracket`).  The basis and the nonzero brackets are
+    flattened together, each slot cleared of every denominator it has in
+    any of them, and one `_span_solve` gives every bracket's solution and
+    the basis's independence.  Clearing a slot multiplies it by a
+    nonzero polynomial, an injective linear map, so the column
+    dependencies of [basis | brackets], and with them the reduced form
+    and its solutions, are those of a solve of each bracket against the
+    basis flattened with that bracket alone."""
     fields = list(fields)
     if not fields:
         raise ValueError("algebra_report needs at least one vector field")
@@ -380,30 +364,24 @@ def algebra_report(fields, rules=()) -> LieAlgebraReport:
     partials = [_partials(f) for f in fields]
     simplified = [tuple(apply_rules(c, rules) for c in f.components())
                   for f in fields]
-    dens = _slot_denominators(simplified)
-    columns = {}
-    vectors = [_flat_vector(comps, dens, columns) for comps in simplified]
     structure = {}
-    pending = {}     # (i, j) -> the bracket's vector over the basis columns
-    abelian = True
+    brackets = {}    # (i, j) -> the nonzero bracket's simplified components
     for i in range(n):
         for j in range(i + 1, n):
             br = _bracket(fields[i], partials[i], fields[j], partials[j])
             br_comps = tuple(apply_rules(c, rules) for c in br.components())
             if all(is_zero(c, rules) for c in br_comps):
                 structure[(i, j)] = tuple(Fraction(0) for _ in fields)
-                continue
-            abelian = False
-            if any(c.den not in slot for c, slot in zip(br_comps, dens)):
-                stacked = _flatten_fields(simplified + [br_comps])
-                sols, _ = _span_solve(stacked[:-1], stacked[-1:])
-                structure[(i, j)] = sols[0]
             else:
-                structure[(i, j)] = None
-                pending[(i, j)] = _flat_vector(br_comps, dens, columns)
-    sols, independent = _span_solve(vectors, list(pending.values()))
-    structure.update(zip(pending, sols))
+                structure[(i, j)] = None    # keeps the pairs in (i, j) order
+                brackets[(i, j)] = br_comps
+    stacked = simplified + list(brackets.values())
+    dens = _slot_denominators(stacked)
+    columns = {}
+    vectors = [_flat_vector(comps, dens, columns) for comps in stacked]
+    sols, independent = _span_solve(vectors[:n], vectors[n:])
+    structure.update(zip(brackets, sols))
     failures = tuple(p for p, row in structure.items() if row is None)
     ncc = sum(1 for f in fields if is_non_cartan(f))
     return LieAlgebraReport(tuple(fields), structure, independent,
-                            abelian, ncc, failures)
+                            not brackets, ncc, failures)

@@ -19,7 +19,7 @@ from noncartan.linalg import (
     solve,
 )
 from noncartan.symmetry import (
-    _bracket, _flat_vector, _flatten_fields, _partials, _slot_denominators,
+    _bracket, _flat_vector, _partials, _slot_denominators,
 )
 
 X = indep("x")
@@ -435,6 +435,15 @@ def reference_algebra_report(fields, rules=()):
     return independent, abelian, structure, tuple(failures)
 
 
+def flatten_fields(component_lists) -> list:
+    """Given per-field component tuples, clear denominators per slot and
+    return each field's exact coefficient vector as a dict {column:
+    value}, one column per (slot, monomial) pair that occurs."""
+    dens = _slot_denominators(component_lists)
+    columns = {}
+    return [_flat_vector(comps, dens, columns) for comps in component_lists]
+
+
 def reference_span_solve(vectors, target, nfields):
     """`linalg.solve` for coefficients c with sum_k c_k vectors[k] =
     target, one equation per column."""
@@ -473,7 +482,7 @@ def reference_bracket_solves(fields, rules=()):
                 continue
             try:
                 if any(c.den not in slot for c, slot in zip(br_comps, dens)):
-                    stacked = _flatten_fields(simplified + [br_comps])
+                    stacked = flatten_fields(simplified + [br_comps])
                     sol = reference_span_solve(stacked[:-1], stacked[-1], n)
                 else:
                     target = _flat_vector(br_comps, dens, columns)

@@ -17,14 +17,15 @@ from noncartan import (
     free_fall_symmetries, func, indep, invariance_residual, is_non_cartan,
     is_zero, isotropic_system, IterativeOperator, non_cartan_family,
     non_cartan_generators, nonlinear_counterexample, normal_form_coeffs,
-    normalize, normalize_s, scalar_context, scalar_non_cartan,
+    normalize_s, scalar_context, scalar_non_cartan,
     source_solution_basis, sym, zero, one, zero_status, apply_rules,
 )
 from noncartan import linalg
-from noncartan.symmetry import _flatten_fields
 from noncartan.cli import main as cli_main
 
-from helpers import evaluate, random_expression, random_point_field
+from helpers import (
+    evaluate, flatten_fields, random_expression, random_point_field,
+)
 
 X = indep("x")
 TOL = 1e-8
@@ -89,7 +90,7 @@ def test_criterion_03_dimension():
         assert len(fields) == m * m + 4 * m + 3
         comps = [tuple(apply_rules(c, src.rules) for c in f.components())
                  for f in fields]
-        vectors = _flatten_fields(comps)
+        vectors = flatten_fields(comps)
         assert linalg.rank(vectors) == len(fields)
 
 
@@ -295,10 +296,6 @@ def test_criterion_09_classification():
 
 @criterion(10, "engine properties: 1000-case randomized suites")
 def test_criterion_10_engine_properties():
-    rng = random.Random(0)
-    for _ in range(1000):
-        e = random_expression(rng)
-        assert normalize(normalize(e)) == normalize(e)
     rng = random.Random(0)
     for _ in range(1000):
         e1 = random_expression(rng, depth=2)

@@ -60,6 +60,11 @@ def test_cubic_rational_division():
     assert cubic_in_p_test((p ** 4 + y * p ** 3) / p)
     assert not cubic_in_p_test((p ** 5 + y * p ** 4) / p)
     assert not cubic_in_p_test(p ** 3 / (p + y))
+    # a denominator that divides the numerator exactly in p
+    x = sym(ctx.x)
+    assert cubic_in_p_test(x * (p ** 2 - 1) / ((p - 1) * (x + 1)))
+    assert cubic_in_p_test(x * (p ** 4 - 1) / ((p - 1) * (x + 1)))
+    assert not cubic_in_p_test(x * (p ** 5 - 1) / ((p - 1) * (x + 1)))
 
 
 def test_cubic_counterexample():

@@ -6,7 +6,7 @@ import pytest
 
 from noncartan import (
     ParseContext, call, determining_system_2x2, format_expression, func,
-    indep, normalize, parse, sym,
+    indep, parse, sym,
 )
 from noncartan.cli import format_vector_field, main
 from noncartan.io import InputError, parse_system, parse_vector_field
@@ -302,6 +302,43 @@ HOSTILE = [
     (["verify", "--system", "y" + "'" * 12 + "=0", "--catalog", "canonical"],
      "error: catalog 'canonical' takes order at most 8; the system has "
      "order 12"),
+    # systems that solve for no highest derivative, or for one twice
+    (["classify", "--system", "y''=0=1"],
+     "error: equation \"y''=0=1\" has more than one '='"),
+    (["classify", "--system", " ; ; "], "error: empty system"),
+    (["classify", "--system", "y''*q(y'')=0"],
+     "error: equation \"y''*q(y'')=0\" is not polynomial in the highest "
+     "derivatives"),
+    (["classify", "--system", "y''+w''=0; w''=0"],
+     "error: equation \"y''+w''=0\" contains more than one highest "
+     "derivative"),
+    (["classify", "--system", "y''=w; w'=0"],
+     "error: equation \"w'=0\" contains no highest derivative"),
+    (["classify", "--system", "y''=w'; y''=0"],
+     "error: two equations solve for the same variable 'y'"),
+    # generators and ansatz components that are not point fields
+    (["verify", "--system", "y''=0", "--generator", "y*dx+"],
+     "error: cannot parse vector field 'y*dx+': unexpected token '' "
+     "(at position 5)"),
+    (["verify", "--system", "y''=0", "--generator", "y/dx"],
+     "error: coordinate markers may not appear in denominators or inside "
+     "functions"),
+    (["verify", "--system", "y''=0", "--generator", "y'*dx"],
+     "error: point vector field components may depend only on x and "
+     "zeroth-order jet variables"),
+    (["determining", "--system", "y''=0", "--ansatz", "xi"],
+     "error: ansatz component 'xi' needs name=expression"),
+    (["determining", "--system", "y''=0", "--ansatz", "xi=(x"],
+     "error: cannot parse ansatz component 'xi=(x': expected ')' "
+     "(at position 2)"),
+    (["determining", "--system", "y''=0", "--ansatz", "xi=x,zeta=y"],
+     "error: unknown ansatz components: zeta"),
+    (["determining", "--system", "y''=0", "--ansatz", "xi=y'"],
+     "error: point vector field components may depend only on x and "
+     "zeroth-order jet variables"),
+    (["determining", "--system", "y''=0", "--ansatz", "restricted"],
+     "error: the restricted ansatz applies to pairs of second-order "
+     "equations"),
 ]
 
 
@@ -317,6 +354,19 @@ def test_hostile_input_exits_2_with_message(args, message):
     last = err.getvalue().splitlines()[-1]
     assert last.startswith(message)
     assert err.getvalue() == last + "\n"
+
+
+def test_system_read_from_a_file(tmp_path):
+    """--system names a file when one exists at that path: the request
+    prints what the inline request prints."""
+    system = "y''+q(x)*y=0; w''+q(x)*w=0"
+    path = tmp_path / "system.txt"
+    path.write_text(system, encoding="utf-8")
+    for command in (["classify"], ["determining"],
+                    ["verify", "--catalog", "canonical"]):
+        inline = run(command + ["--system", system])
+        assert inline[0] == 0
+        assert run(command + ["--system", str(path)]) == inline
 
 
 def test_classify_linear_not_in_class():
@@ -403,5 +453,4 @@ def test_report_expressions_reparse():
     doc = json.loads(out)
     ctx = ParseContext(1)
     for entry in doc["inputs"]["system"]:
-        e = parse(entry, ctx)
-        assert normalize(e) == e
+        assert format_expression(parse(entry, ctx)) == entry

@@ -15,7 +15,7 @@ from noncartan import (
     Call, CollectError, CyclicBindingError, Expression, ParseContext,
     ParseError, RewriteRule, SourceEquation, Symbol, UndecidedZeroError,
     ZeroStatus, apply_rules, call, collect, const, dep, differentiate,
-    format_expression, func, indep, is_zero, jet, normalize, one, param,
+    format_expression, func, indep, is_zero, jet, one, param,
     parse, replace_atoms, substitute, sym, zero, zero_status,
 )
 from noncartan import expr as expr_module
@@ -97,6 +97,18 @@ def test_may_divide_passes_every_quotient(monkeypatch):
     monkeypatch.setattr(expr_module, "_may_divide", lambda num, den: True)
     assert all(_divide(off, den) is None for off, den in refused)
     assert len(cases) > 100 and len(refused) > 0.9 * len(cases)
+
+
+def test_may_divide_keeps_a_large_quotient_from_hanging():
+    """Without the filter, long division of x^100000 + 1 by x - y - 1
+    runs for a time that grows with the degree; with it the parse
+    takes milliseconds."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(noncartan.__file__)))
+    code = ("from noncartan import ParseContext, parse\n"
+            "parse('(x^100000+1)/(x-y-1)', ParseContext(1))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=20)
 
 
 def test_denominator_normalization():
@@ -419,13 +431,6 @@ def test_replace_atoms_rebuilds_only_calls_with_a_mapped_atom():
     assert replace_atoms(e, {P: x}) == e
 
 
-def test_normalize_idempotent_randomized():
-    rng = random.Random(0)
-    for _ in range(300):
-        e = random_expression(rng)
-        assert normalize(normalize(e)) == normalize(e)
-
-
 def test_numeric_evaluation():
     x = sym(X)
     e = (x + 1) ** 2
@@ -601,10 +606,6 @@ def test_cancel_monomial_gcd_matches_reference_randomized():
 def _random_head(rng):
     arity = rng.randint(1, 2)
     dorders = tuple(rng.choice((0, 0, 1, 2)) for _ in range(arity))
-    if rng.random() < 0.15:
-        # index and order play no part in base(), which resets them
-        return Symbol(rng.choice("fg"), OPAQUE, index=1,
-                      order=rng.randint(0, 1), arity=arity, dorders=dorders)
     return func(rng.choice("fg"), arity, dorders)
 
 
@@ -695,20 +696,27 @@ def test_atom_hash_survives_pickle_across_processes():
     assert {here: 1}[e] == 1
 
 
+def test_atom_key_determines_the_atom():
+    """Only an opaque symbol has an arity and only a non-opaque one an
+    index or an order, so unequal atoms have unequal keys."""
+    with pytest.raises(ValueError):
+        Symbol("x", X.kind, arity=1)
+    for fields in ({"index": 1}, {"order": 1}):
+        with pytest.raises(ValueError):
+            Symbol("f", OPAQUE, arity=1, dorders=(0,), **fields)
+    rng = random.Random(29)
+    atoms = set(_random_atoms(rng, 200)) | {func("f"), func("g", 2)}
+    assert len({a.sort_key() for a in atoms}) == len(atoms)
+
+
 def test_mon_mul_matches_reference_randomized():
-    """The merging product equals the dict-and-sort product, also when
-    unequal atoms tie on their keys: Calls whose heads differ only in
-    index or order, and a plain symbol with a stray arity."""
+    """The merging product equals the dict-and-sort product."""
     rng = random.Random(23)
-    stray = Symbol("x", X.kind, arity=1)
-    assert stray.sort_key() == X.sort_key() and stray != X
-    ties = 0
     for case in range(600):
-        atoms = _random_atoms(rng, 10) + [stray, func("h")]
+        atoms = _random_atoms(rng, 10) + [func("h")]
 
         def monomial():
             chosen = rng.sample(atoms, rng.choice((0, 1, 2, 3, 5)))
-            # _mk_mon keeps the insertion order of tied atoms
             return _mk_mon({a: rng.randint(1, 3) for a in chosen})
 
         m1, m2 = monomial(), monomial()
@@ -717,18 +725,7 @@ def test_mon_mul_matches_reference_randomized():
         got = _mon_mul(m1, m2)
         assert got == reference_mon_mul(m1, m2), case
         keys = [a.sort_key() for a, _e in got]
-        assert keys == sorted(keys), case
-        ties += len(set(keys)) < len(keys)
-    assert ties > 50
-    f0 = func("f")
-    f1 = Symbol("f", OPAQUE, index=1, arity=1, dorders=(0,))
-    a, b = Call(f0, (sym(X),)), Call(f1, (sym(X),))
-    assert a.sort_key() == b.sort_key() and a != b
-    for m1, m2 in ((((a, 1),), ((b, 2), (a, 3))),
-                   (((b, 1), (a, 1)), ((a, 2),)),
-                   (((stray, 1), (a, 1)), ((X, 1), (b, 1))),
-                   ((), ((b, 1), (a, 1))), (((a, 1),), ())):
-        assert _mon_mul(m1, m2) == reference_mon_mul(m1, m2)
+        assert keys == sorted(set(keys)), case
 
 
 def test_contains_matches_reference_randomized():

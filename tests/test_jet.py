@@ -63,13 +63,14 @@ def test_prolongation_coefficients():
     assert pf.coeff(1, 2) == -3 * x * p2
 
 
-def test_prolongation_cap():
+def test_prolongation_has_no_order_cap():
+    """x d/dx prolongs to phi^(k) = -k y^(k), at any order."""
     ctx = scalar_context()
-    v = VectorField(one(), (zero(),), ctx)
-    with pytest.raises(ValueError):
-        prolong(v, 5)
-    pf = prolong(v, 4)
-    assert pf.coeff(1, 4) == zero()
+    x = sym(ctx.x)
+    pf = prolong(VectorField(x, (zero(),), ctx), 7)
+    for k in range(1, 8):
+        assert pf.coeff(1, k) == -k * sym(ctx.jet(1, k))
+    assert prolong(VectorField(one(), (zero(),), ctx), 6).coeff(1, 6) == zero()
 
 
 def test_field_arithmetic():
