@@ -1,7 +1,9 @@
 """Command-line surface: read systems, vector fields and ansatze from
 inline strings or files (parsed by `noncartan.io`), dispatch the
 verification, determining-system, classification, catalog and commutator
-commands, and emit deterministic text or JSON reports."""
+commands, and print deterministic text or JSON reports.  Each command
+takes only the options it reads and returns its exit code, inputs,
+results and text lines; `main` alone builds the report and prints it."""
 
 from __future__ import annotations
 
@@ -43,6 +45,9 @@ EXIT_USAGE = 2
 # recursion, its recheck and the prolongations grow quickly with the order
 MAX_M = {"canonical": 6, "non-cartan": 20}
 MAX_N = 8
+
+# the report's `engine-info`: every zero test is symbolic
+ENGINE_INFO = {"zero-test-modes": ["symbolic"]}
 
 
 # ---------------------------------------------------------------------------
@@ -118,24 +123,18 @@ def _called_names(exprs) -> set:
             if isinstance(a, Call)}
 
 
-# ---------------------------------------------------------------------------
-# Reports
-
-
-def _emit(report: dict, fmt: str, lines) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2))
-        sys.stdout.write("\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+def _system_inputs(system) -> dict:
+    """The inputs that `verify` and `classify` report."""
+    return {"system": [format_expression(r) for r in system.rhs],
+            "order": system.ctx.order,
+            "variables": list(system.ctx.dep_names)}
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (exit code, inputs, results, text lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     system = parse_system(_read_source(args.system))
     ctx = system.ctx
     given = [parse_vector_field(_read_source(text), ctx)
@@ -178,25 +177,11 @@ def cmd_verify(args) -> int:
             "  [non-Cartan]" if is_non_cartan(v) else ""))
     npass = sum(1 for r in results if r["pass"])
     lines.append("%d/%d pass" % (npass, len(results)))
-    report = {
-        "command": "verify",
-        "inputs": {
-            "system": [format_expression(r) for r in system.rhs],
-            "order": system.ctx.order,
-            "variables": list(system.ctx.dep_names),
-        },
-        "results": results,
-        "engine-info": _engine_info(args),
-    }
-    _emit(report, args.format, lines)
-    return EXIT_OK if all_pass else EXIT_FAIL
+    return (EXIT_OK if all_pass else EXIT_FAIL, _system_inputs(system),
+            results, lines)
 
 
-def _engine_info(args) -> dict:
-    return {"seed": args.seed, "zero-test-modes": ["symbolic"]}
-
-
-def cmd_determining(args) -> int:
+def cmd_determining(args) -> tuple:
     system = parse_system(_read_source(args.system))
     ctx = system.ctx
     spec = (args.ansatz or "full").strip()
@@ -233,21 +218,13 @@ def cmd_determining(args) -> int:
         lines.append("E%-3d [slice %d, coeff of %s]  %s = 0"
                      % (rank, nu, mon, eq))
         results.append({"equation": eq, "slice": nu, "monomial": mon})
-    report = {
-        "command": "determining",
-        "inputs": {
-            "system": [format_expression(r) for r in system.rhs],
-            "ansatz": spec,
-            "unknowns": [u.name for u in ds.unknowns],
-        },
-        "results": results,
-        "engine-info": _engine_info(args),
-    }
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    inputs = {"system": [format_expression(r) for r in system.rhs],
+              "ansatz": spec,
+              "unknowns": [u.name for u in ds.unknowns]}
+    return EXIT_OK, inputs, results, lines
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple:
     system = parse_system(_read_source(args.system))
     ctx = system.ctx
     spec = _classify.LinearSystemSpec.from_system(system)
@@ -316,24 +293,11 @@ def cmd_classify(args) -> int:
     else:
         raise InputError("classification needs a linear normal-form "
                          "system or a scalar second-order equation")
-    report = {
-        "command": "classify",
-        "inputs": {
-            "system": [format_expression(r) for r in system.rhs],
-            "order": ctx.order,
-            "variables": list(ctx.dep_names),
-        },
-        "results": results,
-        "engine-info": _engine_info(args),
-    }
-    _emit(report, args.format, lines)
-    return code
+    return code, _system_inputs(system), results, lines
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> tuple:
     key = args.key
-    if key == "commutators":
-        return cmd_commutators(args)
     inputs = {"key": key}
     lines = []
     results = []
@@ -362,14 +326,11 @@ def cmd_catalog(args) -> int:
         results.append({"system": [format_expression(f) for f in system.rhs]})
     else:
         raise InputError("unknown catalog key %r" % key)
-    report = {"command": "catalog", "inputs": inputs, "results": results,
-              "engine-info": _engine_info(args)}
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    return EXIT_OK, inputs, results, lines
 
 
-def cmd_commutators(args) -> int:
-    key = getattr(args, "set", None) or "free-fall"
+def cmd_commutators(args) -> tuple:
+    key = args.set
     labels, fields, src = _generator_set(key, None, args.m, args.n)
     rules = src.rules if src is not None else ()
     report_obj = algebra_report(fields, rules)
@@ -392,12 +353,7 @@ def cmd_commutators(args) -> int:
                 text = " + ".join(parts) if parts else "0"
             lines.append("[%s, %s] = %s" % (labels[i], labels[j], text))
             results.append({"pair": [labels[i], labels[j]], "bracket": text})
-    report = {"command": "commutators",
-              "inputs": {"set": key},
-              "results": results,
-              "engine-info": _engine_info(args)}
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    return EXIT_OK, {"set": key}, results, lines
 
 
 # ---------------------------------------------------------------------------
@@ -435,47 +391,43 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lie point symmetry toolkit for ODE systems")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run, shape):
+        # --m and --n size the catalog family a command builds
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--m", type=_int_within(1), default=None)
-        p.add_argument("--n", type=_int_within(2, MAX_N), default=None)
+        if shape:
+            p.add_argument("--m", type=_int_within(1), default=None)
+            p.add_argument("--n", type=_int_within(2, MAX_N), default=None)
+        p.set_defaults(run=run)
 
     pv = sub.add_parser("verify", help="check invariance of generators")
     pv.add_argument("--system", required=True)
     pv.add_argument("--generator", action="append", default=[])
     pv.add_argument("--catalog", default=None)
-    common(pv)
-    pv.set_defaults(run=cmd_verify)
+    common(pv, cmd_verify, shape=True)
 
     pd = sub.add_parser("determining", help="print the determining system")
     pd.add_argument("--system", required=True)
     pd.add_argument("--ansatz", default="full")
-    common(pd)
-    pd.set_defaults(run=cmd_determining)
+    common(pd, cmd_determining, shape=False)
 
     pc = sub.add_parser("classify", help="canonical-class / linearizability")
     pc.add_argument("--system", required=True)
-    common(pc)
-    pc.set_defaults(run=cmd_classify)
+    common(pc, cmd_classify, shape=False)
 
     pk = sub.add_parser("catalog", help="print catalog objects")
     pk.add_argument("key")
-    pk.add_argument("--set", default=None)
-    common(pk)
-    pk.set_defaults(run=cmd_catalog)
+    common(pk, cmd_catalog, shape=True)
 
     pm = sub.add_parser("commutators", help="bracket table for a basis")
     pm.add_argument("--set", default="free-fall")
-    common(pm)
-    pm.set_defaults(run=cmd_commutators)
+    common(pm, cmd_commutators, shape=True)
     return ap
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.run(args)
+        code, inputs, results, lines = args.run(args)
     except SystemExit as exc:   # --help
         return EXIT_USAGE if exc.code not in (0, None) else 0
     except (InputError, UndecidedZeroError) as exc:
@@ -484,6 +436,14 @@ def main(argv=None) -> int:
     except RecursionError:
         sys.stderr.write("error: input nested too deeply\n")
         return EXIT_USAGE
+    if args.format == "json":
+        lines = [json.dumps({"command": args.command, "inputs": inputs,
+                             "results": results,
+                             "engine-info": ENGINE_INFO},
+                            sort_keys=True, indent=2)]
+    for line in lines:
+        sys.stdout.write(line + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -49,10 +49,6 @@ class OdeSystem:
                 raise ValueError("right-hand side contains jet symbols of "
                                  "order >= %d" % self.ctx.order)
 
-    @property
-    def order(self) -> int:
-        return self.ctx.order
-
     def on_shell(self, e: Expression) -> Expression:
         """Substitute the solved form for the top-order jet symbols."""
         n = self.ctx.order

@@ -361,7 +361,7 @@ def test_criterion_11_cli():
         (["classify", "--system", "eq14"], 1),
     ]
     for args, expected in cases:
-        jargs = args + ["--format", "json", "--seed", "0"]
+        jargs = args + ["--format", "json"]
         outputs = []
         for _ in range(2):
             buf = io.StringIO()

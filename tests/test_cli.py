@@ -339,6 +339,15 @@ HOSTILE = [
     (["determining", "--system", "y''=0", "--ansatz", "restricted"],
      "error: the restricted ansatz applies to pairs of second-order "
      "equations"),
+    # each command takes only the options it reads
+    (["classify", "--system", "y''=0", "--seed", "0"],
+     "error: unrecognized arguments: --seed 0"),
+    (["classify", "--system", "y''=0", "--m", "3"],
+     "error: unrecognized arguments: --m 3"),
+    (["determining", "--system", "y''=0", "--n", "3"],
+     "error: unrecognized arguments: --n 3"),
+    (["catalog", "commutators", "--set", "free-fall"],
+     "error: unrecognized arguments: --set free-fall"),
 ]
 
 
@@ -436,14 +445,14 @@ def test_commutators_non_cartan_abelian():
 
 
 def test_json_byte_stability():
-    args = ["classify", "--system", "eq14", "--format", "json", "--seed", "0"]
+    args = ["classify", "--system", "eq14", "--format", "json"]
     code1, out1 = run(args)
     code2, out2 = run(args)
     assert code1 == code2 == 1
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["command"] == "classify"
-    assert doc["engine-info"]["seed"] == 0
+    assert doc["engine-info"] == {"zero-test-modes": ["symbolic"]}
 
 
 def test_report_expressions_reparse():

@@ -1023,12 +1023,16 @@ def test_apply_rules_matches_per_pass_lifting_randomized():
 
 
 def test_fused_rebuilds_fall_back_at_the_first_rational_term():
-    """substitute, replace_atoms and differentiate put polynomial term
-    products straight into one term dict and a term with a rational
-    image or derivative into the group of its denominator; placed first,
-    in the middle or last among the terms, and first, in the middle or
-    last within its monomial, the result matches the running sum's (see
-    `_assert_same`)."""
+    """substitute and replace_atoms multiply each term's polynomial
+    images into one term dict, its lead, and group the terms by the tuple
+    of their atoms with rational images: the leads of one tuple are
+    summed and multiplied through those images with `*` once, the empty
+    tuple's sum being the polynomial group (`_lead_product`, `_replace`);
+    differentiate puts each piece into the group of its derivative's
+    denominator (`_diff_poly`).  With the term that holds a rational
+    image or derivative placed first, in the middle or last among the
+    terms, and first, in the middle or last within its monomial, the
+    result matches the running sum's (see `_assert_same`)."""
     x, y, a = sym(X), sym(Y), sym(param("a"))
     A = param("a")
     g = call(func("G"), 1 / (x + 1))     # d/dx is rational
@@ -1065,8 +1069,9 @@ def test_fused_rebuilds_fall_back_at_the_first_rational_term():
     bindings = {Y: -(x + 1), A: (x ** 2 - 1) / (x - 1), param("b"): sym(P)}
     assert substitute(e, bindings) == sym(P)
     _assert_same(substitute, reference_substitute, e, bindings)
-    # within a monomial: x * a * G(..) with a rational image for a
-    # multiplies the polynomial lead x, then a, then G through `*`
+    # within a monomial: 3 * x * a * G(..) with a rational image for a
+    # multiplies the images of x and G into the lead, then the lead by
+    # a's image through `*`
     e = 3 * x * a * g - y
     _assert_same(substitute, reference_substitute, e,
                  {A: 1 / (x + 1), X: y + 1})
