@@ -28,7 +28,7 @@ from .catalog import (
     c1_symmetry_pde_residual, canonical_basis, free_fall_symmetries,
     isotropic_system, iterative_power, non_cartan_family,
     non_cartan_generators, nonlinear_counterexample, normal_form_coeffs,
-    normalize_s, reduction_transformation, scalar_context, scalar_non_cartan,
+    normalize_s, reduction_transformation, scalar_context,
     source_solution_basis,
 )
 from .classify import (

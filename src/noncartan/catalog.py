@@ -19,7 +19,7 @@ from .symmetry import OdeSystem, PointTransformation
 __all__ = [
     "SourceEquation", "IterativeOperator", "NormalFormCoefficients",
     "free_fall_symmetries", "canonical_basis", "non_cartan_generators",
-    "scalar_non_cartan", "iterative_power", "normalize_s",
+    "iterative_power", "normalize_s",
     "normal_form_coeffs", "source_solution_basis", "isotropic_system",
     "reduction_transformation", "non_cartan_family",
     "nonlinear_counterexample", "c1_symmetry_pde_residual",
@@ -233,17 +233,14 @@ def _check_annihilates(src: SourceEquation,
             "normal-form coefficients fail to annihilate s_k")
 
 
-def isotropic_system(m: int, n: int, src: SourceEquation,
-                     ctx: JetContext = None) -> OdeSystem:
-    """The canonical-class normal form: m copies of the iterative
-    equation y^(n) + sum_j A_n^j y^(n-j) = 0."""
-    ctx = ctx or JetContext(m, n)
-    if (ctx.m, ctx.order) != (m, n):
-        raise ValueError("the context has m = %d and order %d, the system "
-                         "m = %d and order %d" % (ctx.m, ctx.order, m, n))
+def isotropic_system(src: SourceEquation, ctx: JetContext) -> OdeSystem:
+    """The canonical-class normal form in ctx: ctx.m copies of the
+    iterative equation y^(n) + sum_j A_n^j y^(n-j) = 0 of order
+    n = ctx.order."""
+    n = ctx.order
     nf = normal_form_coeffs(src, n)
     rhs = []
-    for i in range(1, m + 1):
+    for i in range(1, ctx.m + 1):
         f = zero()
         for j in range(2, n + 1):
             f = f - nf.coefficient(j) * sym(ctx.jet(i, n - j))
@@ -275,13 +272,13 @@ def free_fall_symmetries(ctx: JetContext = None) -> list:
     ]
 
 
-def canonical_basis(m: int, n: int, src: SourceEquation,
-                    ctx: JetContext = None) -> list:
+def canonical_basis(src: SourceEquation, ctx: JetContext) -> list:
     """The m^2 + n*m + 3 generators H_ij, S_kj, F_p, F_m, F_z of the
-    symmetry algebra of the isotropic normal form."""
-    if m < 1 or n < 2:
-        raise ValueError("need m >= 1 and n >= 2")
-    ctx = ctx or JetContext(m, n)
+    symmetry algebra of the isotropic normal form, in ctx, with
+    m = ctx.m and n = ctx.order."""
+    m, n = ctx.m, ctx.order
+    if n < 2:
+        raise ValueError("need order n >= 2")
     fields = []
     z = zero()
 
@@ -305,29 +302,19 @@ def canonical_basis(m: int, n: int, src: SourceEquation,
     return fields
 
 
-def non_cartan_generators(m: int, src: SourceEquation,
-                          ctx: JetContext = None) -> list:
+def non_cartan_generators(src: SourceEquation, ctx: JetContext) -> list:
     """The 2m non-Cartan generators C_ik = y_i u_k d/dx +
-    sum_j y_i y_j u_k' d/dy_j, ordered (i, k) lexicographically with
-    u_1 = u, u_2 = v."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    ctx = ctx or JetContext(m, 2)
-    y = [sym(ctx.y(j)) for j in range(1, m + 1)]
+    sum_j y_i y_j u_k' d/dy_j in ctx, with m = ctx.m, ordered (i, k)
+    lexicographically with u_1 = u, u_2 = v; at m = 1 the scalar pair
+    C_11 = y u d/dx + y^2 u' d/dy and C_12."""
+    y = [sym(ctx.y(j)) for j in range(1, ctx.m + 1)]
     fields = []
-    for i in range(m):
+    for yi in y:
         for uk, ukp in ((src.u, src.d(src.u)), (src.v, src.d(src.v))):
-            xi = y[i] * uk
-            phi = tuple(y[i] * y[j] * ukp for j in range(m))
+            xi = yi * uk
+            phi = tuple(yi * yj * ukp for yj in y)
             fields.append(VectorField(xi, phi, ctx))
     return fields
-
-
-def scalar_non_cartan(src: SourceEquation, ctx: JetContext = None) -> tuple:
-    """The scalar pair C_11 = y u d/dx + y^2 u' d/dy and C_12."""
-    ctx = ctx or scalar_context()
-    c11, c12 = non_cartan_generators(1, src, ctx)
-    return c11, c12
 
 
 # ---------------------------------------------------------------------------

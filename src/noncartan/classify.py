@@ -149,22 +149,25 @@ def cubic_in_p_test(f: Expression, p: Symbol = None) -> bool:
     3 in p (the necessary condition for linearizability of y'' = f)."""
     if p is None:
         p = JetContext(1, 2, dep_names=("y",)).jet(1, 1)
+    degree = _p_degree(f, p)
+    return degree is not None and degree <= 3
+
+
+def _p_degree(f: Expression, p: Symbol):
+    """The degree of f in p, or None unless f, rational in p, is a
+    polynomial in p: the numerator is divided by the denominator as
+    univariate polynomials in p over the rational-function coefficient
+    field, and a nonzero remainder means no polynomial."""
     ncoef, dcoef = (_poly_coeffs(Expression(terms, _ONE_TERMS), p)
                     for terms in (f.num, f.den))
-    ddeg = max(dcoef) if dcoef else 0
+    ndeg, ddeg = max(ncoef, default=0), max(dcoef, default=0)
     if ddeg == 0:
-        return (max(ncoef) if ncoef else 0) <= 3
-    # univariate division of num by den in p over the rational-function
-    # coefficient field
+        return ndeg
     rem = dict(ncoef)
-    quot_deg = -1
     lead = dcoef[ddeg]
-    while rem:
+    while rem and max(rem) >= ddeg:
         rdeg = max(rem)
-        if rdeg < ddeg:
-            break
         q = rem[rdeg] / lead
-        quot_deg = max(quot_deg, rdeg - ddeg)
         for d, c in dcoef.items():
             k = rdeg - ddeg + d
             acc = rem.get(k, zero()) - q * c
@@ -173,8 +176,8 @@ def cubic_in_p_test(f: Expression, p: Symbol = None) -> bool:
             else:
                 rem[k] = acc
     if any(not is_zero(c) for c in rem.values()):
-        return False
-    return quot_deg <= 3
+        return None
+    return max(ndeg - ddeg, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,7 @@ def _verified_witnesses(src: SourceEquation, system: OdeSystem):
     W = sum_k t_k C_k, with parameters t_k that no atom of the system or
     the generators carries.  Prolongation is linear in the field, so W's
     residuals are sum_k t_k R_k, which is zero iff every R_k is."""
-    witnesses = tuple(non_cartan_generators(system.ctx.m, src, system.ctx))
+    witnesses = tuple(non_cartan_generators(src, system.ctx))
     slots = list(zip(*(c.components() for c in witnesses)))
     ts = [sym(t) for t in _fresh_params(len(witnesses), itertools.chain(
         system.rhs, (r.replacement for r in system.rules), *slots))]

@@ -23,8 +23,7 @@ from .symmetry import (
 )
 from .catalog import (
     SourceEquation, canonical_basis, free_fall_symmetries,
-    non_cartan_generators, normal_form_coeffs, scalar_context,
-    scalar_non_cartan,
+    non_cartan_generators, normal_form_coeffs,
 )
 from . import classify as _classify
 from .io import (
@@ -74,47 +73,58 @@ def format_vector_field(v: VectorField) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _generator_set(key: str, ctx: JetContext, m: int = None, n: int = None,
-                   avoid=()):
-    """Named families of vector fields, built in the given context, which
-    must have the family's number m of dependent variables (and, for the
-    canonical basis, order n), or else in a fresh context of the
-    requested shape.  Returns the labels, the fields and the source
+def _generator_set(key: str, ctx: JetContext, avoid=()):
+    """Named families of vector fields, built in ctx, whose number m of
+    dependent variables (and, for the canonical basis, order n) is the
+    family's shape.  Returns the labels, the fields and the source
     equation whose solution pair the fields call (None for free-fall);
     the pair is named apart from the function names in `avoid`."""
     if key not in ("free-fall", "non-cartan", "canonical"):
         raise InputError("unknown catalog key %r" % key)
-    if ctx is not None:
-        want = 1 if key == "free-fall" else m
-        if want is not None and want != ctx.m:
-            raise InputError("catalog %r has m = %d, the system has m = %d"
-                             % (key, want, ctx.m))
-        if key == "canonical" and n is not None and n != ctx.order:
-            raise InputError("catalog 'canonical' has n = %d, the system "
-                             "has order %d" % (n, ctx.order))
-        if key == "canonical" and ctx.order < 2:
-            raise InputError("catalog 'canonical' needs order 2 or more; "
-                             "the system has order %d" % ctx.order)
-        if key == "canonical" and ctx.order > MAX_N:
-            raise InputError("catalog 'canonical' takes order at most %d; "
-                             "the system has order %d" % (MAX_N, ctx.order))
     if key == "free-fall":
+        if ctx.m != 1:
+            raise InputError("catalog 'free-fall' has m = 1, the system "
+                             "has m = %d" % ctx.m)
         return ["S1", "S2", "Fz", "Fm", "Fp", "H", "C1", "C2"], \
-            free_fall_symmetries(ctx if ctx is not None else scalar_context()), \
-            None
-    mm = m if m is not None else (ctx.m if ctx is not None else 2)
-    if mm > MAX_M[key]:
+            free_fall_symmetries(ctx), None
+    if key == "canonical" and ctx.order < 2:
+        raise InputError("catalog 'canonical' needs order 2 or more; "
+                         "the system has order %d" % ctx.order)
+    if key == "canonical" and ctx.order > MAX_N:
+        raise InputError("catalog 'canonical' takes order at most %d; "
+                         "the system has order %d" % (MAX_N, ctx.order))
+    if ctx.m > MAX_M[key]:
         raise InputError("catalog %r takes at most %d dependent variables, "
-                         "got %d" % (key, MAX_M[key], mm))
+                         "got %d" % (key, MAX_M[key], ctx.m))
     src = SourceEquation.symbolic(avoid)
     if key == "non-cartan":
-        cc = ctx if ctx is not None else JetContext(mm, 2)
-        labels = ["C%d%d" % (i, k) for i in range(1, mm + 1) for k in (1, 2)]
-        return labels, list(non_cartan_generators(mm, src, cc)), src
-    nn = n if n is not None else (ctx.order if ctx is not None else 2)
-    cc = ctx if ctx is not None else JetContext(mm, nn)
-    fields = canonical_basis(mm, nn, src, cc)
-    return ["G%d" % (i + 1) for i in range(len(fields))], list(fields), src
+        labels = ["C%d%d" % (i, k) for i in range(1, ctx.m + 1)
+                  for k in (1, 2)]
+        return labels, non_cartan_generators(src, ctx), src
+    fields = canonical_basis(src, ctx)
+    return ["G%d" % (i + 1) for i in range(len(fields))], fields, src
+
+
+# the sizes of its family that each catalog key reads: m, the number of
+# dependent variables (--m), and n, the order (--n); a named system
+# reads neither
+SIZES = {"free-fall": "", "non-cartan": "m", "canonical": "mn",
+         "normal-form-coeffs": "n"}
+
+
+def _family_context(key: str, args) -> JetContext:
+    """The context that shapes the family of a catalog key: --m
+    dependent variables and order --n where the key reads them, by
+    default 2 and 2 (3 for the normal-form coefficients), else 1 and 2.
+    A size the key does not read is refused."""
+    if key not in SIZES and key not in NAMED_SYSTEMS:
+        raise InputError("unknown catalog key %r" % key)
+    reads = SIZES.get(key, "")
+    for name in "mn":
+        if getattr(args, name) is not None and name not in reads:
+            raise InputError("catalog %r takes no --%s" % (key, name))
+    return JetContext(args.m or (2 if "m" in reads else 1),
+                      args.n or (3 if key == "normal-form-coeffs" else 2))
 
 
 def _called_names(exprs) -> set:
@@ -148,8 +158,7 @@ def cmd_verify(args) -> tuple:
         # with the pair named apart from every function the input calls
         avoid = _called_names(list(system.rhs) + [c for v in given
                                                   for c in v.components()])
-        labels, fields, src = _generator_set(args.catalog, ctx, args.m,
-                                             args.n, avoid)
+        labels, fields, src = _generator_set(args.catalog, ctx, avoid)
         if src is not None:
             rules = rules + src.rules
     fields += given
@@ -252,21 +261,19 @@ def cmd_classify(args) -> tuple:
         f = system.rhs[0]
         p = ctx.jet(1, 1)
         try:
-            cubic = _classify.cubic_in_p_test(f, p)
+            degree = _classify._p_degree(f, p)
+            cubic = degree is not None and degree <= 3
             cubic_note = None
         except OpaqueArgumentError as exc:
-            cubic = None
+            degree = cubic = None
             cubic_note = str(exc)
         admitted = []
-        labels = ["C1", "C2"]
-        for label, v in zip(labels, scalar_non_cartan(SourceEquation.trivial(),
-                                                      ctx)):
+        for label, v in zip(["C1", "C2"], non_cartan_generators(
+                SourceEquation.trivial(), ctx)):
             residuals = invariance_residual(v, system)
             sts = [zero_status(r, system.rules) for r in residuals]
             if all(st is not ZeroStatus.NONZERO for st in sts):
                 admitted.append(label)
-        degree = max((sum(k for a, k in mon if a == p) for mon, _ in f.num),
-                     default=0)
         results = [{
             "kind": "scalar",
             "cubic-in-p": cubic,
@@ -288,7 +295,9 @@ def cmd_classify(args) -> tuple:
                          "necessary linearization condition holds")
             code = EXIT_OK
         else:
-            lines.append("NOT linearizable (degree-%d in p)" % degree)
+            lines.append("NOT linearizable (%s)"
+                         % ("not a polynomial in p" if degree is None
+                            else "degree-%d in p" % degree))
             code = EXIT_FAIL
     else:
         raise InputError("classification needs a linear normal-form "
@@ -298,11 +307,12 @@ def cmd_classify(args) -> tuple:
 
 def cmd_catalog(args) -> tuple:
     key = args.key
+    ctx = _family_context(key, args)
     inputs = {"key": key}
     lines = []
     results = []
     if key in ("free-fall", "non-cartan", "canonical"):
-        labels, fields, _src = _generator_set(key, None, args.m, args.n)
+        labels, fields, _src = _generator_set(key, ctx)
         for label, v in zip(labels, fields):
             text = format_vector_field(v)
             lines.append("%-4s %s%s" % (label, text,
@@ -311,27 +321,25 @@ def cmd_catalog(args) -> tuple:
             results.append({"label": label, "field": text,
                             "non-cartan": is_non_cartan(v)})
     elif key == "normal-form-coeffs":
-        n = inputs["n"] = args.n if args.n is not None else 3
+        n = inputs["n"] = ctx.order
         nf = normal_form_coeffs(SourceEquation.symbolic(), n)
         for j in range(2, n + 1):
             text = format_expression(nf.coefficient(j))
             lines.append("A_%d^%d = %s" % (n, j, text))
             results.append({"n": n, "j": j, "coefficient": text})
-    elif key in NAMED_SYSTEMS:
+    else:
         system = NAMED_SYSTEMS[key]()
         for j, f in enumerate(system.rhs, start=1):
             name = system.ctx.dep_names[j - 1]
             lines.append("%s%s = %s" % (name, "'" * system.ctx.order,
                                         format_expression(f)))
         results.append({"system": [format_expression(f) for f in system.rhs]})
-    else:
-        raise InputError("unknown catalog key %r" % key)
     return EXIT_OK, inputs, results, lines
 
 
 def cmd_commutators(args) -> tuple:
     key = args.set
-    labels, fields, src = _generator_set(key, None, args.m, args.n)
+    labels, fields, src = _generator_set(key, _family_context(key, args))
     rules = src.rules if src is not None else ()
     report_obj = algebra_report(fields, rules)
     lines = ["basis: %s" % ", ".join(labels),
@@ -392,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, run, shape):
-        # --m and --n size the catalog family a command builds
+        # --m and --n size the catalog family that catalog and
+        # commutators build; verify builds it in the system's context
         p.add_argument("--format", choices=("text", "json"), default="text")
         if shape:
             p.add_argument("--m", type=_int_within(1), default=None)
@@ -403,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--system", required=True)
     pv.add_argument("--generator", action="append", default=[])
     pv.add_argument("--catalog", default=None)
-    common(pv, cmd_verify, shape=True)
+    common(pv, cmd_verify, shape=False)
 
     pd = sub.add_parser("determining", help="print the determining system")
     pd.add_argument("--system", required=True)

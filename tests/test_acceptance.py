@@ -17,8 +17,8 @@ from noncartan import (
     free_fall_symmetries, func, indep, invariance_residual, is_non_cartan,
     is_zero, isotropic_system, IterativeOperator, non_cartan_family,
     non_cartan_generators, nonlinear_counterexample, normal_form_coeffs,
-    normalize_s, scalar_context, scalar_non_cartan,
-    source_solution_basis, sym, zero, one, zero_status, apply_rules,
+    normalize_s, scalar_context, source_solution_basis, sym, zero, one,
+    zero_status, apply_rules,
 )
 from noncartan import linalg
 from noncartan.cli import main as cli_main
@@ -66,8 +66,8 @@ def test_criterion_02_non_cartan_abelian():
     src = SourceEquation.symbolic()
     for m in (1, 2, 3):
         ctx = JetContext(m, 2)
-        system = isotropic_system(m, 2, src, ctx)
-        fields = non_cartan_generators(m, src, ctx)
+        system = isotropic_system(src, ctx)
+        fields = non_cartan_generators(src, ctx)
         assert len(fields) == 2 * m
         for v in fields:
             for r in invariance_residual(v, system):
@@ -85,8 +85,7 @@ def test_criterion_03_dimension():
     src = SourceEquation.symbolic()
     for m in (1, 2, 3):
         ctx = JetContext(m, 2)
-        fields = canonical_basis(m, 2, src, ctx) + list(
-            non_cartan_generators(m, src, ctx))
+        fields = canonical_basis(src, ctx) + non_cartan_generators(src, ctx)
         assert len(fields) == m * m + 4 * m + 3
         comps = [tuple(apply_rules(c, src.rules) for c in f.components())
                  for f in fields]
@@ -187,7 +186,7 @@ def test_criterion_06_iterative():
 
 @criterion(7, "nonlinear family and its non-linearizable member")
 def test_criterion_07_nonlinear_family():
-    pair = scalar_non_cartan(SourceEquation.trivial())
+    pair = non_cartan_generators(SourceEquation.trivial(), scalar_context())
     family = non_cartan_family()
     for v in pair:
         for r in invariance_residual(v, family):

@@ -8,7 +8,7 @@ from noncartan import (
     is_zero, isotropic_system, iterative_power, non_cartan_family,
     non_cartan_generators, nonlinear_counterexample, normal_form_coeffs,
     normalize_s, parse, reduction_transformation, scalar_context,
-    scalar_non_cartan, source_solution_basis, sym, zero, one,
+    source_solution_basis, Symbol, sym, zero, one,
 )
 from noncartan.catalog import NormalFormCoefficients, _check_annihilates
 from noncartan.linalg import InconsistentSystemError
@@ -157,37 +157,48 @@ def test_normal_form_recheck_catches_each_bad_coefficient():
                 _check_annihilates(src, NormalFormCoefficients(n, coeffs))
 
 
+# a context whose shape and names are none of the defaults
+NAMED_ORDER_3 = JetContext(2, 3, dep_names=("a", "b"))
+
+
+def assert_fields_carry(fields, ctx):
+    """Every field is built in ctx: it carries ctx, and its components
+    depend on no point coordinate outside ctx."""
+    points = set(ctx.point_symbols())
+    for v in fields:
+        assert v.context == ctx
+        assert {a for c in v.components() for a in c.atoms()
+                if isinstance(a, Symbol)} <= points
+
+
 def test_canonical_basis_counts():
     src = SourceEquation.symbolic()
-    for m, n in ((1, 2), (2, 2), (2, 3)):
-        fields = canonical_basis(m, n, src)
-        assert len(fields) == m * m + n * m + 3
+    for ctx in (JetContext(1, 2), JetContext(2, 2), JetContext(2, 3),
+                NAMED_ORDER_3):
+        fields = canonical_basis(src, ctx)
+        assert len(fields) == ctx.m ** 2 + ctx.order * ctx.m + 3
+        assert_fields_carry(fields, ctx)
+    with pytest.raises(ValueError):
+        canonical_basis(src, JetContext(1, 1))
 
 
 def test_canonical_basis_invariance():
     src = SourceEquation.symbolic()
     for m, n in ((1, 2), (2, 2)):
-        system = isotropic_system(m, n, src)
-        for v in canonical_basis(m, n, src, system.ctx):
+        system = isotropic_system(src, JetContext(m, n))
+        for v in canonical_basis(src, system.ctx):
             residuals = invariance_residual(v, system)
             assert all(is_zero(r, src.rules) for r in residuals)
-
-
-def test_isotropic_system_checks_its_context():
-    src = SourceEquation.symbolic()
-    with pytest.raises(ValueError):
-        isotropic_system(1, 2, src, JetContext(1, 3))
-    with pytest.raises(ValueError):
-        isotropic_system(2, 2, src, JetContext(1, 2))
 
 
 def test_non_cartan_generators_suite():
     src = SourceEquation.symbolic()
     for m in (1, 2, 3):
         ctx = JetContext(m, 2)
-        system = isotropic_system(m, 2, src, ctx)
-        fields = non_cartan_generators(m, src, ctx)
+        system = isotropic_system(src, ctx)
+        fields = non_cartan_generators(src, ctx)
         assert len(fields) == 2 * m
+        assert_fields_carry(fields, ctx)
         for v in fields:
             assert is_non_cartan(v)
             residuals = invariance_residual(v, system)
@@ -195,11 +206,15 @@ def test_non_cartan_generators_suite():
         report = algebra_report(fields, src.rules)
         assert report.abelian
         assert report.independent
+    fields = non_cartan_generators(src, NAMED_ORDER_3)
+    assert len(fields) == 4
+    assert_fields_carry(fields, NAMED_ORDER_3)
+    assert format_expression(fields[2].phi[0]) == "a*b*u'(x)"
 
 
 def test_scalar_non_cartan_trivial_source():
-    c11, c12 = scalar_non_cartan(SourceEquation.trivial())
     ctx = scalar_context()
+    c11, c12 = non_cartan_generators(SourceEquation.trivial(), ctx)
     x = sym(ctx.x)
     y = sym(ctx.y(1))
     assert c11.xi == y and c11.phi[0].is_rational_zero()
@@ -217,7 +232,7 @@ def test_reduction_transformation_symbolic_q():
     new = tr.new_ctx
     z = sym(new.x)
     w = sym(new.y(1))
-    c11, c12 = scalar_non_cartan(src)
+    c11, c12 = non_cartan_generators(src, scalar_context())
     out11 = change_coordinates(c11, tr)
     assert is_zero(out11.xi - w, src.rules)
     assert is_zero(out11.phi[0], src.rules)
@@ -228,14 +243,14 @@ def test_reduction_transformation_symbolic_q():
 
 def test_family_admits_non_cartan_pair():
     system = non_cartan_family()
-    for v in scalar_non_cartan(SourceEquation.trivial()):
+    for v in non_cartan_generators(SourceEquation.trivial(), system.ctx):
         residuals = invariance_residual(v, system)
         assert all(is_zero(r) for r in residuals)
 
 
 def test_counterexample_admits_non_cartan_pair():
     system = nonlinear_counterexample()
-    for v in scalar_non_cartan(SourceEquation.trivial()):
+    for v in non_cartan_generators(SourceEquation.trivial(), system.ctx):
         residuals = invariance_residual(v, system)
         assert all(is_zero(r) for r in residuals)
 
@@ -269,8 +284,7 @@ def test_free_fall_matches_canonical_construction():
     # the trivial-source canonical data reproduce the free-fall algebra
     src = SourceEquation.trivial()
     ctx = scalar_context()
-    fields = canonical_basis(1, 2, src, ctx) + list(
-        non_cartan_generators(1, src, ctx))
+    fields = canonical_basis(src, ctx) + non_cartan_generators(src, ctx)
     assert len(fields) == 8
     report = algebra_report(fields)
     assert report.independent

@@ -15,7 +15,7 @@ from noncartan import (
 )
 from noncartan import classify as classify_module
 from noncartan.classify import (
-    _oracle_ansatz, _trace_free_system, _trivial_witnesses,
+    _oracle_ansatz, _p_degree, _trace_free_system, _trivial_witnesses,
     _verified_witnesses,
 )
 from noncartan.expr import format_expression
@@ -65,6 +65,16 @@ def test_cubic_rational_division():
     assert cubic_in_p_test(x * (p ** 2 - 1) / ((p - 1) * (x + 1)))
     assert cubic_in_p_test(x * (p ** 4 - 1) / ((p - 1) * (x + 1)))
     assert not cubic_in_p_test(x * (p ** 5 - 1) / ((p - 1) * (x + 1)))
+    # the degree of the quotient, which the scalar verdict prints, or
+    # None when the division leaves a remainder
+    p1 = ctx.jet(1, 1)
+    assert _p_degree(x * (p ** 5 - 1) / ((p - 1) * (x + 1)), p1) == 4
+    assert _p_degree((p ** 5 + y * p ** 4) / p, p1) == 4
+    assert _p_degree(y * p ** 2 + x, p1) == 2
+    assert _p_degree(y / (x + 1), p1) == 0
+    assert _p_degree(p ** 3 / (p + y), p1) is None
+    assert _p_degree(1 / (p + 1), p1) is None
+    assert _p_degree(nonlinear_counterexample().rhs[0], p1) is None
 
 
 def test_cubic_counterexample():
@@ -304,8 +314,8 @@ def test_witness_recheck_catches_each_bad_generator(monkeypatch, m):
     assert classify_linear_system(spec).in_canonical_class
     generators = classify_module.non_cartan_generators
     for k in range(2 * m):
-        def corrupted(m_, src, ctx=None, k=k):
-            fields = generators(m_, src, ctx)
+        def corrupted(src, ctx, k=k):
+            fields = generators(src, ctx)
             bad = fields[k]
             fields[k] = VectorField(2 * bad.xi, bad.phi, bad.context)
             return fields

@@ -92,19 +92,22 @@ def test_verify_free_fall():
 ])
 def test_verify_catalog_under_its_source_rules(system, catalog, m):
     # the catalog fields call u, v with u'' = -q u and v'' = -q v; their
-    # residuals vanish only under those rules
-    code, out = run(["verify", "--system", system, "--catalog", catalog,
-                     "--m", m])
+    # residuals vanish only under those rules.  The family takes its
+    # shape from the system: m dependent variables and its order n
+    code, out = run(["verify", "--system", system, "--catalog", catalog])
     assert code == 0
     assert "FAIL" not in out
     assert "u(x)" in out
+    m, n = int(m), system.split("=")[0].count("'")
+    size = 2 * m if catalog == "non-cartan" else m * m + n * m + 3
+    assert out.splitlines()[-1] == "%d/%d pass" % (size, size)
 
 
 def test_verify_catalog_pair_named_apart_from_the_input():
     # a system that calls u itself is not rewritten by the pair's rules:
     # the pair is renamed, and y'' = -u y is not its source equation
     code, out = run(["verify", "--system", "y''=-u(x)*y", "--catalog",
-                     "non-cartan", "--m", "1", "--generator", "v(x)*dy"])
+                     "non-cartan", "--generator", "v(x)*dy"])
     assert code == 1
     assert out.splitlines() == [
         "C11  FAIL  (y*u_(x))*dx + (y^2*u_'(x))*dy  [non-Cartan]",
@@ -113,7 +116,7 @@ def test_verify_catalog_pair_named_apart_from_the_input():
         "0/3 pass"]
     # so is a generator that calls it
     code, out = run(["verify", "--system", "y''=-q(x)*y", "--catalog",
-                     "non-cartan", "--m", "1", "--generator", "u(x)*dy"])
+                     "non-cartan", "--generator", "u(x)*dy"])
     assert out.startswith("C11  PASS  (y*u_(x))*dx")
 
 
@@ -232,16 +235,18 @@ CLASSIFY_NEEDS = ("error: classification needs a linear normal-form system "
 
 # (arguments, the start of the stderr line that carries the message)
 HOSTILE = [
+    # verify builds the catalog family in the system's context, so a
+    # size beside it has no meaning
     (["verify", "--system", "y''=0", "--catalog", "canonical", "--m", "3"],
-     "error: catalog 'canonical' has m = 3"),
+     "error: unrecognized arguments: --m 3"),
     (["verify", "--system", "y''=0", "--catalog", "non-cartan", "--m", "2"],
-     "error: catalog 'non-cartan' has m = 2"),
+     "error: unrecognized arguments: --m 2"),
     (["verify", "--system", "y''=0; w''=0", "--catalog", "free-fall"],
      "error: catalog 'free-fall' has m = 1"),
     (["verify", "--system", "y'=0", "--catalog", "canonical"],
      "error: catalog 'canonical' needs order 2"),
     (["verify", "--system", "y''=-y", "--catalog", "canonical", "--n", "3"],
-     "error: catalog 'canonical' has n = 3, the system has order 2"),
+     "error: unrecognized arguments: --n 3"),
     # the parser's depth bound refuses these before the engine recurses
     (["classify", "--system", NESTED_SUM],
      "error: cannot parse \"%s\": input nested too deeply (at position 56)"
@@ -348,6 +353,19 @@ HOSTILE = [
      "error: unrecognized arguments: --n 3"),
     (["catalog", "commutators", "--set", "free-fall"],
      "error: unrecognized arguments: --set free-fall"),
+    (["verify", "--system", "y''=0", "--generator", "dx", "--m", "4"],
+     "error: unrecognized arguments: --m 4"),
+    # each catalog key takes only the sizes its family reads
+    (["catalog", "free-fall", "--m", "5", "--n", "7"],
+     "error: catalog 'free-fall' takes no --m"),
+    (["catalog", "eq14", "--m", "4", "--n", "6"],
+     "error: catalog 'eq14' takes no --m"),
+    (["catalog", "non-cartan", "--n", "6"],
+     "error: catalog 'non-cartan' takes no --n"),
+    (["commutators", "--set", "free-fall", "--m", "3"],
+     "error: catalog 'free-fall' takes no --m"),
+    (["catalog", "normal-form-coeffs", "--m", "3"],
+     "error: catalog 'normal-form-coeffs' takes no --m"),
 ]
 
 
@@ -406,7 +424,7 @@ def test_classify_counterexample():
     code, out = run(["classify", "--system", "eq14"])
     assert code == 1
     assert "non-Cartan" in out
-    assert "degree-4" in out
+    assert "NOT linearizable (not a polynomial in p)" in out
 
 
 def test_catalog_non_cartan():

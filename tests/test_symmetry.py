@@ -153,9 +153,9 @@ def test_algebra_report_matches_reference():
     x, y = sym(ctx.x), sym(ctx.y(1))
     cases = [(free_fall_symmetries(), ())]
     for m, n in ((1, 2), (2, 2), (1, 3), (2, 3)):
-        cases.append((canonical_basis(m, n, src), src.rules))
-    cases.append((non_cartan_generators(2, src), src.rules))
-    cases.append((canonical_basis(1, 2, src)
+        cases.append((canonical_basis(src, JetContext(m, n)), src.rules))
+    cases.append((non_cartan_generators(src, JetContext(2, 2)), src.rules))
+    cases.append((canonical_basis(src, ctx)
                   + [VectorField(src.u / (x + 1), (y,), ctx)], src.rules))
     # dependent bases: every bracket in the span, and one outside it
     cases.append(([VectorField(one(), (zero(),), ctx),
@@ -204,8 +204,9 @@ def test_bracket_solve_matches_per_bracket_solves_randomized():
     brackets leave the span and fields with new denominators."""
     src = SourceEquation.symbolic()
     bases = [(free_fall_symmetries(), ()),
-             (canonical_basis(2, 2, SourceEquation.trivial()), ()),
-             (canonical_basis(1, 2, src), src.rules)]
+             (canonical_basis(SourceEquation.trivial(), JetContext(2, 2)),
+              ()),
+             (canonical_basis(src, scalar_context()), src.rules)]
     rng = random.Random(67)
     seen = set()
     for _ in range(40):
@@ -395,8 +396,7 @@ def test_prolonged_residuals_match_substitution_path():
     ctx = JetContext(2, 2)
     y, w = sym(ctx.y(1)), sym(ctx.y(2))
     system = OdeSystem(ctx, (-src.q * y, -src.q * w), src.rules)
-    for v in (non_cartan_generators(2, src, ctx)
-              + canonical_basis(2, 2, src, ctx)):
+    for v in non_cartan_generators(src, ctx) + canonical_basis(src, ctx):
         pf = prolong(v, 2)
         assert pf.top_split is not None
         got = _prolonged_residuals(pf, system)
