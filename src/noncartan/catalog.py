@@ -238,6 +238,7 @@ def isotropic_system(src: SourceEquation, ctx: JetContext) -> OdeSystem:
     iterative equation y^(n) + sum_j A_n^j y^(n-j) = 0 of order
     n = ctx.order."""
     n = ctx.order
+    _check_same_x(src, ctx)
     nf = normal_form_coeffs(src, n)
     rhs = []
     for i in range(1, ctx.m + 1):
@@ -246,6 +247,12 @@ def isotropic_system(src: SourceEquation, ctx: JetContext) -> OdeSystem:
             f = f - nf.coefficient(j) * sym(ctx.jet(i, n - j))
         rhs.append(f)
     return OdeSystem(ctx, tuple(rhs), src.rules)
+
+
+def _check_same_x(src: SourceEquation, ctx: JetContext) -> None:
+    if ctx.x != src.x:
+        raise ValueError("context variable %s is not the source equation's "
+                         "variable %s" % (ctx.x.name, src.x.name))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +286,7 @@ def canonical_basis(src: SourceEquation, ctx: JetContext) -> list:
     m, n = ctx.m, ctx.order
     if n < 2:
         raise ValueError("need order n >= 2")
+    _check_same_x(src, ctx)
     fields = []
     z = zero()
 
@@ -307,6 +315,7 @@ def non_cartan_generators(src: SourceEquation, ctx: JetContext) -> list:
     sum_j y_i y_j u_k' d/dy_j in ctx, with m = ctx.m, ordered (i, k)
     lexicographically with u_1 = u, u_2 = v; at m = 1 the scalar pair
     C_11 = y u d/dx + y^2 u' d/dy and C_12."""
+    _check_same_x(src, ctx)
     y = [sym(ctx.y(j)) for j in range(1, ctx.m + 1)]
     fields = []
     for yi in y:

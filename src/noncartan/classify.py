@@ -18,7 +18,6 @@ from .expr import (
 from .jet import JetContext, VectorField, prolong
 from .symmetry import (
     DeterminingSystem, OdeSystem, _prolonged_residuals, determining_equations,
-    invariance_residual,
 )
 from .catalog import SourceEquation, non_cartan_generators
 
@@ -282,17 +281,29 @@ def _verified_witnesses(src: SourceEquation, system: OdeSystem):
     context, rechecked under the system's rules as the one field
     W = sum_k t_k C_k, with parameters t_k that no atom of the system or
     the generators carries.  Prolongation is linear in the field, so W's
-    residuals are sum_k t_k R_k, which is zero iff every R_k is."""
+    residuals are sum_k t_k R_k, which is zero iff every R_k is.  They are
+    taken without the rules, which `zero_status` applies once.  W depends
+    on the context and the names of u, v and the t_k, not on q, so its
+    prolongation is cached by `_witness_prolongation`."""
     witnesses = tuple(non_cartan_generators(src, system.ctx))
     slots = list(zip(*(c.components() for c in witnesses)))
     ts = [sym(t) for t in _fresh_params(len(witnesses), itertools.chain(
         system.rhs, (r.replacement for r in system.rules), *slots))]
     xi, *phi = (_dot(zip(ts, slot)) for slot in slots)
-    for r in invariance_residual(VectorField(xi, tuple(phi), system.ctx),
-                                 system):
+    pf = _witness_prolongation(VectorField(xi, tuple(phi), system.ctx))
+    for r in _prolonged_residuals(pf, OdeSystem(system.ctx, system.rhs)):
         if zero_status(r, system.rules) is ZeroStatus.NONZERO:
             raise AssertionError("witness failed re-verification")
     return witnesses
+
+
+_WITNESS_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_WITNESS_CACHE_SIZE)
+def _witness_prolongation(field: VectorField):
+    """`prolong` to the field's order, once per distinct field W."""
+    return prolong(field, field.context.order)
 
 
 def _trace_free_system(mat) -> OdeSystem:

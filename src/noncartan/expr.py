@@ -1054,8 +1054,16 @@ class ZeroStatus(enum.Enum):
 def zero_status(e: Expression, rules: Sequence[RewriteRule] = ()) -> ZeroStatus:
     """SYMBOLIC_ZERO when e vanishes for every choice of its opaque
     functions that obeys the rules, else NONZERO; exact, since after the
-    rules and `_merge_points` every call is a free coordinate."""
-    r = apply_rules(e, rules)
+    rules and `_merge_points` every call is a free coordinate.  First the
+    rules with a polynomial replacement (u'' -> -q u, v'' -> -q v and
+    their lifts) run alone: a rational zero after them stays zero under
+    the others, which only substitute into it.  Otherwise all the rules
+    run on e, so the status, or the UndecidedZeroError, is the one-stage
+    test's."""
+    first = [rule for rule in rules if rule.replacement.den == _ONE_TERMS]
+    r = apply_rules(e, first)
+    if not r.is_rational_zero() and len(first) < len(rules):
+        r = apply_rules(e, rules)
     if r.is_rational_zero() or _merge_points(r, rules).is_rational_zero():
         return ZeroStatus.SYMBOLIC_ZERO
     return ZeroStatus.NONZERO

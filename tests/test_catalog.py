@@ -212,6 +212,20 @@ def test_non_cartan_generators_suite():
     assert format_expression(fields[2].phi[0]) == "a*b*u'(x)"
 
 
+@pytest.mark.parametrize("src", [SourceEquation.symbolic(),
+                                 SourceEquation.trivial()],
+                         ids=["symbolic", "trivial"])
+def test_builders_refuse_a_context_in_another_variable(src):
+    """The source pair is a function of x: in a context named (t, u) it
+    would be constant, so each builder refuses the context and names
+    both variables."""
+    ctx = JetContext(1, 2, indep_name="t", dep_names=("u",))
+    for build in (isotropic_system, canonical_basis, non_cartan_generators):
+        with pytest.raises(ValueError, match="^context variable t is not "
+                           "the source equation's variable x$"):
+            build(src, ctx)
+
+
 def test_scalar_non_cartan_trivial_source():
     ctx = scalar_context()
     c11, c12 = non_cartan_generators(SourceEquation.trivial(), ctx)

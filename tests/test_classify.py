@@ -16,7 +16,7 @@ from noncartan import (
 from noncartan import classify as classify_module
 from noncartan.classify import (
     _oracle_ansatz, _p_degree, _trace_free_system, _trivial_witnesses,
-    _verified_witnesses,
+    _verified_witnesses, _witness_prolongation,
 )
 from noncartan.expr import format_expression
 from noncartan.symmetry import _prolonged_residuals
@@ -196,14 +196,26 @@ def test_existence_trivial():
     assert all(is_non_cartan(w) for w in verdict.witnesses)
 
 
+def _corrupting(generators, k):
+    """A stand-in for `non_cartan_generators` whose k-th field has its
+    xi doubled, so that it is no longer a symmetry."""
+    def corrupted(src, ctx):
+        fields = generators(src, ctx)
+        bad = fields[k]
+        fields[k] = VectorField(2 * bad.xi, bad.phi, bad.context)
+        return fields
+    return corrupted
+
+
 def test_existence_witnesses_verified_once(monkeypatch):
     """The trivial system's witnesses are verified on first use, and a
-    failed verification raises instead of being cached."""
+    failed verification, here of a corrupted generator, raises instead
+    of being cached."""
     z = zero()
     _trivial_witnesses.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(classify_module, "invariance_residual",
-                      lambda field, system: [one()])
+        patch.setattr(classify_module, "non_cartan_generators", _corrupting(
+            classify_module.non_cartan_generators, 1))
         with pytest.raises(AssertionError, match="re-verification"):
             non_cartan_existence_2x2(z, z, z)
     assert _trivial_witnesses.cache_info().currsize == 0
@@ -302,28 +314,47 @@ def test_classify_m3():
     assert len(verdict.witnesses) == 6
 
 
+def _isotropic(m, q):
+    """The linear system y_i'' + q y_i = 0, i = 1..m."""
+    z = zero()
+    return LinearSystemSpec(m, 2, (
+        tuple((z,) * m for _ in range(m)),
+        tuple(tuple(q if i == j else z for j in range(m)) for i in range(m))))
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_witness_recheck_catches_each_bad_generator(monkeypatch, m):
     """The 2m witnesses are rechecked as one combined field, and that
     check still fails when any single one of them is not a symmetry."""
-    q = call(func("q"), sym(X))
-    z = zero()
-    spec = LinearSystemSpec(m, 2, (
-        tuple((z,) * m for _ in range(m)),
-        tuple(tuple(q if i == j else z for j in range(m)) for i in range(m))))
+    spec = _isotropic(m, call(func("q"), sym(X)))
     assert classify_linear_system(spec).in_canonical_class
     generators = classify_module.non_cartan_generators
     for k in range(2 * m):
-        def corrupted(src, ctx, k=k):
-            fields = generators(src, ctx)
-            bad = fields[k]
-            fields[k] = VectorField(2 * bad.xi, bad.phi, bad.context)
-            return fields
+        with monkeypatch.context() as patch:
+            patch.setattr(classify_module, "non_cartan_generators",
+                          _corrupting(generators, k))
+            with pytest.raises(AssertionError, match="re-verification"):
+                classify_linear_system(spec)
+        # a failed recheck leaves no entry that a true W would reuse
+        assert classify_linear_system(spec).in_canonical_class
 
-        monkeypatch.setattr(classify_module, "non_cartan_generators",
-                            corrupted)
-        with pytest.raises(AssertionError, match="re-verification"):
-            classify_linear_system(spec)
+
+def test_witness_prolongation_shared_across_q():
+    """W = sum_k t_k C_k does not depend on q, so isotropic systems of
+    one size share its prolongation; a new size or a renamed solution
+    pair (q calls u) is a new W."""
+    x = sym(X)
+    _witness_prolongation.cache_clear()
+    for q in (call(func("q"), x), 3 * call(func("f"), x) + 1,
+              call(func("q"), x) ** 2):
+        assert classify_linear_system(_isotropic(2, q)).in_canonical_class
+    info = _witness_prolongation.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for m, name in ((3, "q"), (2, "u")):
+        spec = _isotropic(m, call(func(name), x))
+        assert classify_linear_system(spec).in_canonical_class
+    info = _witness_prolongation.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
 
 
 def test_from_system_round_trip():

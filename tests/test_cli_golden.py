@@ -20,8 +20,24 @@ CORPUS = json.loads((pathlib.Path(__file__).parent / "data"
 @pytest.mark.parametrize("entry", CORPUS,
                          ids=[" ".join(e["args"])[:70] for e in CORPUS])
 def test_cli_output_matches_corpus(entry):
+    assert _run(entry) == (entry["exit"], entry["stdout"])
+
+
+def test_warm_caches_do_not_change_output():
+    """The whole corpus forward and then in reverse, in one process: the
+    state the first pass leaves (witness prolongations, the trivial
+    witnesses, the argument parser, interned atoms) must give the same
+    exit codes and bytes."""
+    forward = [_run(entry) for entry in CORPUS]
+    backward = [_run(entry) for entry in reversed(CORPUS)][::-1]
+    expected = [(entry["exit"], entry["stdout"]) for entry in CORPUS]
+    assert forward == expected
+    assert backward == expected
+
+
+def _run(entry):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(list(entry["args"]))
-    assert (code, out.getvalue()) == (entry["exit"], entry["stdout"])
+    return code, out.getvalue()

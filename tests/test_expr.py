@@ -22,7 +22,8 @@ from noncartan import expr as expr_module
 from noncartan.expr import (
     JET, MAX_EXPANSION_TERMS, MAX_INTEGER_DIGITS, MAX_NESTING_DEPTH, OPAQUE,
     _ONE_MON, _ONE_TERMS, _cancel_monomial_gcd, _divide, _dot, _mk_mon,
-    _mon_mul, _sum, _terms_from_dict, atom_expr, monomial_expression,
+    _merge_points, _mon_mul, _sum, _terms_from_dict, atom_expr,
+    monomial_expression,
 )
 
 from helpers import (
@@ -326,6 +327,79 @@ def test_rule_head_at_another_argument_is_undecided():
         zero_status(call(func("f"), call(func("v"), sym(Y))), src.rules)
     # without the rules, u is an unconstrained function
     assert zero_status(e) is ZeroStatus.NONZERO
+
+
+def _one_stage_zero_status(e, rules):
+    """`zero_status` as one stage: all the rules, then `_merge_points`."""
+    r = apply_rules(e, rules)
+    if r.is_rational_zero() or _merge_points(r, rules).is_rational_zero():
+        return ZeroStatus.SYMBOLIC_ZERO
+    return ZeroStatus.NONZERO
+
+
+def _outcome(test, e, rules):
+    try:
+        return test(e, rules)
+    except UndecidedZeroError as err:
+        return (type(err), str(err))
+
+
+def test_staged_zero_status_matches_one_stage():
+    """A seeded corpus over the source-equation rules: zero through the
+    derivative rules alone (u'' + q u, L_3[s]), zero only through the
+    Wronskian rule, nonzero, and u(x+1), which is undecided.  The staged
+    test gives each case the one-stage status, or raises the same
+    error."""
+    rng = random.Random(26)
+    src = SourceEquation.symbolic()
+    x, q, u, v = sym(X), src.q, src.u, src.v
+    up, vp = src.d(u), src.d(v)
+    derivative_rules = [r for r in src.rules if r.replacement.den == _ONE_TERMS]
+    assert len(derivative_rules) == 2
+
+    def l3(s):
+        return src.d(s, 3) + 4 * q * src.d(s) + 2 * src.d(q) * s
+
+    by_derivatives = [src.d(u, 2) + q * u, src.d(v, 2) + q * v,
+                      l3(u * u), l3(u * v), l3(v * v),
+                      l3(3 * u * u - u * v + 2 * v * v)]
+    by_wronskian = [src.wronskian() - 1, u * vp - up * v - 1]
+    nonzero = [u + v, vp, src.d(q), u * vp - up * v, const(1)]
+    shifted = call(func("u"), x + 1)
+    factors = [x, q, u, v, up, vp, src.d(q), call(func("H"), x), x + 1]
+
+    def cofactor():
+        return const(rng.choice([-3, -1, 1, 2])) * _dot(
+            (const(rng.randint(1, 4)), rng.choice(factors)
+             * rng.choice(factors)) for _ in range(rng.randint(1, 3)))
+
+    def mix(bases):
+        return _dot((cofactor(), rng.choice(bases))
+                    for _ in range(rng.randint(1, 3)))
+
+    cases = []
+    for _ in range(12):
+        cases.append(("derivatives", mix(by_derivatives)))
+        cases.append(("wronskian", cofactor() * rng.choice(by_wronskian)
+                      + mix(by_derivatives)))
+        cases.append(("nonzero", cofactor() * rng.choice(nonzero)
+                      + mix(by_derivatives + by_wronskian)))
+        cases.append(("undecided", cofactor() * shifted
+                      + mix(by_derivatives)))
+    cases.append(("derivatives", shifted * mix(by_derivatives)))
+    expected = {"derivatives": ZeroStatus.SYMBOLIC_ZERO,
+                "wronskian": ZeroStatus.SYMBOLIC_ZERO,
+                "nonzero": ZeroStatus.NONZERO}
+    for kind, e in cases:
+        got = _outcome(zero_status, e, src.rules)
+        assert got == _outcome(_one_stage_zero_status, e, src.rules)
+        if kind == "undecided":
+            assert got[0] is UndecidedZeroError
+        else:
+            assert got is expected[kind]
+        # the first stage alone decides exactly the first kind
+        first = apply_rules(e, derivative_rules).is_rational_zero()
+        assert first == (kind == "derivatives")
 
 
 def test_parse_and_format_roundtrip():
