@@ -5,6 +5,7 @@ nonlinear family admitting them."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,11 @@ __all__ = [
 
 def scalar_context(order: int = 2) -> JetContext:
     return JetContext(1, order, dep_names=("y",))
+
+
+# the symbolic sources and the normal-form tables are pure in their
+# arguments: each is built once per process, up to this many of each
+_TABLE_CACHE_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +70,10 @@ class SourceEquation:
     @staticmethod
     def symbolic(avoid=()) -> "SourceEquation":
         """The source equation of an opaque q(x); the solution pair is
-        named u, v unless a name in `avoid` or q calls one of those."""
-        x = indep()
-        return SourceEquation._opaque_pair(call(func("q"), sym(x)), x, avoid)
+        named u, v unless a name in `avoid` or q calls one of those.  It
+        is built, and checked, once per process for each set of names to
+        avoid."""
+        return _symbolic_source(frozenset(avoid))
 
     @staticmethod
     def for_q(q: Expression) -> "SourceEquation":
@@ -101,6 +108,12 @@ class SourceEquation:
             RewriteRule(func(vn, 1, (1,)), (1 + up * v) / u, x),
         )
         return SourceEquation(q, u, v, rules, x)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _symbolic_source(avoid: frozenset) -> SourceEquation:
+    x = indep()
+    return SourceEquation._opaque_pair(call(func("q"), sym(x)), x, avoid)
 
 
 def source_solution_basis(src: SourceEquation, n: int) -> list:
@@ -184,6 +197,7 @@ class NormalFormCoefficients:
         return self.coeffs[j - 2]
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
     """The A_n^j as the coefficients of the (n-1)-th symmetric power of
     D^2 + q: with L_0 = 1, L_1 = D and L_(k+1) = D o L_k + k(n-k) q L_(k-1),
@@ -194,7 +208,10 @@ def normal_form_coeffs(src: SourceEquation, n: int) -> NormalFormCoefficients:
     Differentiating with w'' = -q w gives
     f_k' = f_(k+1) - k(n-k) q f_(k-1), so L_k[w^(n-1)] = f_k by induction
     and L_n annihilates w^(n-1).  The powers (a u + b v)^(n-1) span the
-    s_k = u^(n-1-k) v^k, so L_n[s_k] = 0 for every k."""
+    s_k = u^(n-1-k) v^k, so L_n[s_k] = 0 for every k.
+
+    The table is built once per process for each (src, n), and checked
+    with `_check_annihilates` on that first build."""
     if n < 2:
         raise ValueError("need n >= 2")
     x, q = src.x, src.q

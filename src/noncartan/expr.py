@@ -87,9 +87,10 @@ class Symbol:
     symbol returns that symbol (a jet of order zero becomes a dependent
     variable first).  So `==` is still structural on the fields, but it
     and the hash are those of object identity.  The sort key is computed
-    once, on the first construction, and stored.  Only an opaque symbol
-    has an arity, and only a non-opaque one an index or an order, so the
-    key determines the symbol: unequal atoms have unequal keys."""
+    once, on the first construction, and stored, and its printed text on
+    the first print.  Only an opaque symbol has an arity, and only a
+    non-opaque one an index or an order, so the key determines the
+    symbol: unequal atoms have unequal keys."""
 
     name: str
     kind: str
@@ -119,7 +120,7 @@ class Symbol:
         self = object.__new__(cls)
         self.__dict__.update(
             name=name, kind=kind, index=index, order=order, arity=arity,
-            dorders=dorders,
+            dorders=dorders, _text=None,
             _key=(_KIND_RANK[kind], index, order, name, dorders, ()))
         _ATOMS[fields] = self
         return self
@@ -196,8 +197,11 @@ class Call:
     """An opaque function symbol applied to expression arguments.
 
     Like `Symbol`, calls are interned on (head, args), so `==` is
-    structural and runs as identity, and the sort key is computed once,
-    on the first construction, and stored."""
+    structural and runs as identity, the sort key is computed once, on
+    the first construction, and stored, and so is the printed text on the
+    first print.  A call also keeps its partial derivatives, keyed by the
+    symbol, as `differentiate` computes them (`_partials`): they are pure
+    in the call and the symbol, and live and die with the call."""
 
     head: Symbol
     args: tuple
@@ -214,7 +218,7 @@ class Call:
                              % (head.name, head.arity, len(args)))
         self = object.__new__(cls)
         self.__dict__.update(
-            head=head, args=args,
+            head=head, args=args, _text=None, _partials={},
             _key=(4, 0, 0, head.name, head.dorders,
                   tuple(a.sort_key() for a in args)))
         _ATOMS[fields] = self
@@ -284,7 +288,9 @@ def _mon_mul(m1, m2):
 
 def _terms_from_dict(d: dict) -> tuple:
     items = [(m, c) for m, c in d.items() if c != 0]
-    items.sort(key=lambda mc: _mon_key(mc[0]))
+    # sort computes every key before it looks at the length
+    if len(items) > 1:
+        items.sort(key=lambda mc: _mon_key(mc[0]))
     return tuple(items)
 
 
@@ -752,32 +758,38 @@ def _lead_product(c, mon, image):
 def differentiate(e: Expression, s: Symbol) -> Expression:
     """Partial derivative treating distinct jet symbols as independent
     coordinates: `_derive` with s sent to one and every other symbol to
-    zero."""
+    zero.  Each call's partial by s is taken once per process and kept
+    on the call (see `Call`), so a later derivation by s, of any
+    expression, reads it back."""
     if s.kind == OPAQUE:
         raise ValueError("cannot differentiate with respect to a function symbol")
     if not e.contains(s):
         return _ZERO
-    return _derive(e, lambda a: _ONE if a == s else _ZERO, {})
+    return _derive(e, lambda a: _ONE if a == s else _ZERO, {}, s)
 
 
-def _derive(e: Expression, dsym, memo: dict) -> Expression:
+def _derive(e: Expression, dsym, memo: dict, partial: Symbol = None) -> Expression:
     """The derivation D of e with D a = dsym(a) on each symbol a, the one
     routine behind `differentiate` and `jet.total_derivative`.  A call
     takes the chain rule, D f(u) = sum_i f_i(u) * D u_i, with f_i the
     head's derivative in slot i; a polynomial goes through `_diff_poly`,
     and N/M through the quotient rule once, (D N * M - N * D M)/M^2.
     Atom images are kept in memo, which callers may share between
-    expressions derived by one dsym."""
+    expressions derived by one dsym.  When D is the partial derivative by
+    the symbol `partial`, a call's image is also kept on the call, in
+    `Call._partials`, and read from there."""
 
     def image(a):
         da = memo.get(a)
         if da is None:
             if isinstance(a, Symbol):
                 da = dsym(a)
-            else:
+            elif partial is None or (da := a._partials.get(partial)) is None:
                 da = _dot((atom_expr(Call(a.head.d(slot), a.args)), darg)
                           for slot, arg in enumerate(a.args)
                           if not (darg := derive(arg)).is_rational_zero())
+                if partial is not None:
+                    a._partials[partial] = da
             memo[a] = da
         return da
 
@@ -921,7 +933,9 @@ class RewriteRule:
     The rule keeps the lifted replacements it has computed: `lifted(i)`
     is the i-th derivative of the replacement, taken once per rule and
     order by the same chain of `differentiate` calls that would take it
-    afresh, so it is the same expression."""
+    afresh, so it is the same expression.  It also keeps the names of
+    the heads called in the replacement's denominator, nested calls
+    included (`_den_heads`, read by `zero_status`)."""
 
     head: Symbol
     replacement: Expression
@@ -937,6 +951,10 @@ class RewriteRule:
                 raise ValueError(
                     "replacement for %s contains the pattern head" % self.head.name)
         object.__setattr__(self, "_lifts", [self.replacement])
+        object.__setattr__(self, "_den_heads", frozenset(
+            a.head.name for a in Expression(self.replacement.den,
+                                            _ONE_TERMS).atoms()
+            if isinstance(a, Call)))
 
     def lifted(self, i: int) -> Expression:
         """The replacement differentiated i times by the rule's variable:
@@ -1054,13 +1072,24 @@ class ZeroStatus(enum.Enum):
 def zero_status(e: Expression, rules: Sequence[RewriteRule] = ()) -> ZeroStatus:
     """SYMBOLIC_ZERO when e vanishes for every choice of its opaque
     functions that obeys the rules, else NONZERO; exact, since after the
-    rules and `_merge_points` every call is a free coordinate.  First the
-    rules with a polynomial replacement (u'' -> -q u, v'' -> -q v and
-    their lifts) run alone: a rational zero after them stays zero under
-    the others, which only substitute into it.  Otherwise all the rules
-    run on e, so the status, or the UndecidedZeroError, is the one-stage
+    rules and `_merge_points` every call is a free coordinate.
+
+    First the rules whose replacement's denominator calls no rule head,
+    nested calls included, run alone: u'' -> -q u and v'' -> -q v with
+    their lifts, for a polynomial q and for a rational one such as
+    x/(x+1), but not the Wronskian rule v' -> (1 + u'v)/u.  When they
+    leave a rational zero, so does the one-stage test, all the rules on
+    e, which then raises nothing.  Proof: a lift's denominator divides a
+    power of its rule's, so the denominators the first stage brings in
+    call no rule head; no rule rewrites them, and they stay nonzero.
+    Rewriting with all the rules is a substitution that gives a call the
+    first stage rewrote and that call's image one value (the rules agree
+    with one another, as a source equation's do), so it gives e the
+    value of the first stage's result, zero.  Otherwise all the rules run
+    on e, so the status, or the UndecidedZeroError, is the one-stage
     test's."""
-    first = [rule for rule in rules if rule.replacement.den == _ONE_TERMS]
+    heads = {rule.head.name for rule in rules}
+    first = [rule for rule in rules if heads.isdisjoint(rule._den_heads)]
     r = apply_rules(e, first)
     if not r.is_rational_zero() and len(first) < len(rules):
         r = apply_rules(e, rules)
@@ -1407,6 +1436,14 @@ def parse(text: str, ctx: ParseContext = None) -> Expression:
 
 
 def _format_atom(a: Atom) -> str:
+    """The atom's text, made on its first print and kept on the atom."""
+    text = a._text
+    if text is None:
+        text = a.__dict__["_text"] = _atom_text(a)
+    return text
+
+
+def _atom_text(a: Atom) -> str:
     if isinstance(a, Symbol):
         if a.kind == JET:
             return a.name + "'" * a.order

@@ -187,19 +187,14 @@ def determining_equations(system: OdeSystem, ansatz: VectorField) -> Determining
     jet_vars = [ctx.jet(j, k)
                 for j in range(1, ctx.m + 1)
                 for k in range(1, ctx.order)]
-    equations = []
+    equations = {}  # each distinct equation -> its position, first seen first
     index = {}
     for nu, res in enumerate(residuals, start=1):
         groups = collect(res, jet_vars)
         for mon in sorted(groups, key=_mon_key):
             # collect drops zero coefficients, so each has a leading term
             eq = groups[mon] / groups[mon].num[0][1]
-            try:
-                pos = equations.index(eq)
-            except ValueError:
-                pos = len(equations)
-                equations.append(eq)
-            index[(nu, mon)] = pos
+            index[(nu, mon)] = equations.setdefault(eq, len(equations))
     unknowns = []
     for comp in ansatz.components():
         for a in comp.atoms():

@@ -10,6 +10,7 @@ from noncartan import (
     normalize_s, parse, reduction_transformation, scalar_context,
     source_solution_basis, Symbol, sym, zero, one,
 )
+from noncartan import catalog
 from noncartan.catalog import NormalFormCoefficients, _check_annihilates
 from noncartan.linalg import InconsistentSystemError
 
@@ -155,6 +156,51 @@ def test_normal_form_recheck_catches_each_bad_coefficient():
         for coeffs in wrong:
             with pytest.raises(InconsistentSystemError, match="annihilate"):
                 _check_annihilates(src, NormalFormCoefficients(n, coeffs))
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty the process-wide normal-form and symbolic-source tables
+    before and after the test."""
+    normal_form_coeffs.cache_clear()
+    catalog._symbolic_source.cache_clear()
+    yield
+    normal_form_coeffs.cache_clear()
+    catalog._symbolic_source.cache_clear()
+
+
+def test_normal_form_table_checked_once_per_key(cold_tables, monkeypatch):
+    """Each new (src, n) builds its table and checks it once; a repeat
+    returns the same table and checks nothing."""
+    checked = []
+
+    def counting(src, nf):
+        checked.append((src, nf.n))
+        _check_annihilates(src, nf)
+
+    monkeypatch.setattr(catalog, "_check_annihilates", counting)
+    src = SourceEquation.symbolic()
+    renamed = SourceEquation.symbolic({"u"})
+    rational = SourceEquation.for_q(1 / (sym(X) + 1))
+    keys = [(src, 3), (src, 4), (renamed, 3), (rational, 3)]
+    tables = [normal_form_coeffs(s, n) for s, n in keys]
+    assert checked == keys
+    for (s, n), nf in zip(keys * 2, tables * 2):
+        assert normal_form_coeffs(s, n) is nf
+    assert checked == keys
+    assert format_expression(tables[2].coefficient(2)) == "4*q(x)"
+
+
+def test_symbolic_source_built_once_per_name_set(cold_tables):
+    """One source equation per set of names to avoid, whatever the
+    container; another set names the pair apart."""
+    src = SourceEquation.symbolic()
+    assert SourceEquation.symbolic([]) is src
+    renamed = SourceEquation.symbolic(("u", "H"))
+    assert SourceEquation.symbolic(["H", "u", "u"]) is renamed
+    assert renamed is not src
+    assert format_expression(renamed.u) == "u_(x)"
+    assert catalog._symbolic_source.cache_info().misses == 2
 
 
 # a context whose shape and names are none of the defaults

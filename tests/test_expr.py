@@ -12,11 +12,11 @@ import pytest
 
 import noncartan
 from noncartan import (
-    Call, CollectError, CyclicBindingError, Expression, ParseContext,
-    ParseError, RewriteRule, SourceEquation, Symbol, UndecidedZeroError,
-    ZeroStatus, apply_rules, call, collect, const, dep, differentiate,
-    format_expression, func, indep, is_zero, jet, one, param,
-    parse, replace_atoms, substitute, sym, zero, zero_status,
+    Call, CollectError, CyclicBindingError, Expression, JetContext,
+    ParseContext, ParseError, RewriteRule, SourceEquation, Symbol,
+    UndecidedZeroError, ZeroStatus, apply_rules, call, collect, const, dep,
+    differentiate, format_expression, func, indep, is_zero, jet, one,
+    param, parse, replace_atoms, substitute, sym, zero, zero_status,
 )
 from noncartan import expr as expr_module
 from noncartan.expr import (
@@ -151,6 +151,36 @@ def test_differentiate_chain_rule():
     h = call(func("H"), x ** 2)
     dh = differentiate(h, X)
     assert dh == 2 * x * call(func("H", 1, (1,)), x ** 2)
+
+
+def test_differentiate_reads_the_partials_kept_on_calls():
+    """Seeded expressions with nested and multi-argument calls: a first
+    `differentiate` by s leaves each call's partial by s on the call,
+    and a second, which reads them back, is structurally equal to
+    `_derive` with no atom cache, for every point symbol and jet."""
+    rng = random.Random(27)
+    ctx = JetContext(2, 2)
+    x, y, w = (sym(s) for s in ctx.point_symbols())
+    yp, wp = sym(ctx.jet(1, 1)), sym(ctx.jet(2, 1))
+    a = sym(param("a"))
+    q = call(func("q"), x)
+    h = call(func("H", 2), x - y / yp, a * w)
+    g = call(func("G"), q * y + 1)
+    nested = call(func("F", 3), h, g / (x + 1), call(func("q"), x * wp))
+    atoms = [x, y, w, yp, wp, a, q, h, g, nested]
+    symbols = [ctx.x] + [ctx.jet(j, k) for j in (1, 2) for k in range(3)]
+    for _ in range(40):
+        e = random_expression(rng, 3, atoms)
+        calls = [b for b in e.atoms() if isinstance(b, Call)]
+        for s in symbols:
+            dsym = lambda b, s=s: one() if b == s else zero()
+            cold = expr_module._derive(e, dsym, {})
+            assert differentiate(e, s) == cold
+            if e.contains(s):
+                for c in calls:
+                    assert c._partials[s] == expr_module._derive(
+                        atom_expr(c), dsym, {})
+            assert differentiate(e, s) == cold
 
 
 def test_substitute_simultaneous():
@@ -345,16 +375,21 @@ def _outcome(test, e, rules):
 
 
 def test_staged_zero_status_matches_one_stage():
-    """A seeded corpus over the source-equation rules: zero through the
-    derivative rules alone (u'' + q u, L_3[s]), zero only through the
-    Wronskian rule, nonzero, and u(x+1), which is undecided.  The staged
-    test gives each case the one-stage status, or raises the same
-    error."""
-    rng = random.Random(26)
-    src = SourceEquation.symbolic()
+    """A seeded corpus over the source-equation rules, of an opaque q and
+    of the rational q = x/(x+1), whose derivative rules have the
+    denominator x + 1: zero through the derivative rules alone (u'' + q u,
+    L_3[s]), zero only through the Wronskian rule, nonzero, and u(x+1),
+    which is undecided.  The staged test gives each case the one-stage
+    status, or raises the same error."""
+    for src in (SourceEquation.symbolic(),
+                SourceEquation.for_q(sym(X) / (sym(X) + 1))):
+        _check_staged_zero_status(src, random.Random(26))
+
+
+def _check_staged_zero_status(src, rng):
     x, q, u, v = sym(X), src.q, src.u, src.v
     up, vp = src.d(u), src.d(v)
-    derivative_rules = [r for r in src.rules if r.replacement.den == _ONE_TERMS]
+    derivative_rules = [r for r in src.rules if r.head.dorders == (2,)]
     assert len(derivative_rules) == 2
 
     def l3(s):

@@ -11,6 +11,9 @@ from noncartan import (
     invariance_residual, is_non_cartan, is_zero, non_cartan_generators, one,
     prolong, scalar_context, sym, zero,
 )
+from noncartan import expr as expr_module
+from noncartan.classify import _full_ansatz
+from noncartan.expr import collect
 from noncartan.symmetry import _bracket, _partials, _prolonged_residuals
 
 from helpers import (
@@ -261,6 +264,35 @@ def test_determining_equations_free_fall():
     assert not ds.contains(xi)
     names = [u.name for u in ds.unknowns]
     assert names == ["xi", "phi"]
+
+
+def test_determining_equations_print_nothing(monkeypatch):
+    """The dedup of the determining equations never prints one: each
+    distinct equation keeps its first position, and each (residual,
+    monomial) points at its equation."""
+    ctx = JetContext(2, 2)
+    x, y, w = (sym(s) for s in ctx.point_symbols())
+    a, b, c = (call(func(name), x) for name in "ABC")
+    system = OdeSystem(ctx, (a * y + b * w, c * y - a * w))
+    ansatz = _full_ansatz(ctx)
+
+    def refuse(e):
+        raise AssertionError("determining_equations printed an expression")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(expr_module, "format_expression", refuse)
+        ds = determining_equations(system, ansatz)
+    jet_vars = [ctx.jet(j, 1) for j in (1, 2)]
+    expected = []
+    for nu, res in enumerate(invariance_residual(ansatz, system), start=1):
+        groups = collect(res, jet_vars)
+        for mon, coeff in groups.items():
+            eq = coeff / coeff.num[0][1]
+            if eq not in expected:
+                expected.append(eq)
+            assert ds.equations[ds.monomial_index[(nu, mon)]] == eq
+    assert list(ds.equations) == expected
+    assert len(ds.monomial_index) > len(ds.equations)
 
 
 def test_point_transformation_inverse_check():
