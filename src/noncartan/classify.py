@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from . import linalg
 from .expr import (
     _ONE_TERMS, CollectError, Expression, OpaqueArgumentError, Symbol,
-    ZeroStatus, _dot, _fresh_params, _linear_terms, call, collect,
-    differentiate, func, is_zero, one, param, sym, zero, zero_status,
+    ZeroStatus, _dot, _dot_groups, _fresh_params, _linear_terms, call,
+    collect, differentiate, func, is_zero, one, param, sym, zero, zero_status,
 )
 from .jet import JetContext, VectorField, prolong
 from .symmetry import (
-    DeterminingSystem, OdeSystem, _prolonged_residuals, determining_equations,
+    DeterminingSystem, OdeSystem, _prolonged_residuals, _split_pairs,
+    determining_equations,
 )
 from .catalog import SourceEquation, non_cartan_generators
 
@@ -420,11 +421,12 @@ def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
     prolongation depend only on (m, degree_cap), so they are built once
     per pair per process.  The ansatz is a polynomial, so its cached
     prolongation carries the split phi_k^(2) = E_k + sum_j y_j'' G_kj of
-    `ProlongedField.top_split`; for a polynomial M the residuals are
-    E + sum F_j G_j - X^(1) F, one sum of products, and for a rational
-    one the solved form is substituted.  Each equation in the ansatz
-    parameters goes to `linalg.nullspace` as a dict row of its nonzero
-    coefficients, keyed by the parameter's column."""
+    `ProlongedField.top_split`; for a polynomial M the products of each
+    residual's `_split_pairs` go into one unsorted term dict, with no
+    Expression, and for a rational M the solved form is substituted.
+    `linalg._affine_groups` splits each term into its parameter's column
+    and the rest, so each equation goes to `linalg.nullspace` as a dict
+    row {column: coefficient} in the order its terms come."""
     if (not isinstance(degree_cap, int) or isinstance(degree_cap, bool)
             or degree_cap < 0):
         raise ValueError("degree_cap must be a non-negative int, got %r"
@@ -436,12 +438,14 @@ def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
                          % trace)
     params, noncartan_slots, pf = _oracle_ansatz(system.ctx.m, degree_cap)
     column = {p: i for i, p in enumerate(params)}
-    rows = []
-    for res in _prolonged_residuals(pf, system):
-        for lin, cst in linalg.linear_equations_in_params(res, params):
-            if cst != 0:
-                raise AssertionError("homogeneous system expected")
-            rows.append({column[p]: v for p, v in lin.items()})
+    pairs = _split_pairs(pf, system)
+    terms = ([res.num for res in _prolonged_residuals(pf, system)]
+             if pairs is None else
+             [_dot_groups(eq)[_ONE_TERMS].items() for eq in pairs])
+    rows = [row for eq in terms
+            for row in linalg._affine_groups(eq, column).values()]
+    if any(None in row for row in rows):
+        raise AssertionError("homogeneous system expected")
     return any(any(vec[i] != 0 for i in noncartan_slots)
                for vec in linalg.nullspace(rows, ncols=len(params)))
 

@@ -31,7 +31,8 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+# no typing subscript at import: typing's cache would pin this module
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Symbol", "Call", "Expression", "RewriteRule", "ZeroStatus",
@@ -231,8 +232,6 @@ class Call:
         return self._key
 
 
-Atom = Union[Symbol, Call]
-
 # A monomial is a tuple of (atom, positive-exponent) pairs sorted by the
 # atom sort key; terms are a tuple of (monomial, coefficient) pairs
 # sorted by monomial key, each coefficient an int or a Fraction.
@@ -379,7 +378,7 @@ class Expression:
 
     # -- traversal ----------------------------------------------------
 
-    def atoms(self) -> Iterator[Atom]:
+    def atoms(self) -> Iterator[Symbol | Call]:
         """All atoms, including those nested in opaque-call arguments."""
         seen = set()
         stack = [self]
@@ -637,7 +636,7 @@ def const(v) -> Expression:
     return Expression(((_ONE_MON, c),), _ONE_TERMS)
 
 
-def atom_expr(a: Atom) -> Expression:
+def atom_expr(a: Symbol | Call) -> Expression:
     return Expression(((((a, 1),), 1),), _ONE_TERMS)
 
 
@@ -707,7 +706,13 @@ def _sum(pieces: Iterable[Expression]) -> Expression:
 
 
 def _dot(pairs: Iterable[tuple]) -> Expression:
-    """`_sum(f * g for f, g in pairs)`.  The product of two polynomials
+    """`_sum(f * g for f, g in pairs)`: `_over` of `_dot_groups`."""
+    return _over(_dot_groups(pairs))
+
+
+def _dot_groups(pairs: Iterable[tuple]) -> dict:
+    """The products f * g over the pairs as unsorted term dicts keyed by
+    their denominators, `_over`'s input.  The product of two polynomials
     is their term products, with nothing to cancel, rescale or divide,
     so those go straight into the polynomial group; any other product
     goes through `*`, and its numerator into its denominator's group."""
@@ -720,7 +725,7 @@ def _dot(pairs: Iterable[tuple]) -> Expression:
         else:
             fg = f * g
             _tadd(groups.setdefault(fg.den, {}), fg.num)
-    return _over(groups)
+    return groups
 
 
 def _lead_product(c, mon, image):
@@ -865,7 +870,8 @@ def _check_acyclic(bindings):
             visit(node)
 
 
-def replace_atoms(e: Expression, mapping: Mapping[Atom, Expression]) -> Expression:
+def replace_atoms(e: Expression,
+                  mapping: Mapping[Symbol | Call, Expression]) -> Expression:
     """Replace whole atoms (including opaque calls) by expressions."""
     return _replace(e, mapping)
 
@@ -1435,7 +1441,7 @@ def parse(text: str, ctx: ParseContext = None) -> Expression:
 # Printing
 
 
-def _format_atom(a: Atom) -> str:
+def _format_atom(a: Symbol | Call) -> str:
     """The atom's text, made on its first print and kept on the atom."""
     text = a._text
     if text is None:
@@ -1443,7 +1449,7 @@ def _format_atom(a: Atom) -> str:
     return text
 
 
-def _atom_text(a: Atom) -> str:
+def _atom_text(a: Symbol | Call) -> str:
     if isinstance(a, Symbol):
         if a.kind == JET:
             return a.name + "'" * a.order

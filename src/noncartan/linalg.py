@@ -182,33 +182,34 @@ def linear_equations_in_params(e: Expression, params):
     """Write a polynomial identity that is affine in the given parameter
     symbols as a list of scalar equations.
 
-    The expression's numerator is expanded; grouping by the monomials in
-    everything except the parameters yields one equation per group, each
-    returned as (coefficient map param -> coefficient, constant),
-    meaning sum(coeff * param) + constant = 0.  The values are exact:
-    an int where integral, else a Fraction, like the expression's own
-    coefficients.
+    The numerator's terms are grouped by `_affine_groups`: one equation
+    per monomial in everything except the parameters, in the order of
+    those monomials' sort keys, each returned as (coefficient map param
+    -> coefficient, constant), meaning sum(coeff * param) + constant =
+    0.  The values are exact: an int where integral, else a Fraction,
+    like the expression's own coefficients.
     """
-    pset = set(params)
+    groups = _affine_groups(e.num, {p: p for p in params})
+    return [(lin, lin.pop(None, 0))
+            for lin in map(groups.get, sorted(groups, key=_mon_key))]
+
+
+def _affine_groups(terms, keys: dict) -> dict:
+    """The terms of a polynomial affine in the parameters p keyed in
+    `keys`, grouped by the rest of their monomials, in the order they
+    come: {rest: {keys[p]: coefficient, None: constant}}.  The monomials
+    are distinct, as in an Expression or a term dict, so each key of a
+    group is met once.  ValueError on a term that is not affine."""
     groups = {}
-    for mon, c in e.num:
-        p = None
+    for mon, c in terms:
+        key = None
         rest = []
         for a, k in mon:
-            if a not in pset:
+            if a not in keys:
                 rest.append((a, k))
-            elif p is None and k == 1:
-                p = a
+            elif key is None and k == 1:
+                key = keys[a]
             else:
                 raise ValueError("expression is not affine in the parameters")
-        lin, cst = groups.setdefault(tuple(rest), ({}, [0]))
-        if p is None:
-            cst[0] += c
-        else:
-            lin[p] = lin.get(p, 0) + c
-    out = []
-    for rest in sorted(groups, key=_mon_key):
-        lin, cst = groups[rest]
-        out.append((lin, cst[0]))
-    return out
-
+        groups.setdefault(tuple(rest), {})[key] = c
+    return groups

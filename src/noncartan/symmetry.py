@@ -149,33 +149,40 @@ def invariance_residual(v: VectorField, system: OdeSystem) -> list:
 
 def _prolonged_residuals(pf: ProlongedField, system: OdeSystem) -> list:
     """The residuals of `invariance_residual` from a field already
-    prolonged to the system's order in the system's context.
+    prolonged to the system's order in the system's context: one `_dot`
+    of each equation's `_split_pairs` where they exist, structurally
+    equal to the substituted residual since polynomials have one term
+    tuple; otherwise the field is applied to y_j^(n) - F_j and the
+    solved form substituted with `OdeSystem.on_shell`."""
+    ctx = system.ctx
+    pairs = _split_pairs(pf, system)
+    if pairs is None:
+        residuals = [system.on_shell(pf.apply_to(
+            sym(ctx.jet(j, ctx.order)) - system.rhs[j - 1]))
+            for j in range(1, ctx.m + 1)]
+    else:
+        residuals = map(_dot, pairs)
+    return [apply_rules(res, system.rules) for res in residuals]
 
-    With the split phi_j^(n) = E_j + sum_k y_k^(n) G_jk of the field's
-    `top_split` and polynomial right-hand sides F_k, the on-shell
-    residual is E_j + sum_k F_k G_jk - X^(n-1) F_j, one `_dot` with no
-    substitution; polynomials have one term tuple, so it is structurally
-    equal to the substituted one.  Otherwise (first order, or a rational
-    field or right-hand side) the field is applied to y_j^(n) - F_j and
-    the solved form substituted with `OdeSystem.on_shell`."""
+
+def _split_pairs(pf: ProlongedField, system: OdeSystem):
+    """For each equation j, polynomial pairs (f, g) whose sum of f * g is
+    its on-shell residual E_j + sum_k F_k G_jk - X^(n-1) F_j before the
+    rules, with phi_j^(n) = E_j + sum_k y_k^(n) G_jk the field's
+    `top_split`; None without that split or with a rational F_k."""
     ctx = system.ctx
     n = ctx.order
-    split = pf.top_split if pf.p == n and all(
-        f.den == _ONE_TERMS for f in system.rhs) else None
-    residuals = []
-    for j in range(1, ctx.m + 1):
+    if (pf.p != n or pf.top_split is None
+            or any(f.den != _ONE_TERMS for f in system.rhs)):
+        return None
+    out = []
+    for j, (e_j, g_j) in enumerate(pf.top_split, 1):
         delta = sym(ctx.jet(j, n)) - system.rhs[j - 1]
-        if split is None:
-            res = system.on_shell(pf.apply_to(delta))
-        else:
-            e_j, g_j = split[j - 1]
-            res = _dot(
-                [(one(), e_j), (pf.base.xi, differentiate(delta, ctx.x))]
-                + list(zip(system.rhs, g_j))
-                + [(pf.coeff(k, i), differentiate(delta, ctx.jet(k, i)))
-                   for k in range(1, ctx.m + 1) for i in range(n)])
-        residuals.append(apply_rules(res, system.rules))
-    return residuals
+        out.append([(one(), e_j), (pf.base.xi, differentiate(delta, ctx.x))]
+                   + list(zip(system.rhs, g_j))
+                   + [(pf.coeff(k, i), differentiate(delta, ctx.jet(k, i)))
+                      for k in range(1, ctx.m + 1) for i in range(n)])
+    return out
 
 
 def determining_equations(system: OdeSystem, ansatz: VectorField) -> DeterminingSystem:

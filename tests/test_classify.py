@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,14 @@ from noncartan import (
     one, zero_status, isotropy_test, prolong, VectorField,
 )
 from noncartan import classify as classify_module
+from noncartan import linalg
 from noncartan.classify import (
     _oracle_ansatz, _p_degree, _trace_free_system, _trivial_witnesses,
     _verified_witnesses, _witness_prolongation,
 )
 from noncartan.expr import format_expression
-from noncartan.symmetry import _prolonged_residuals
+from noncartan.linalg import linear_equations_in_params
+from noncartan.symmetry import _prolonged_residuals, _split_pairs
 
 from helpers import reference_brute_force_search, reference_oracle_ansatz
 
@@ -493,6 +496,67 @@ def test_oracle_residuals_match_invariance_residual():
             system = _trace_free_system(mat)
             assert (_prolonged_residuals(pf, system)
                     == invariance_residual(ansatz, system))
+
+
+def _rational_trace_free():
+    x = sym(X)
+    return ((1 / (x + 1), one()), (x, -1 / (x + 1)))
+
+
+def test_search_rows_match_linear_equations_in_params(monkeypatch):
+    """The rows the search hands to `linalg.nullspace` are, as a
+    multiset, the rows `linear_equations_in_params` makes from the
+    `_prolonged_residuals` Expressions: on the split path (integer and
+    opaque M) and on the substituted one (a rational M); and the search
+    answers as the reference search does."""
+    captured = []
+    real = linalg.nullspace
+
+    def spy(rows, ncols=None):
+        captured.append(rows)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    cases = [(m, cap, mat, True)
+             for m, cap, count in ((2, 0, 6), (2, 1, 6), (2, 2, 2),
+                                   (3, 0, 3), (3, 1, 1))
+             for mat in _trace_free_corpus(m, 21 + cap, count)]
+    cases += [(2, cap, _rational_trace_free(), False) for cap in (0, 1)]
+    for m, cap, mat, split in cases:
+        params, _slots, pf = _oracle_ansatz(m, cap)
+        system = _trace_free_system(mat)
+        assert (_split_pairs(pf, system) is not None) == split
+        column = {p: i for i, p in enumerate(params)}
+        want = Counter()
+        for res in _prolonged_residuals(pf, system):
+            for lin, cst in linear_equations_in_params(res, params):
+                assert cst == 0
+                want[frozenset((column[p], v) for p, v in lin.items())] += 1
+        found = non_cartan_search(mat, degree_cap=cap)
+        (rows,) = captured
+        captured.clear()
+        assert Counter(frozenset(row.items()) for row in rows) == want
+        assert found == reference_brute_force_search(system, cap)
+
+
+def test_search_refuses_a_constant_term(monkeypatch):
+    """A term free of the ansatz parameters makes the system
+    inhomogeneous, on both paths of the search."""
+    real_pairs = classify_module._split_pairs
+    real_residuals = classify_module._prolonged_residuals
+
+    def pairs_plus_one(pf, system):
+        pairs = real_pairs(pf, system)
+        return pairs and [eq + [(one(), one())] for eq in pairs]
+
+    monkeypatch.setattr(classify_module, "_split_pairs", pairs_plus_one)
+    monkeypatch.setattr(
+        classify_module, "_prolonged_residuals",
+        lambda pf, system: [r + 1 for r in real_residuals(pf, system)])
+    z = zero()
+    for mat in ((z, z), (z, z)), _rational_trace_free():
+        with pytest.raises(AssertionError, match="homogeneous"):
+            non_cartan_search(mat, degree_cap=0)
 
 
 def test_oracle_cache_reuse_keeps_answers_and_coefficients():

@@ -42,3 +42,26 @@ def test_checker_flags_unused_and_spares_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_reimport_leaves_no_old_module_alive():
+    """Purging the package from sys.modules and importing it again
+    leaves the old copies to the collector: no import-time typing
+    subscript of an engine class keeps one in typing's cache."""
+    import subprocess
+    import sys
+
+    probe = (
+        "import gc, sys; sys.path.insert(0, %r); import noncartan\n"
+        "for _ in range(3):\n"
+        "    for name in [n for n in sys.modules\n"
+        "                 if n.split('.')[0] == 'noncartan']:\n"
+        "        del sys.modules[name]\n"
+        "    import noncartan\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, type) and o.__name__ == 'Expression'\n"
+        "          and o.__module__ == 'noncartan.expr'\n"
+        "          for o in gc.get_objects()))\n" % str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "1"

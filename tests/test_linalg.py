@@ -9,8 +9,8 @@ from noncartan import (
 )
 from noncartan.expr import _ONE_TERMS, monomial_expression
 from noncartan.linalg import (
-    InconsistentSystemError, _rref, linear_equations_in_params, nullspace,
-    rank, solve,
+    InconsistentSystemError, _affine_groups, _rref,
+    linear_equations_in_params, nullspace, rank, solve,
 )
 
 from helpers import (
@@ -204,6 +204,24 @@ def test_linear_equations_in_params_rejects_nonaffine_terms():
     for e in (sym(p) ** 2, x * sym(p) * sym(q), x + sym(q) ** 3 * x ** 2):
         with pytest.raises(ValueError, match="not affine"):
             linear_equations_in_params(e, [p, q])
+
+
+def test_affine_groups_of_a_term_dict():
+    """The one grouping routine takes any terms with distinct
+    monomials, here an unsorted term dict, keeps them in the order they
+    come, keys each coefficient by its parameter's key and the constant
+    by None, and refuses a term that is not affine."""
+    x, p, q = indep("x"), param("p"), param("q")
+    terms = {((x, 2),): 5, ((x, 1), (p, 1)): 2, ((q, 1),): -1,
+             ((x, 2), (q, 1)): Fraction(1, 3), (): 7, ((x, 1),): 4}
+    assert list(_affine_groups(terms.items(), {p: 0, q: 1}).items()) == [
+        (((x, 2),), {None: 5, 1: Fraction(1, 3)}),
+        (((x, 1),), {0: 2, None: 4}),
+        ((), {1: -1, None: 7}),
+    ]
+    for mon in (((p, 2),), ((x, 1), (p, 1), (q, 1)), ((q, 3),)):
+        with pytest.raises(ValueError, match="not affine"):
+            _affine_groups({mon: 1, (): 1}.items(), {p: 0, q: 1})
 
 
 def test_linalg_matches_sympy_randomized():
