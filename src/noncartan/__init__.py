@@ -34,7 +34,7 @@ from .catalog import (
 from .classify import (
     ClassificationVerdict, LinearSystemSpec, NotInNormalFormError,
     TraceReductionError, brute_force_non_cartan_search, classify_linear_system,
-    cubic_in_p_test, determining_system_2x2, isotropy_test,
+    classify_system, cubic_in_p_test, determining_system_2x2, isotropy_test,
     non_cartan_existence_2x2, non_cartan_search, trace_free_reduce,
 )
 

@@ -1,13 +1,14 @@
-"""Decision procedures: the cubic-in-p necessary linearization test,
-the isotropy test for canonical-class membership of linear systems, the
-trace-removal residual verifier and the brute-force polynomial oracle for
-m x m systems, and the non-Cartan-existence decision for 2x2 systems."""
+"""Decision procedures: `classify_system`, which classifies a linear
+normal form by the isotropy test for the canonical class and a scalar
+equation by the necessary cubic-in-p linearization test; the
+trace-removal residual verifier and the brute-force polynomial oracle
+for m x m systems, and the non-Cartan-existence decision for 2x2 systems."""
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .expr import (
@@ -18,7 +19,7 @@ from .expr import (
 from .jet import JetContext, VectorField, prolong
 from .symmetry import (
     DeterminingSystem, OdeSystem, _prolonged_residuals, _split_pairs,
-    determining_equations,
+    determining_equations, invariance_residual,
 )
 from .catalog import SourceEquation, non_cartan_generators
 
@@ -26,7 +27,7 @@ __all__ = [
     "LinearSystemSpec", "ClassificationVerdict", "NotInNormalFormError",
     "TraceReductionError", "cubic_in_p_test", "isotropy_test",
     "non_cartan_existence_2x2", "determining_system_2x2",
-    "trace_free_reduce", "classify_linear_system",
+    "trace_free_reduce", "classify_linear_system", "classify_system",
     "brute_force_non_cartan_search", "non_cartan_search",
 ]
 
@@ -114,15 +115,20 @@ class LinearSystemSpec:
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    in_canonical_class: bool
+    """Kind "linear" decides canonical-class membership; kind "scalar"
+    leaves it None and states facts: p-degree, cubic test, C1/C2 pair."""
+
+    in_canonical_class: bool | None
     witnesses: tuple = None
     reason: tuple = ()
+    kind: str = "linear"
+    facts: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         if self.witnesses is not None:
             object.__setattr__(self, "witnesses", tuple(self.witnesses))
         object.__setattr__(self, "reason", tuple(self.reason))
-        if self.in_canonical_class != (self.witnesses is not None):
+        if (self.in_canonical_class is True) != (self.witnesses is not None):
             raise ValueError("witnesses present iff in the canonical class")
 
 
@@ -356,16 +362,48 @@ def determining_system_2x2(a: Expression, b: Expression, c: Expression,
 def classify_linear_system(spec: LinearSystemSpec,
                            rules=()) -> ClassificationVerdict:
     """Canonical-class membership for second-order linear systems in
-    normal form, via the isotropy test; witnesses are the non-Cartan
-    generators built from the common scalar coefficient."""
+    normal form, via the isotropy test under the rules; witnesses are the
+    non-Cartan generators built from the common scalar coefficient q,
+    rechecked under the rules together with those of q's source equation."""
     q, defects = _isotropy_defects(spec, rules)   # convention y'' + q y = 0
     reasons = tuple("non-isotropic at entry (%d,%d)" % (i + 1, j + 1)
                     for i, j in defects)
     if reasons:
         return ClassificationVerdict(False, None, reasons)
     src = SourceEquation.for_q(q)
-    witnesses = _verified_witnesses(src, spec.ode_system(src.rules))
+    rules = tuple(r for r in rules if r not in src.rules) + src.rules
+    witnesses = _verified_witnesses(src, spec.ode_system(rules))
     return ClassificationVerdict(True, witnesses, ())
+
+
+def _classify_scalar(system: OdeSystem) -> ClassificationVerdict:
+    """The degree of y'' = f in p = y', then the pair C1, C2 of y'' = 0
+    that the equation admits under its rules."""
+    ctx = system.ctx
+    try:
+        degree = _p_degree(system.rhs[0], ctx.jet(1, 1))
+        cubic, note = degree is not None and degree <= 3, None
+    except OpaqueArgumentError as exc:
+        degree, cubic, note = None, None, str(exc)
+    pair = non_cartan_generators(SourceEquation.trivial(), ctx)
+    admitted = [label for label, v in zip(("C1", "C2"), pair)
+                if all(zero_status(r, system.rules) is not ZeroStatus.NONZERO
+                       for r in invariance_residual(v, system))]
+    return ClassificationVerdict(None, kind="scalar", facts={
+        "p-degree": degree, "cubic-in-p": cubic, "cubic-note": note,
+        "admits-non-cartan": admitted})
+
+
+def classify_system(system: OdeSystem) -> ClassificationVerdict:
+    """The verdict on a linear normal form y'' = M y or a scalar y'' = f,
+    under the system's rules; NotInNormalFormError for any other system."""
+    spec = LinearSystemSpec.from_system(system)
+    if spec is not None:
+        return classify_linear_system(spec, system.rules)
+    if system.ctx.m == 1 and system.ctx.order == 2:
+        return _classify_scalar(system)
+    raise NotInNormalFormError("classification needs a linear normal-form "
+                               "system or a scalar second-order equation")
 
 
 # ---------------------------------------------------------------------------

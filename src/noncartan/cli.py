@@ -3,7 +3,8 @@ inline strings or files (parsed by `noncartan.io`), dispatch the
 verification, determining-system, classification, catalog and commutator
 commands, and print deterministic text or JSON reports.  Each command
 takes only the options it reads and returns its exit code, inputs,
-results and text lines; `main` alone builds the report and prints it."""
+results and text lines; `main` alone builds the report and prints it.
+`classify` only formats the verdict of `classify.classify_system`."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import os
 import sys
 
 from .expr import (
-    Call, CollectError, OpaqueArgumentError, UndecidedZeroError, ZeroStatus,
+    Call, CollectError, UndecidedZeroError, ZeroStatus,
     format_expression, format_monomial, zero_status,
 )
 from .jet import JetContext, VectorField
@@ -235,74 +236,35 @@ def cmd_determining(args) -> tuple:
 
 def cmd_classify(args) -> tuple:
     system = parse_system(_read_source(args.system))
-    ctx = system.ctx
-    spec = _classify.LinearSystemSpec.from_system(system)
-    if spec is not None:
-        verdict = _classify.classify_linear_system(spec)
-        results = [{
-            "kind": "linear",
-            "in-canonical-class": verdict.in_canonical_class,
-            "reason": list(verdict.reason),
-            "witnesses": [format_vector_field(w)
-                          for w in (verdict.witnesses or ())],
-        }]
-        lines = ["linear system in normal form"]
-        if verdict.in_canonical_class:
-            lines.append("in canonical class: yes")
+    verdict = _classify.classify_system(system)
+    if verdict.kind == "linear":
+        in_class = verdict.in_canonical_class
+        result = {"kind": "linear", "in-canonical-class": in_class,
+                  "reason": list(verdict.reason),
+                  "witnesses": [format_vector_field(w)
+                                for w in verdict.witnesses or ()]}
+        lines = ["linear system in normal form",
+                 "in canonical class: %s" % ("yes" if in_class else "no")]
+        if in_class:
             lines.append("witnesses (%d):" % len(verdict.witnesses))
-            for w in verdict.witnesses:
-                lines.append("  " + format_vector_field(w))
-        else:
-            lines.append("in canonical class: no")
-            for r in verdict.reason:
-                lines.append("  " + r)
-        code = EXIT_OK if verdict.in_canonical_class else EXIT_FAIL
-    elif ctx.m == 1 and ctx.order == 2:
-        f = system.rhs[0]
-        p = ctx.jet(1, 1)
-        try:
-            degree = _classify._p_degree(f, p)
-            cubic = degree is not None and degree <= 3
-            cubic_note = None
-        except OpaqueArgumentError as exc:
-            degree = cubic = None
-            cubic_note = str(exc)
-        admitted = []
-        for label, v in zip(["C1", "C2"], non_cartan_generators(
-                SourceEquation.trivial(), ctx)):
-            residuals = invariance_residual(v, system)
-            sts = [zero_status(r, system.rules) for r in residuals]
-            if all(st is not ZeroStatus.NONZERO for st in sts):
-                admitted.append(label)
-        results = [{
-            "kind": "scalar",
-            "cubic-in-p": cubic,
-            "cubic-note": cubic_note,
-            "p-degree": degree,
-            "admits-non-cartan": admitted,
-        }]
-        lines = []
-        if admitted:
-            lines.append("admits non-Cartan symmetries %s"
-                         % ", ".join(admitted))
-        else:
-            lines.append("admits no catalog non-Cartan symmetry")
+        lines += ["  " + t for t in result["witnesses"] + result["reason"]]
+        code = EXIT_OK if in_class else EXIT_FAIL
+    else:
+        result = {"kind": "scalar", **verdict.facts}
+        admitted, cubic = result["admits-non-cartan"], result["cubic-in-p"]
+        lines = ["admits non-Cartan symmetries %s" % ", ".join(admitted)
+                 if admitted else "admits no catalog non-Cartan symmetry"]
         if cubic is None:
-            lines.append("cubic test inapplicable: %s" % cubic_note)
-            code = EXIT_FAIL
+            lines.append("cubic test inapplicable: %s" % result["cubic-note"])
         elif cubic:
             lines.append("polynomial of degree at most 3 in p: "
                          "necessary linearization condition holds")
-            code = EXIT_OK
         else:
-            lines.append("NOT linearizable (%s)"
-                         % ("not a polynomial in p" if degree is None
-                            else "degree-%d in p" % degree))
-            code = EXIT_FAIL
-    else:
-        raise InputError("classification needs a linear normal-form "
-                         "system or a scalar second-order equation")
-    return code, _system_inputs(system), results, lines
+            lines.append("NOT linearizable (%s)" % (
+                "not a polynomial in p" if result["p-degree"] is None
+                else "degree-%d in p" % result["p-degree"]))
+        code = EXIT_OK if cubic else EXIT_FAIL
+    return code, _system_inputs(system), [result], lines
 
 
 def cmd_catalog(args) -> tuple:
@@ -439,7 +401,8 @@ def main(argv=None) -> int:
         code, inputs, results, lines = args.run(args)
     except SystemExit as exc:   # --help
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (InputError, UndecidedZeroError) as exc:
+    except (InputError, UndecidedZeroError,
+            _classify.NotInNormalFormError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except RecursionError:

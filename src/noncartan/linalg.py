@@ -132,8 +132,20 @@ def _ncols(rows, ncols):
     return len(rows[0])
 
 
+def _rref_within(rows, ncols: int = None) -> dict:
+    """`_rref`; ValueError on a key other than the int columns below
+    ncols (comparing an int with a key that is not one raises TypeError)."""
+    try:
+        red = _rref(rows)
+        if ncols is None or max(map(max, red.values()), default=0) < ncols:
+            return red
+    except TypeError:
+        pass
+    raise ValueError("a row has a non-int key or a key past column ncols - 1")
+
+
 def rank(rows) -> int:
-    return len(_rref(rows))
+    return len(_rref_within(rows))
 
 
 def nullspace(rows, ncols: int = None):
@@ -142,9 +154,7 @@ def nullspace(rows, ncols: int = None):
         return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
                 for j in range(ncols or 0)]
     ncols = _ncols(rows, ncols)
-    red = _rref(rows)
-    if max(map(max, red.values()), default=0) >= ncols:
-        raise ValueError("a row has an entry past column ncols - 1")
+    red = _rref_within(rows, ncols)
     zero, one = Fraction(0), Fraction(1)
     basis = {fc: [zero] * ncols for fc in range(ncols) if fc not in red}
     for fc, vec in basis.items():
@@ -166,10 +176,9 @@ def solve(rows, rhs, ncols: int = None):
     if not rows:
         return [Fraction(0)] * (ncols or 0)
     ncols = _ncols(rows, ncols)
-    red = _rref({**r, ncols: b} if isinstance(r, dict) else list(r) + [b]
-                for r, b in zip(rows, rhs))
-    if max(map(max, red.values()), default=0) > ncols:
-        raise ValueError("a row has an entry past column ncols - 1")
+    red = _rref_within(({**r, ncols: b} if isinstance(r, dict)
+                        else list(r) + [b] for r, b in zip(rows, rhs)),
+                       ncols + 1)
     if ncols in red:
         raise InconsistentSystemError("inconsistent linear system")
     sol = [Fraction(0)] * ncols

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +11,7 @@ from noncartan import (
     ClassificationVerdict, JetContext, LinearSystemSpec, NotInNormalFormError,
     OpaqueArgumentError, RewriteRule, SourceEquation, TraceReductionError,
     ZeroStatus, brute_force_non_cartan_search, call, classify_linear_system,
+    classify_system,
     const, cubic_in_p_test, determining_system_2x2, func, indep,
     invariance_residual, is_non_cartan, is_zero, non_cartan_existence_2x2,
     non_cartan_search, nonlinear_counterexample, OdeSystem, scalar_context,
@@ -20,7 +24,9 @@ from noncartan.classify import (
     _oracle_ansatz, _p_degree, _trace_free_system, _trivial_witnesses,
     _verified_witnesses, _witness_prolongation,
 )
+from noncartan.cli import main
 from noncartan.expr import format_expression
+from noncartan.io import parse_system
 from noncartan.linalg import linear_equations_in_params
 from noncartan.symmetry import _prolonged_residuals, _split_pairs
 
@@ -240,6 +246,13 @@ def test_existence_obstructions_cited():
 def test_verdict_invariant():
     with pytest.raises(ValueError):
         ClassificationVerdict(True, None)
+    # witnesses come with a verdict in the class and with no other verdict
+    for decided in (False, None):
+        with pytest.raises(ValueError):
+            ClassificationVerdict(decided, ())
+        assert ClassificationVerdict(decided).witnesses is None
+    # a verdict stays hashable with its facts
+    hash(ClassificationVerdict(None, kind="scalar", facts={"p-degree": 1}))
 
 
 def test_determining_system_2x2_shapes():
@@ -303,6 +316,51 @@ def test_classify_q_against_q_plus_q_prime_under_source_rules():
     assert not verdict.in_canonical_class
     assert verdict.reason == ("non-isotropic at entry (1,1)",
                               "non-isotropic at entry (2,2)")
+
+
+@pytest.mark.parametrize("text", ["eq14", "y''=H(y')", "y''=y'^4"])
+def test_classify_system_scalar_facts_are_the_cli_report(text):
+    verdict = classify_system(parse_system(text))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["classify", "--system", text, "--format", "json"])
+    (result,) = json.loads(out.getvalue())["results"]
+    assert result.pop("kind") == verdict.kind == "scalar"
+    assert verdict.facts == result
+    assert verdict.in_canonical_class is None
+    assert verdict.witnesses is None
+
+
+@pytest.mark.parametrize("text", [
+    "y''+q(x)*y=0; w''+q(x)*w=0", "y''=0", "y''=-y",
+    "y1''+y1+0*y2=0; y2''+2*y1+y2=0"])
+def test_classify_system_linear_is_classify_linear_system(text):
+    system = parse_system(text)
+    verdict = classify_system(system)
+    assert verdict.kind == "linear" and verdict.facts == {}
+    assert verdict == classify_linear_system(
+        LinearSystemSpec.from_system(system), system.rules)
+
+
+def test_classify_system_refuses_other_systems():
+    for text in ("y'''=0", "y'=y", "y''=w'^2; w''=0"):
+        with pytest.raises(NotInNormalFormError,
+                           match="linear normal-form system or a scalar"):
+            classify_system(parse_system(text))
+
+
+def test_witness_recheck_keeps_the_callers_rules():
+    # u''/u reads -q only under the source rules, which the system
+    # carries: the witnesses are rechecked under them too, not only
+    # under the rules of the source equation built from the common q
+    src = SourceEquation.symbolic()
+    ctx = JetContext(2, 2)
+    y, w = sym(ctx.y(1)), sym(ctx.y(2))
+    system = OdeSystem(ctx, (src.d(src.u, 2) / src.u * y, -src.q * w),
+                       src.rules)
+    verdict = classify_system(system)
+    assert verdict.in_canonical_class is True
+    assert len(verdict.witnesses) == 4
 
 
 def test_classify_m3():

@@ -113,6 +113,19 @@ def test_dict_rows_need_ncols():
         solve([{0: 1, 4: 1}], [1], ncols=3)
 
 
+def test_a_key_that_is_not_a_column_is_a_value_error():
+    # a key that is not an int compares with none of the int columns
+    for rows in ([{None: 1, 0: 1}], [{0: 1, "a": 2, 1: 1}], [{None: 1}]):
+        with pytest.raises(ValueError, match="non-int key"):
+            nullspace(rows, ncols=3)
+        with pytest.raises(ValueError, match="non-int key"):
+            solve(rows, [1], ncols=3)
+    with pytest.raises(ValueError, match="non-int key"):
+        rank([{None: 1, 0: 1}])
+    with pytest.raises(ValueError, match="non-int key"):
+        rank([{0: 1, 1: 1}, {"a": 2, 1: 1}])
+
+
 def test_solve_refuses_unequal_lengths():
     # a short or long right-hand side once dropped equations silently
     for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 5]),
