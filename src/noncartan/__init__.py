@@ -19,8 +19,8 @@ from .linalg import (
 )
 from .symmetry import (
     ContextMismatchError, DeterminingSystem, LieAlgebraReport,
-    MissingInverseError, OdeSystem, PointTransformation, algebra_report,
-    change_coordinates, commutator, determining_equations,
+    LinearSystemSpec, MissingInverseError, OdeSystem, PointTransformation,
+    algebra_report, change_coordinates, commutator, determining_equations,
     invariance_residual, is_non_cartan,
 )
 from .catalog import (
@@ -32,9 +32,9 @@ from .catalog import (
     source_solution_basis,
 )
 from .classify import (
-    ClassificationVerdict, LinearSystemSpec, NotInNormalFormError,
-    TraceReductionError, brute_force_non_cartan_search, classify_linear_system,
-    classify_system, cubic_in_p_test, determining_system_2x2, isotropy_test,
+    ClassificationVerdict, NotInNormalFormError, TraceReductionError,
+    brute_force_non_cartan_search, classify_linear_system, classify_system,
+    cubic_in_p_test, determining_system_2x2, isotropy_test,
     non_cartan_existence_2x2, non_cartan_search, trace_free_reduce,
 )
 

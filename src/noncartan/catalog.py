@@ -1,7 +1,7 @@
 """Factories for the concrete objects of the theory: the free-fall
-symmetry algebra, the iterative-equation machinery, the canonical basis
-for isotropic linear systems, the non-Cartan generators, and the
-nonlinear family admitting them."""
+symmetry algebra, the iterative-equation machinery, the isotropic normal
+form (the `LinearSystemSpec` of the A_n^j I) and its canonical basis,
+the non-Cartan generators, and the nonlinear family admitting them."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from .expr import (
     const, differentiate, func, indep, is_zero, one, sym, zero,
 )
 from .jet import JetContext, VectorField, total_derivative
-from .symmetry import OdeSystem, PointTransformation
+from .symmetry import LinearSystemSpec, OdeSystem, PointTransformation
 
 __all__ = [
     "SourceEquation", "IterativeOperator", "NormalFormCoefficients",
@@ -253,17 +253,13 @@ def _check_annihilates(src: SourceEquation,
 def isotropic_system(src: SourceEquation, ctx: JetContext) -> OdeSystem:
     """The canonical-class normal form in ctx: ctx.m copies of the
     iterative equation y^(n) + sum_j A_n^j y^(n-j) = 0 of order
-    n = ctx.order."""
-    n = ctx.order
+    n = ctx.order: the `LinearSystemSpec` of the A_n^j I, A_n^1 = 0."""
     _check_same_x(src, ctx)
-    nf = normal_form_coeffs(src, n)
-    rhs = []
-    for i in range(1, ctx.m + 1):
-        f = zero()
-        for j in range(2, n + 1):
-            f = f - nf.coefficient(j) * sym(ctx.jet(i, n - j))
-        rhs.append(f)
-    return OdeSystem(ctx, tuple(rhs), src.rules)
+    m, n = ctx.m, ctx.order
+    scalars = (zero(),) + normal_form_coeffs(src, n).coeffs
+    return LinearSystemSpec(m, n, tuple(
+        tuple(tuple(c if i == j else zero() for j in range(m))
+              for i in range(m)) for c in scalars), ctx).ode_system(src.rules)
 
 
 def _check_same_x(src: SourceEquation, ctx: JetContext) -> None:

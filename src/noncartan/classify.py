@@ -2,7 +2,8 @@
 normal form by the isotropy test for the canonical class and a scalar
 equation by the necessary cubic-in-p linearization test; the
 trace-removal residual verifier and the brute-force polynomial oracle
-for m x m systems, and the non-Cartan-existence decision for 2x2 systems."""
+for m x m systems, and the non-Cartan-existence decision for 2x2
+systems.  A trace-free y'' = M y is the `LinearSystemSpec` (0, -M)."""
 
 from __future__ import annotations
 
@@ -13,13 +14,13 @@ from dataclasses import dataclass, field
 from . import linalg
 from .expr import (
     _ONE_TERMS, CollectError, Expression, OpaqueArgumentError, Symbol,
-    ZeroStatus, _dot, _dot_groups, _fresh_params, _linear_terms, call,
-    collect, differentiate, func, is_zero, one, param, sym, zero, zero_status,
+    ZeroStatus, _dot, _dot_groups, _fresh_params, call, collect,
+    differentiate, func, is_zero, one, param, sym, zero, zero_status,
 )
 from .jet import JetContext, VectorField, prolong
 from .symmetry import (
-    DeterminingSystem, OdeSystem, _prolonged_residuals, _split_pairs,
-    determining_equations, invariance_residual,
+    DeterminingSystem, LinearSystemSpec, OdeSystem, _prolonged_residuals,
+    _split_pairs, determining_equations, invariance_residual,
 )
 from .catalog import SourceEquation, non_cartan_generators
 
@@ -40,77 +41,6 @@ class TraceReductionError(ValueError):
     def __init__(self, residual: Expression):
         super().__init__("trace-removal residual is nonzero: %s" % residual)
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class LinearSystemSpec:
-    """y^(n) + A_{n-1} y^(n-1) + ... + A_0 y = 0 with matrix
-    coefficients depending on x only."""
-
-    m: int
-    n: int
-    matrices: tuple      # (A_{n-1}, ..., A_0), each an m x m tuple of tuples
-    ctx: JetContext = None
-
-    def __post_init__(self):
-        mats = tuple(tuple(tuple(row) for row in mat) for mat in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        if len(mats) != self.n:
-            raise ValueError("expected %d coefficient matrices" % self.n)
-        for mat in mats:
-            if len(mat) != self.m or any(len(row) != self.m for row in mat):
-                raise ValueError("coefficient matrices must be %d x %d"
-                                 % (self.m, self.m))
-            if any(e.max_jet_order() >= 0 for row in mat for e in row):
-                raise ValueError("coefficients must be functions of x only")
-        if self.ctx is None:
-            object.__setattr__(self, "ctx", JetContext(self.m, self.n))
-        elif self.ctx.m != self.m or self.ctx.order != self.n:
-            raise ValueError("context does not match the system shape")
-
-    @property
-    def a0(self):
-        return self.matrices[-1]
-
-    @property
-    def a1(self):
-        if self.n < 2:
-            raise ValueError("no first-order coefficient for n = 1")
-        return self.matrices[-2]
-
-    def ode_system(self, rules=()) -> OdeSystem:
-        ctx = self.ctx
-        rhs = []
-        for i in range(self.m):
-            f = zero()
-            for k, mat in enumerate(self.matrices):
-                order = self.n - 1 - k
-                for j in range(self.m):
-                    f = f - mat[i][j] * sym(ctx.jet(j + 1, order))
-            rhs.append(f)
-        return OdeSystem(ctx, tuple(rhs), rules)
-
-    @classmethod
-    def from_system(cls, system: OdeSystem):
-        """The spec (A_1, A_0) = (0, -M) of a system y'' = M y whose M is
-        free of y and y'; None for any other system."""
-        ctx = system.ctx
-        if ctx.order != 2:
-            return None
-        deps = [ctx.y(j) for j in range(1, ctx.m + 1)]
-        a0 = []
-        for f in system.rhs:
-            if any(f.contains(ctx.jet(j, 1)) for j in range(1, ctx.m + 1)):
-                return None
-            try:
-                terms = _linear_terms(f, deps)
-            except CollectError:
-                return None
-            if terms is None or not terms[1].is_rational_zero():
-                return None
-            a0.append(tuple(-terms[0].get(s, zero()) for s in deps))
-        zmat = tuple((zero(),) * ctx.m for _ in range(ctx.m))
-        return cls(ctx.m, 2, (zmat, tuple(a0)), ctx=ctx)
 
 
 @dataclass(frozen=True)
@@ -313,29 +243,17 @@ def _witness_prolongation(field: VectorField):
     return prolong(field, field.context.order)
 
 
-def _trace_free_system(mat) -> OdeSystem:
-    """The system y_i'' = sum_j M_ij y_j of the m x m matrix M, in
-    JetContext(m, 2), whose names at m = 2 are y and w."""
-    m = len(mat)
-    if any(len(row) != m or any(e.max_jet_order() >= 0 for e in row)
-           for row in mat):
-        raise ValueError("expected a square matrix of functions of x")
-    ctx = JetContext(m, 2)
-    ys = [sym(ctx.y(j)) for j in range(1, m + 1)]
-    return OdeSystem(ctx, tuple(functools.reduce(Expression.__add__, map(
-        Expression.__mul__, row, ys)) for row in mat))
-
-
 @functools.lru_cache(maxsize=1)
 def _trivial_witnesses() -> tuple:
     """The non-Cartan generators of the trivial 2x2 system, verified on
     first use; they depend on nothing, so later calls share them."""
+    zmat = ((zero(),) * 2,) * 2
     return _verified_witnesses(SourceEquation.trivial(),
-                               _trace_free_system(((zero(),) * 2,) * 2))
+                               LinearSystemSpec(2, 2, (zmat, zmat)).ode_system())
 
 
-def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
-                             rules=()) -> ClassificationVerdict:
+def non_cartan_existence_2x2(a: Expression, b: Expression,
+                             c: Expression) -> ClassificationVerdict:
     """A trace-free 2x2 normal form admits a non-Cartan symmetry iff it
     is the trivial system (A = B = C = 0).  The witnesses are those of
     the trivial system, verified once per process."""
@@ -343,7 +261,7 @@ def non_cartan_existence_2x2(a: Expression, b: Expression, c: Expression,
         raise ValueError("coefficients must be functions of x only")
     reason = tuple("%s is nonzero" % name
                    for name, e in (("A", a), ("B", b), ("C", c))
-                   if zero_status(e, rules) is ZeroStatus.NONZERO)
+                   if zero_status(e) is ZeroStatus.NONZERO)
     if reason:
         return ClassificationVerdict(False, None, reason)
     return ClassificationVerdict(True, _trivial_witnesses(), ())
@@ -354,7 +272,8 @@ def determining_system_2x2(a: Expression, b: Expression, c: Expression,
     """Determining equations for a symmetry of the trace-free 2x2 normal
     form; when restricted, the xi-component is alpha(x) y + beta(x) w +
     gamma(x) with the induced forms of the other components."""
-    system = _trace_free_system(((a, b), (c, -a)))
+    system = LinearSystemSpec(2, 2, (((zero(),) * 2,) * 2,
+                                     ((-a, -b), (-c, a)))).ode_system()
     build = _restricted_ansatz if restricted else _full_ansatz
     return determining_equations(system, build(system.ctx))
 
@@ -469,12 +388,14 @@ def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
             or degree_cap < 0):
         raise ValueError("degree_cap must be a non-negative int, got %r"
                          % (degree_cap,))
-    system = _trace_free_system(matrix)
+    m = len(matrix)
+    system = LinearSystemSpec(m, 2, (((zero(),) * m,) * m, tuple(
+        tuple(-e for e in row) for row in matrix))).ode_system()
     trace = _trace(matrix)
     if zero_status(trace) is ZeroStatus.NONZERO:
         raise ValueError("expected a trace-free matrix, got trace %s"
                          % trace)
-    params, noncartan_slots, pf = _oracle_ansatz(system.ctx.m, degree_cap)
+    params, noncartan_slots, pf = _oracle_ansatz(m, degree_cap)
     column = {p: i for i, p in enumerate(params)}
     pairs = _split_pairs(pf, system)
     terms = ([res.num for res in _prolonged_residuals(pf, system)]

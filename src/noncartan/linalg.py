@@ -134,14 +134,17 @@ def _ncols(rows, ncols):
 
 def _rref_within(rows, ncols: int = None) -> dict:
     """`_rref`; ValueError on a key other than the int columns below
-    ncols (comparing an int with a key that is not one raises TypeError)."""
+    ncols.  Comparing an int with a non-int key raises TypeError; a
+    negative key leaves a negative pivot, a reduced row's least key."""
     try:
         red = _rref(rows)
         if ncols is None or max(map(max, red.values()), default=0) < ncols:
-            return red
+            if all(isinstance(pc, int) and pc >= 0 for pc in red):
+                return red
     except TypeError:
         pass
-    raise ValueError("a row has a non-int key or a key past column ncols - 1")
+    raise ValueError("a row has a non-int key, a negative key or a key past "
+                     "column ncols - 1")
 
 
 def rank(rows) -> int:

@@ -1,6 +1,7 @@
-"""Symmetry analysis: on-shell invariance residuals, determining
-equations, commutators and algebra structure, the non-Cartan predicate,
-and coordinate changes of vector fields."""
+"""Symmetry analysis: ODE systems in solved form, a linear one built from
+its coefficient matrices by `LinearSystemSpec`; on-shell invariance
+residuals, determining equations, commutators and algebra structure,
+the non-Cartan predicate, and coordinate changes of vector fields."""
 
 from __future__ import annotations
 
@@ -9,16 +10,18 @@ from fractions import Fraction
 
 from . import linalg
 from .expr import (
-    _ONE_TERMS, DEP, Call, Expression, Symbol, _dot, _mon_key, apply_rules,
-    collect, differentiate, is_zero, one, replace_atoms, substitute, sym,
+    _ONE_TERMS, DEP, Call, CollectError, Expression, Symbol, _dot,
+    _linear_terms, _mon_key, apply_rules, collect, differentiate, is_zero,
+    one, replace_atoms, substitute, sym, zero,
 )
 from .jet import JetContext, ProlongedField, VectorField, prolong
 
 __all__ = [
-    "OdeSystem", "PointTransformation", "DeterminingSystem",
-    "LieAlgebraReport", "invariance_residual", "determining_equations",
-    "commutator", "is_non_cartan", "change_coordinates", "algebra_report",
-    "ContextMismatchError", "MissingInverseError",
+    "OdeSystem", "LinearSystemSpec", "PointTransformation",
+    "DeterminingSystem", "LieAlgebraReport", "invariance_residual",
+    "determining_equations", "commutator", "is_non_cartan",
+    "change_coordinates", "algebra_report", "ContextMismatchError",
+    "MissingInverseError",
 ]
 
 
@@ -55,6 +58,73 @@ class OdeSystem:
         bindings = {self.ctx.jet(j, n): self.rhs[j - 1]
                     for j in range(1, self.ctx.m + 1)}
         return substitute(e, bindings)
+
+
+@dataclass(frozen=True)
+class LinearSystemSpec:
+    """y^(n) + A_{n-1} y^(n-1) + ... + A_0 y = 0 with m x m matrix
+    coefficients of x only; the one builder of a linear `OdeSystem`."""
+
+    m: int
+    n: int
+    matrices: tuple      # (A_{n-1}, ..., A_0), each an m x m tuple of tuples
+    ctx: JetContext = None
+
+    def __post_init__(self):
+        mats = tuple(tuple(tuple(row) for row in mat) for mat in self.matrices)
+        object.__setattr__(self, "matrices", mats)
+        if len(mats) != self.n:
+            raise ValueError("expected %d coefficient matrices" % self.n)
+        for mat in mats:
+            if len(mat) != self.m or any(len(row) != self.m for row in mat):
+                raise ValueError("coefficient matrices must be square, %d x %d"
+                                 % (self.m, self.m))
+            if any(e.max_jet_order() >= 0 for row in mat for e in row):
+                raise ValueError("coefficients must be functions of x only")
+        if self.ctx is None:
+            object.__setattr__(self, "ctx", JetContext(self.m, self.n))
+        elif self.ctx.m != self.m or self.ctx.order != self.n:
+            raise ValueError("context does not match the system shape")
+
+    @property
+    def a0(self):
+        return self.matrices[-1]
+
+    @property
+    def a1(self):
+        if self.n < 2:
+            raise ValueError("no first-order coefficient for n = 1")
+        return self.matrices[-2]
+
+    def ode_system(self, rules=()) -> OdeSystem:
+        """y_i^(n) = -sum_k sum_j (A_k)_ij y_j^(k), one `_dot` per row."""
+        ctx, n = self.ctx, self.n
+        return OdeSystem(ctx, tuple(-_dot(
+            (e, sym(ctx.jet(j, n - 1 - k)))
+            for k, mat in enumerate(self.matrices)
+            for j, e in enumerate(mat[i], 1) if not e.is_rational_zero())
+            for i in range(self.m)), rules)
+
+    @classmethod
+    def from_system(cls, system: OdeSystem):
+        """The spec (A_1, A_0) = (0, -M) of a system y'' = M y whose M is
+        free of y and y'; None for any other system."""
+        ctx = system.ctx
+        if ctx.order != 2:
+            return None
+        deps = [ctx.y(j) for j in range(1, ctx.m + 1)]
+        a0 = []
+        for f in system.rhs:
+            if any(f.contains(ctx.jet(j, 1)) for j in range(1, ctx.m + 1)):
+                return None
+            try:
+                terms = _linear_terms(f, deps)
+            except CollectError:
+                return None
+            if terms is None or not terms[1].is_rational_zero():
+                return None
+            a0.append(tuple(-terms[0].get(s, zero()) for s in deps))
+        return cls(ctx.m, 2, (((zero(),) * ctx.m,) * ctx.m, a0), ctx=ctx)
 
 
 @dataclass(frozen=True)

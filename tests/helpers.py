@@ -8,7 +8,7 @@ from fractions import Fraction
 from noncartan import (
     Call, Expression, JetContext, JetOrderError, Symbol, VectorField,
     apply_rules, commutator, const, differentiate, indep, invariance_residual,
-    is_zero, jet, one, param, scalar_context, sym, zero,
+    is_zero, jet, normal_form_coeffs, one, param, scalar_context, sym, zero,
 )
 from noncartan.expr import (
     _KIND_RANK, _MAX_REWRITE_PASSES, _ONE_TERMS, _check_acyclic, _mk_mon,
@@ -700,3 +700,36 @@ def reference_brute_force_search(system, degree_cap):
             rows.append([lin.get(p, 0) for p in params])
     return any(any(vec[i] != 0 for i in slots)
                for vec in nullspace(rows, ncols=len(params)))
+
+
+# ---------------------------------------------------------------------------
+# Linear systems from coefficient matrices, as a running fold over every
+# entry, zeros included: the library takes one grouped sum per equation
+# over the nonzero entries (`LinearSystemSpec.ode_system`).
+
+
+def reference_linear_rhs(spec):
+    """The right-hand sides y_i^(n) = -sum_k sum_j (A_k)_ij y_j^(k) of
+    the spec, each folded with `-` from zero."""
+    ctx = spec.ctx
+    rhs = []
+    for i in range(spec.m):
+        f = zero()
+        for k, mat in enumerate(spec.matrices):
+            for j in range(spec.m):
+                f = f - mat[i][j] * sym(ctx.jet(j + 1, spec.n - 1 - k))
+        rhs.append(f)
+    return rhs
+
+
+def reference_isotropic_rhs(src, ctx):
+    """ctx.m copies of y^(n) = -sum_j A_n^j y^(n-j), folded from zero."""
+    n = ctx.order
+    nf = normal_form_coeffs(src, n)
+    rhs = []
+    for i in range(1, ctx.m + 1):
+        f = zero()
+        for j in range(2, n + 1):
+            f = f - nf.coefficient(j) * sym(ctx.jet(i, n - j))
+        rhs.append(f)
+    return rhs

@@ -14,6 +14,8 @@ from noncartan import catalog
 from noncartan.catalog import NormalFormCoefficients, _check_annihilates
 from noncartan.linalg import InconsistentSystemError
 
+from helpers import reference_isotropic_rhs
+
 
 X = indep("x")
 
@@ -226,6 +228,20 @@ def test_canonical_basis_counts():
         assert_fields_carry(fields, ctx)
     with pytest.raises(ValueError):
         canonical_basis(src, JetContext(1, 1))
+
+
+@pytest.mark.parametrize("src", [
+    SourceEquation.symbolic(), SourceEquation.for_q(sym(X) / (sym(X) + 1)),
+    SourceEquation.trivial()], ids=["symbolic", "rational", "trivial"])
+def test_isotropic_system_matches_reference_fold(src):
+    """The spec of the scalar matrices A_n^j I gives the right-hand sides
+    of the running fold over the A_n^j, as the same expressions."""
+    for m in (1, 2, 3):
+        for n in (2, 3, 4, 5):
+            ctx = JetContext(m, n)
+            system = isotropic_system(src, ctx)
+            assert system.ctx == ctx and system.rules == src.rules
+            assert list(system.rhs) == reference_isotropic_rhs(src, ctx)
 
 
 def test_canonical_basis_invariance():

@@ -21,8 +21,8 @@ from noncartan import (
 from noncartan import classify as classify_module
 from noncartan import linalg
 from noncartan.classify import (
-    _oracle_ansatz, _p_degree, _trace_free_system, _trivial_witnesses,
-    _verified_witnesses, _witness_prolongation,
+    _oracle_ansatz, _p_degree, _trivial_witnesses, _verified_witnesses,
+    _witness_prolongation,
 )
 from noncartan.cli import main
 from noncartan.expr import format_expression
@@ -39,6 +39,13 @@ def _mat(*entries):
     m = int(len(entries) ** 0.5)
     return tuple(tuple(entries[i * m + j] for j in range(m))
                  for i in range(m))
+
+
+def _trace_free(mat):
+    """y'' = M y for the m x m matrix M, as the spec (A_1, A_0) = (0, -M)."""
+    m = len(mat)
+    return LinearSystemSpec(m, 2, (((zero(),) * m,) * m, tuple(
+        tuple(-e for e in row) for row in mat))).ode_system()
 
 
 def _spec2(a11, a12, a21, a22):
@@ -229,7 +236,7 @@ def test_existence_witnesses_verified_once(monkeypatch):
             non_cartan_existence_2x2(z, z, z)
     assert _trivial_witnesses.cache_info().currsize == 0
     witnesses = non_cartan_existence_2x2(z, z, z).witnesses
-    trivial = _trace_free_system(((z, z), (z, z)))
+    trivial = _trace_free(((z, z), (z, z)))
     assert witnesses == _verified_witnesses(SourceEquation.trivial(), trivial)
     assert non_cartan_existence_2x2(z, z, z).witnesses is witnesses
 
@@ -551,7 +558,7 @@ def test_oracle_residuals_match_invariance_residual():
         _params, _slots, pf = _oracle_ansatz(m, cap)
         _ref_params, _ref_slots, ansatz = reference_oracle_ansatz(m, cap)
         for mat in _trace_free_corpus(m, 11 + cap, count):
-            system = _trace_free_system(mat)
+            system = _trace_free(mat)
             assert (_prolonged_residuals(pf, system)
                     == invariance_residual(ansatz, system))
 
@@ -582,7 +589,7 @@ def test_search_rows_match_linear_equations_in_params(monkeypatch):
     cases += [(2, cap, _rational_trace_free(), False) for cap in (0, 1)]
     for m, cap, mat, split in cases:
         params, _slots, pf = _oracle_ansatz(m, cap)
-        system = _trace_free_system(mat)
+        system = _trace_free(mat)
         assert (_split_pairs(pf, system) is not None) == split
         column = {p: i for i, p in enumerate(params)}
         want = Counter()
@@ -629,7 +636,7 @@ def test_oracle_cache_reuse_keeps_answers_and_coefficients():
                for s in (s1, s2, s1, s3, s2)]
     assert answers == [True, False, True, False, False]
     assert answers == [
-        reference_brute_force_search(_trace_free_system(((a, b), (c, -a))),
+        reference_brute_force_search(_trace_free(((a, b), (c, -a))),
                                      cap)
         for a, b, c in (s1, s2, s1, s3, s2)]
     after = _oracle_ansatz(2, cap)[2]

@@ -126,6 +126,29 @@ def test_a_key_that_is_not_a_column_is_a_value_error():
         rank([{0: 1, 1: 1}, {"a": 2, 1: 1}])
 
 
+def test_rank_refuses_a_negative_or_lone_non_int_key():
+    # a lone key is peeled without a comparison, and a negative one is
+    # the pivot of its row
+    for rows in ([{None: 1}], [{-2: 1, 5: 1}], [{-1: 1}]):
+        with pytest.raises(ValueError, match="negative key"):
+            rank(rows)
+
+
+def test_nullspace_refuses_a_negative_key():
+    # the pivot -1 once left every column free: three basis vectors
+    for rows in ([{-1: 1, 0: 1}], [{0: 1, 1: 1}, {-3: 2, 2: 1}]):
+        with pytest.raises(ValueError, match="negative key"):
+            nullspace(rows, ncols=3)
+
+
+def test_solve_refuses_a_negative_key():
+    # the pivot -1 once put its entry in the last slot: [0, 0, 1]
+    with pytest.raises(ValueError, match="negative key"):
+        solve([{-1: 1, 0: 1}], [1], ncols=3)
+    with pytest.raises(ValueError, match="negative key"):
+        solve([[1, 0, 0], {-1: 1, 2: 1}], [1, 2], ncols=3)
+
+
 def test_solve_refuses_unequal_lengths():
     # a short or long right-hand side once dropped equations silently
     for rows, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 5]),

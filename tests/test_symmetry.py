@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from noncartan import (
-    ContextMismatchError, JetContext, MissingInverseError, OdeSystem,
-    PointTransformation, SourceEquation, VectorField, algebra_report, call,
-    canonical_basis, change_coordinates, commutator, const,
+    ContextMismatchError, JetContext, LinearSystemSpec, MissingInverseError,
+    OdeSystem, PointTransformation, SourceEquation, VectorField,
+    algebra_report, call, canonical_basis, change_coordinates, commutator,
+    const,
     determining_equations, format_expression, free_fall_symmetries, func,
     invariance_residual, is_non_cartan, is_zero, non_cartan_generators, one,
     prolong, scalar_context, sym, zero,
@@ -19,7 +20,7 @@ from noncartan.symmetry import _bracket, _partials, _prolonged_residuals
 from helpers import (
     assert_matches_fold, monomial_denominators, random_expression,
     random_point_field, reference_algebra_report, reference_bracket_solves,
-    reference_commutator, reference_prolonged_residuals,
+    reference_commutator, reference_linear_rhs, reference_prolonged_residuals,
 )
 
 
@@ -124,6 +125,47 @@ def _random_rational_field(rng, ctx):
 
     return VectorField(component(), tuple(component() for _ in range(ctx.m)),
                        ctx)
+
+
+def _random_coefficient(rng, x, atoms):
+    """Zero, or a polynomial in x and two calls of x, some divided by a
+    monomial and some by one of three multi-term polynomials."""
+    kind = rng.random()
+    if kind < 0.25:
+        return zero()
+    e = random_expression(rng, 2, atoms)
+    if kind < 0.45:
+        return e / (rng.randint(1, 3) * x ** rng.randint(1, 2))
+    if kind < 0.6:
+        return e / rng.choice((x + 1, x - 2, x ** 2 + 1))
+    return e
+
+
+def test_linear_system_matches_reference_fold():
+    """`LinearSystemSpec.ode_system` against the running fold over every
+    entry, first-order terms included (see `assert_matches_fold`): the
+    same expression when every entry is a polynomial or lies over one
+    monomial, else the same value over a denominator no longer."""
+    rng = random.Random(61)
+    x = sym(JetContext(1, 1).x)
+    atoms = [x, call(func("f"), x), call(func("g"), x + 1)]
+    structural = 0
+    for m in (1, 2, 3):
+        for n in (1, 2, 3, 4):
+            for _ in range(8):
+                mats = [[[_random_coefficient(rng, x, atoms)
+                          for _ in range(m)] for _ in range(m)]
+                        for _ in range(n)]
+                spec = LinearSystemSpec(m, n, mats)
+                system = spec.ode_system()
+                monomial = monomial_denominators(
+                    *(e for mat in spec.matrices for row in mat for e in row))
+                structural += monomial
+                assert system.ctx == spec.ctx
+                for got, want in zip(system.rhs, reference_linear_rhs(spec),
+                                     strict=True):
+                    assert_matches_fold(got, want, monomial)
+    assert 10 < structural < 86
 
 
 def test_commutator_matches_reference_bracket_randomized():
