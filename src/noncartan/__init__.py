@@ -21,7 +21,7 @@ from .symmetry import (
     ContextMismatchError, DeterminingSystem, LieAlgebraReport,
     LinearSystemSpec, MissingInverseError, OdeSystem, PointTransformation,
     algebra_report, change_coordinates, commutator, determining_equations,
-    invariance_residual, is_non_cartan,
+    full_ansatz, invariance_residual, is_non_cartan, restricted_ansatz,
 )
 from .catalog import (
     IterativeOperator, NormalFormCoefficients, SourceEquation,

@@ -394,10 +394,9 @@ def nonlinear_counterexample() -> OdeSystem:
     return OdeSystem(ctx, (rhs,))
 
 
-def c1_symmetry_pde_residual(f: Expression, ctx: JetContext = None) -> Expression:
+def c1_symmetry_pde_residual(f: Expression, ctx: JetContext) -> Expression:
     """The on-shell invariance residual of C1 = y d/dx on y'' = F(x, y,
-    p): -y F_x - 3 p F + p^2 F_p."""
-    ctx = ctx or scalar_context()
+    p) in the scalar context ctx: -y F_x - 3 p F + p^2 F_p."""
     y = sym(ctx.y(1))
     p_sym = ctx.jet(1, 1)
     p = sym(p_sym)

@@ -3,7 +3,8 @@ normal form by the isotropy test for the canonical class and a scalar
 equation by the necessary cubic-in-p linearization test; the
 trace-removal residual verifier and the brute-force polynomial oracle
 for m x m systems, and the non-Cartan-existence decision for 2x2
-systems.  A trace-free y'' = M y is the `LinearSystemSpec` (0, -M)."""
+systems.  A trace-free y'' = M y is the `LinearSystemSpec` (0, -M),
+and `symmetry` builds the ansatze of its determining equations."""
 
 from __future__ import annotations
 
@@ -14,13 +15,14 @@ from dataclasses import dataclass, field
 from . import linalg
 from .expr import (
     _ONE_TERMS, CollectError, Expression, OpaqueArgumentError, Symbol,
-    ZeroStatus, _dot, _dot_groups, _fresh_params, call, collect,
-    differentiate, func, is_zero, one, param, sym, zero, zero_status,
+    ZeroStatus, _dot, _dot_groups, _fresh_params, collect, differentiate,
+    is_zero, one, param, sym, zero, zero_status,
 )
 from .jet import JetContext, VectorField, prolong
 from .symmetry import (
     DeterminingSystem, LinearSystemSpec, OdeSystem, _prolonged_residuals,
-    _split_pairs, determining_equations, invariance_residual,
+    _split_pairs, determining_equations, full_ansatz, invariance_residual,
+    restricted_ansatz,
 )
 from .catalog import SourceEquation, non_cartan_generators
 
@@ -80,11 +82,10 @@ def _poly_coeffs(e: Expression, p: Symbol) -> dict:
     return out
 
 
-def cubic_in_p_test(f: Expression, p: Symbol = None) -> bool:
-    """True iff f, rational in p = y', is a polynomial of degree at most
-    3 in p (the necessary condition for linearizability of y'' = f)."""
-    if p is None:
-        p = JetContext(1, 2, dep_names=("y",)).jet(1, 1)
+def cubic_in_p_test(f: Expression, p: Symbol) -> bool:
+    """True iff f, rational in p, the first derivative of the equation's
+    dependent variable, is a polynomial of degree at most 3 in p (the
+    necessary condition for linearizability of y'' = f)."""
     degree = _p_degree(f, p)
     return degree is not None and degree <= 3
 
@@ -175,42 +176,7 @@ def trace_free_reduce(spec: LinearSystemSpec, q: Expression, rules=()):
 
 
 # ---------------------------------------------------------------------------
-# Symmetry ansatze, witnesses and the 2x2 decision
-
-
-def _component_names(m: int) -> tuple:
-    """Names of the components after xi: phi; eta, phi; phi1..phim."""
-    if m == 1:
-        return ("phi",)
-    if m == 2:
-        return ("eta", "phi")
-    return tuple("phi%d" % j for j in range(1, m + 1))
-
-
-def _full_ansatz(ctx: JetContext) -> VectorField:
-    """Every component an unknown function of all point coordinates."""
-    args = [sym(s) for s in ctx.point_symbols()]
-    comps = [call(func(name, ctx.m + 1), *args)
-             for name in ("xi",) + _component_names(ctx.m)]
-    return VectorField(comps[0], tuple(comps[1:]), ctx)
-
-
-def _restricted_ansatz(ctx: JetContext) -> VectorField:
-    """xi = alpha(x) y + beta(x) w + gamma(x) with the induced forms of the
-    other components, for a pair of second-order equations."""
-    if ctx.m != 2 or ctx.order != 2:
-        raise ValueError("the restricted ansatz applies to pairs of "
-                         "second-order equations")
-    x, y, w = (sym(s) for s in ctx.point_symbols())
-    alp = call(func("alpha", 1, (1,)), x)
-    bep = call(func("beta", 1, (1,)), x)
-    xi = (call(func("alpha"), x) * y + call(func("beta"), x) * w
-          + call(func("gamma"), x))
-    eta = (bep * y * w + sym(param("k2")) * w + alp * y ** 2
-           + call(func("b1"), x) * y + call(func("b2"), x))
-    phi = (alp * y * w + sym(param("k1")) * y + bep * w ** 2
-           + call(func("s1"), x) * w + call(func("s2"), x))
-    return VectorField(xi, (eta, phi), ctx)
+# Witnesses and the 2x2 decision
 
 
 def _verified_witnesses(src: SourceEquation, system: OdeSystem):
@@ -274,7 +240,7 @@ def determining_system_2x2(a: Expression, b: Expression, c: Expression,
     gamma(x) with the induced forms of the other components."""
     system = LinearSystemSpec(2, 2, (((zero(),) * 2,) * 2,
                                      ((-a, -b), (-c, a)))).ode_system()
-    build = _restricted_ansatz if restricted else _full_ansatz
+    build = restricted_ansatz if restricted else full_ansatz
     return determining_equations(system, build(system.ctx))
 
 

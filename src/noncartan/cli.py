@@ -193,17 +193,8 @@ def cmd_verify(args) -> tuple:
 
 def cmd_determining(args) -> tuple:
     system = parse_system(_read_source(args.system))
-    ctx = system.ctx
     spec = (args.ansatz or "full").strip()
-    if spec == "full":
-        ansatz = _classify._full_ansatz(ctx)
-    elif spec == "restricted":
-        try:
-            ansatz = _classify._restricted_ansatz(ctx)
-        except ValueError as exc:
-            raise InputError(str(exc))
-    else:
-        ansatz = parse_ansatz(_read_source(spec), ctx)
+    ansatz = parse_ansatz(_read_source(spec), system.ctx)
     try:
         ds = determining_equations(system, ansatz)
     except CollectError as exc:

@@ -333,7 +333,7 @@ class Expression:
     Common monomial factors cancel and a denominator that divides its
     numerator leaves a polynomial (`_make`), so `==` is structural;
     compare values with `(a - b).is_rational_zero()`.  The form of a
-    rebuild's sum is stated at `_sum`."""
+    rebuild's sum is stated at `_over`."""
 
     num: tuple
     den: tuple
@@ -656,11 +656,27 @@ def call(head: Symbol, *args) -> Expression:
 
 def _over(groups: dict) -> Expression:
     """The sum of N/D over the term dicts N keyed by their denominators
-    D, the one accumulator of every rebuild (its form is stated at
-    `_sum`): the groups over one monomial are summed over their lcm and
-    normalized once, then each group over a longer denominator is made
-    once and added with `+`, shortest denominator first, ties broken by
-    the denominator's sort key."""
+    D, the one accumulator of every rebuild.  The groups over one
+    monomial are summed over their lcm and normalized once; then each
+    group over a longer denominator is made once and added with `+`,
+    shortest first, ties broken by the denominator's sort key.  So the
+    sum does not depend on the order in which its pieces were grouped.
+
+    Over monomial denominators only (a polynomial's is the empty one) it
+    is structurally equal to folding the pieces with `+` from zero: both
+    are N/m with m one monomial sharing no monomial factor with N, a form
+    unique to the value (from N1 m2 = N2 m1, an atom dividing m1 does not
+    divide N1, so it divides m2 at least as often, hence not N2, and the
+    powers agree).  Otherwise it equals the fold in value.  It takes in
+    each distinct denominator once, where the fold multiplies in that of
+    every piece unequal to its running one, and `_make` leaves a
+    polynomial wherever a denominator divides its numerator; so its
+    denominator is no longer than the fold's, except in two known cases:
+    the fold's running sum cancels a factor two distinct denominators
+    share (the first two of (2+x)/((1+x)(2+x)) - (3+x)/((1+x)(3+x)) +
+    p/((1+x)(2+x)) do), which takes a polynomial GCD to see here; or a
+    further factor shortens the fold's product, as (1-x)^2 does
+    (1 + x + ... + x^5)^2."""
     if len(groups) == 1 and _ONE_TERMS in groups:
         return Expression._make(groups[_ONE_TERMS], _ONE_TERMS)
     mono = {den[0][0]: terms for den, terms in groups.items() if len(den) == 1}
@@ -679,34 +695,8 @@ def _over(groups: dict) -> Expression:
     return total
 
 
-def _sum(pieces: Iterable[Expression]) -> Expression:
-    """The sum of the pieces, grouped by denominator (see `_over`).
-
-    Its form does not depend on the order of the pieces.  When every
-    denominator is one monomial (a polynomial's is the empty one) it is
-    structurally equal to folding the pieces with `+` from zero: that
-    fold is again N/m over one monomial m sharing no monomial factor
-    with N, a form unique to the value: from N1 m2 = N2 m1, an atom
-    dividing m1 does not divide N1, so it divides m2 at least as often,
-    hence not N2, and the two powers agree.
-
-    Otherwise it equals the fold in value.  It takes in each distinct
-    denominator at most once, where the fold multiplies in that of every
-    piece unequal to its running one, and `_make` leaves a polynomial
-    wherever a denominator divides its numerator; so its denominator is
-    no longer than the fold's, except in two known cases: the fold's
-    running sum cancels a factor two distinct denominators share (the
-    first two of (2+x)/((1+x)(2+x)) - (3+x)/((1+x)(3+x)) + p/((1+x)(2+x))
-    do), which takes a polynomial GCD to see here; or a further factor
-    shortens the fold's product, as (1-x)^2 does (1 + x + ... + x^5)^2."""
-    groups = {}
-    for piece in pieces:
-        _tadd(groups.setdefault(piece.den, {}), piece.num)
-    return _over(groups)
-
-
 def _dot(pairs: Iterable[tuple]) -> Expression:
-    """`_sum(f * g for f, g in pairs)`: `_over` of `_dot_groups`."""
+    """The sum of the products f * g: `_over` of `_dot_groups`."""
     return _over(_dot_groups(pairs))
 
 
@@ -811,7 +801,7 @@ def _derive(e: Expression, dsym, memo: dict, partial: Symbol = None) -> Expressi
 
 def _diff_poly(terms, image) -> Expression:
     """The derivative of a polynomial's terms under the derivation that
-    sends each atom a to image(a), equal in value to `_sum` of the
+    sends each atom a to image(a), equal in value to `_over` of the
     pieces c * k * (mon lowered by a) * image(a).  Lowering one exponent
     of a sorted monomial keeps it sorted, so it is a slice; each piece's
     numerator, the lowered term times that of image(a), goes straight
@@ -878,7 +868,7 @@ def replace_atoms(e: Expression,
 
 def _replace(e: Expression, mapping) -> Expression:
     """Map every atom through `mapping` and rebuild e from the images:
-    `_sum` of its terms' products of images.  Each term splits into the
+    `_over` of its terms' products of images.  Each term splits into the
     product of its polynomial images, a term dict, and the tuple of its
     atoms with rational images (`_lead_product`).  The term dicts of the
     terms with one tuple are summed, and each tuple's sum is multiplied
@@ -886,7 +876,7 @@ def _replace(e: Expression, mapping) -> Expression:
     the group of its denominator; the empty tuple's sum is the polynomial
     group itself.  The sum of the groups equals the sum of the terms'
     products in value, and is structurally equal to it when every
-    denominator is one monomial (see `_sum`).  An atom the mapping
+    denominator is one monomial (see `_over`).  An atom the mapping
     lacks stands for itself, but an opaque call with a mapped atom in its
     arguments, nested ones included, has them rebuilt the same way.  Each
     atom's image is computed once per call."""
@@ -1022,18 +1012,13 @@ def collect(e: Expression, variables: Sequence[Symbol]) -> dict:
     den = Expression(e.den, _ONE_TERMS)
     groups = {}
     for mon, c in e.num:
-        var_part = {}
-        rest = {}
-        for a, k in mon:
-            if isinstance(a, Symbol) and a in vset:
-                var_part[a] = k
-            else:
-                rest[a] = k
-        groups.setdefault(_mk_mon(var_part), []).append(
-            Expression(((_mk_mon(rest), c),), _ONE_TERMS))
+        # the parts of a sorted monomial are sorted monomials
+        var_part = tuple(p for p in mon if p[0] in vset)
+        rest = tuple(p for p in mon if p[0] not in vset)
+        groups.setdefault(var_part, {})[rest] = c
     out = {}
     for key in sorted(groups, key=_mon_key):
-        coeff = _sum(groups[key]) / den
+        coeff = Expression._make(groups[key], _ONE_TERMS) / den
         if not coeff.is_rational_zero():
             out[key] = coeff
     return out
@@ -1057,7 +1042,8 @@ def _linear_terms(e: Expression, symbols: Sequence[Symbol]):
 
 
 def monomial_expression(mon) -> Expression:
-    return Expression._make(_lead_product(1, mon, atom_expr)[0], _ONE_TERMS)
+    """The sorted monomial mon as an expression."""
+    return Expression(((mon, 1),), _ONE_TERMS)
 
 
 def format_monomial(mon) -> str:

@@ -1,6 +1,7 @@
 """Text input: systems of ODEs, point vector fields and symmetry ansatze
-typed as strings, and the named catalog systems that stand in for a
-typed system."""
+typed as strings, the named catalog systems that stand in for a typed
+system, and the named ansatze (`full`, `restricted`) that stand in for
+a typed ansatz."""
 
 from __future__ import annotations
 
@@ -9,13 +10,14 @@ from .expr import (
     substitute, zero,
 )
 from .jet import JetContext, VectorField
-from .symmetry import OdeSystem
+from .symmetry import (
+    OdeSystem, _component_names, full_ansatz, restricted_ansatz,
+)
 from .catalog import (
     non_cartan_family, nonlinear_counterexample, scalar_context,
 )
-from .classify import _component_names
 
-__all__ = ["InputError", "NAMED_SYSTEMS", "parse_system",
+__all__ = ["InputError", "NAMED_SYSTEMS", "NAMED_ANSATZE", "parse_system",
            "parse_vector_field", "parse_ansatz"]
 
 
@@ -31,6 +33,8 @@ NAMED_SYSTEMS = {
     "counterexample": nonlinear_counterexample,
     "eq14": nonlinear_counterexample,
 }
+
+NAMED_ANSATZE = {"full": full_ansatz, "restricted": restricted_ansatz}
 
 
 class _DependentScan(ParseContext):
@@ -172,9 +176,16 @@ def _split_top_level(text: str):
 
 
 def parse_ansatz(spec: str, ctx: JetContext) -> VectorField:
-    """Parse an ansatz `name=expr, ...`: `xi` is the d/dx component, and
-    the component of the j-th dependent variable is `phi<j>`, the
-    variable's own name (m > 1) or its name in the full ansatz."""
+    """Parse an ansatz `name=expr, ...`, or build a named ansatz in ctx:
+    `xi` is the d/dx component, and the component of the j-th dependent
+    variable is `phi<j>`, the variable's own name (m > 1) or its name in
+    the full ansatz."""
+    build = NAMED_ANSATZE.get(spec.strip())
+    if build is not None:
+        try:
+            return build(ctx)
+        except ValueError as exc:
+            raise InputError(str(exc))
     pctx = ParseContext(ctx.m, dep_names=ctx.dep_names,
                         indep_name=ctx.indep_name)
     comps = {}

@@ -1,7 +1,8 @@
 """Symmetry analysis: ODE systems in solved form, a linear one built from
 its coefficient matrices by `LinearSystemSpec`; on-shell invariance
-residuals, determining equations, commutators and algebra structure,
-the non-Cartan predicate, and coordinate changes of vector fields."""
+residuals, determining equations and the full and restricted ansatze,
+commutators and algebra structure, the non-Cartan predicate, and
+coordinate changes of vector fields."""
 
 from __future__ import annotations
 
@@ -11,15 +12,16 @@ from fractions import Fraction
 from . import linalg
 from .expr import (
     _ONE_TERMS, DEP, Call, CollectError, Expression, Symbol, _dot,
-    _linear_terms, _mon_key, apply_rules, collect, differentiate, is_zero,
-    one, replace_atoms, substitute, sym, zero,
+    _linear_terms, _mon_key, apply_rules, call, collect, differentiate, func,
+    is_zero, one, param, replace_atoms, substitute, sym, zero,
 )
 from .jet import JetContext, ProlongedField, VectorField, prolong
 
 __all__ = [
     "OdeSystem", "LinearSystemSpec", "PointTransformation",
     "DeterminingSystem", "LieAlgebraReport", "invariance_residual",
-    "determining_equations", "commutator", "is_non_cartan",
+    "determining_equations", "full_ansatz", "restricted_ansatz",
+    "commutator", "is_non_cartan",
     "change_coordinates", "algebra_report", "ContextMismatchError",
     "MissingInverseError",
 ]
@@ -280,6 +282,41 @@ def determining_equations(system: OdeSystem, ansatz: VectorField) -> Determining
                 if base not in unknowns:
                     unknowns.append(base)
     return DeterminingSystem(tuple(unknowns), tuple(equations), index)
+
+
+def _component_names(m: int) -> tuple:
+    """Names of the components after xi: phi; eta, phi; phi1..phim."""
+    if m == 1:
+        return ("phi",)
+    if m == 2:
+        return ("eta", "phi")
+    return tuple("phi%d" % j for j in range(1, m + 1))
+
+
+def full_ansatz(ctx: JetContext) -> VectorField:
+    """Every component an unknown function of all point coordinates."""
+    args = [sym(s) for s in ctx.point_symbols()]
+    comps = [call(func(name, ctx.m + 1), *args)
+             for name in ("xi",) + _component_names(ctx.m)]
+    return VectorField(comps[0], tuple(comps[1:]), ctx)
+
+
+def restricted_ansatz(ctx: JetContext) -> VectorField:
+    """xi = alpha(x) y + beta(x) w + gamma(x) with the induced forms of the
+    other components, for a pair of second-order equations."""
+    if ctx.m != 2 or ctx.order != 2:
+        raise ValueError("the restricted ansatz applies to pairs of "
+                         "second-order equations")
+    x, y, w = (sym(s) for s in ctx.point_symbols())
+    alp = call(func("alpha", 1, (1,)), x)
+    bep = call(func("beta", 1, (1,)), x)
+    xi = (call(func("alpha"), x) * y + call(func("beta"), x) * w
+          + call(func("gamma"), x))
+    eta = (bep * y * w + sym(param("k2")) * w + alp * y ** 2
+           + call(func("b1"), x) * y + call(func("b2"), x))
+    phi = (alp * y * w + sym(param("k1")) * y + bep * w ** 2
+           + call(func("s1"), x) * w + call(func("s2"), x))
+    return VectorField(xi, (eta, phi), ctx)
 
 
 def commutator(v: VectorField, w: VectorField) -> VectorField:

@@ -12,7 +12,8 @@ from noncartan import (
 )
 from noncartan.expr import (
     _KIND_RANK, _MAX_REWRITE_PASSES, _ONE_TERMS, _check_acyclic, _mk_mon,
-    _mon_key, _mon_sub, _terms_from_dict, atom_expr, replace_atoms,
+    _mon_key, _mon_sub, _over, _tadd, _terms_from_dict, atom_expr,
+    replace_atoms,
 )
 from noncartan.linalg import (
     InconsistentSystemError, linear_equations_in_params, nullspace, rank,
@@ -129,7 +130,16 @@ def _eval_atom(a, env, ranks, source_mode) -> float:
 # Reference rebuild loops: the term-by-term `total = total + piece` forms
 # of substitute, replace_atoms, differentiate and collect.  The library
 # sums the pieces in one accumulator grouped by denominator; tests assert
-# with `assert_matches_fold` the form that `expr._sum` states.
+# with `assert_matches_fold` the form that `expr._over` states.
+
+
+def grouped_sum(pieces):
+    """The pieces' numerators added into term dicts keyed by their
+    denominators, summed by `_over`: the grouping of every rebuild."""
+    groups = {}
+    for piece in pieces:
+        _tadd(groups.setdefault(piece.den, {}), piece.num)
+    return _over(groups)
 
 
 def reference_sum(pieces):
@@ -150,7 +160,7 @@ def monomial_denominators(*exprs):
 
 
 def assert_matches_fold(got, expected, structural):
-    """got, a grouped sum, has the form `expr._sum` states against the
+    """got, a grouped sum, has the form `expr._over` states against the
     reference fold `expected`: the same value (calls at arguments equal
     as rational functions are one point), a denominator with no more
     terms, and when `structural` holds (every denominator involved is

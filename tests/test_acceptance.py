@@ -195,8 +195,8 @@ def test_criterion_07_nonlinear_family():
     for v in pair:
         for r in invariance_residual(v, member):
             assert is_zero(r)
-    assert not cubic_in_p_test(member.rhs[0])
-    assert is_zero(c1_symmetry_pde_residual(family.rhs[0]))
+    assert not cubic_in_p_test(member.rhs[0], member.ctx.jet(1, 1))
+    assert is_zero(c1_symmetry_pde_residual(family.rhs[0], family.ctx))
 
 
 @criterion(8, "determining system contains all expected structural equations")

@@ -350,10 +350,21 @@ def test_c1_pde_residual():
     ctx = scalar_context()
     p = sym(ctx.jet(1, 1))
     # F = p: -y*0 - 3p*p + p^2*1 = -2 p^2
-    assert c1_symmetry_pde_residual(p) == -2 * p ** 2
-    assert c1_symmetry_pde_residual(zero()).is_rational_zero()
+    assert c1_symmetry_pde_residual(p, ctx) == -2 * p ** 2
+    assert c1_symmetry_pde_residual(zero(), ctx).is_rational_zero()
     fam = non_cartan_family()
-    assert is_zero(c1_symmetry_pde_residual(fam.rhs[0]))
+    assert is_zero(c1_symmetry_pde_residual(fam.rhs[0], fam.ctx))
+
+
+def test_c1_pde_residual_reads_the_given_context():
+    """C1 = u d/dx leaves u'' = u'^3/u invariant (F = p^3/y in the
+    variable u): the residual is taken in the given context, which has
+    no default, with no y mixed in."""
+    ctx = JetContext(1, 2, dep_names=("u",))
+    u, up = sym(ctx.y(1)), sym(ctx.jet(1, 1))
+    assert c1_symmetry_pde_residual(up ** 3 / u, ctx).is_rational_zero()
+    with pytest.raises(TypeError):
+        c1_symmetry_pde_residual(up ** 3 / u)
 
 
 def test_free_fall_matches_canonical_construction():

@@ -62,28 +62,42 @@ def test_cubic_polynomial_cases():
     ctx = scalar_context()
     x = sym(ctx.x)
     y = sym(ctx.y(1))
-    p = sym(ctx.jet(1, 1))
-    assert cubic_in_p_test(zero())
-    assert cubic_in_p_test(x * p ** 3 + y * p - 2)
-    assert not cubic_in_p_test(p ** 4)
-    assert cubic_in_p_test(p ** 3 / (y + 1))
+    p1 = ctx.jet(1, 1)
+    p = sym(p1)
+    assert cubic_in_p_test(zero(), p1)
+    assert cubic_in_p_test(x * p ** 3 + y * p - 2, p1)
+    assert not cubic_in_p_test(p ** 4, p1)
+    assert cubic_in_p_test(p ** 3 / (y + 1), p1)
+
+
+def test_cubic_test_reads_the_given_variable():
+    """The degree is taken in the p the caller names, which has no
+    default: u'^5 is of degree 5 in u', and of degree 0 in y', a symbol
+    it does not contain."""
+    ctx = JetContext(1, 2, dep_names=("u",))
+    up = ctx.jet(1, 1)
+    f = sym(up) ** 5
+    assert not cubic_in_p_test(f, up)
+    assert cubic_in_p_test(f, scalar_context().jet(1, 1))
+    with pytest.raises(TypeError):
+        cubic_in_p_test(f)
 
 
 def test_cubic_rational_division():
     ctx = scalar_context()
     y = sym(ctx.y(1))
-    p = sym(ctx.jet(1, 1))
-    assert cubic_in_p_test((p ** 4 + y * p ** 3) / p)
-    assert not cubic_in_p_test((p ** 5 + y * p ** 4) / p)
-    assert not cubic_in_p_test(p ** 3 / (p + y))
+    p1 = ctx.jet(1, 1)
+    p = sym(p1)
+    assert cubic_in_p_test((p ** 4 + y * p ** 3) / p, p1)
+    assert not cubic_in_p_test((p ** 5 + y * p ** 4) / p, p1)
+    assert not cubic_in_p_test(p ** 3 / (p + y), p1)
     # a denominator that divides the numerator exactly in p
     x = sym(ctx.x)
-    assert cubic_in_p_test(x * (p ** 2 - 1) / ((p - 1) * (x + 1)))
-    assert cubic_in_p_test(x * (p ** 4 - 1) / ((p - 1) * (x + 1)))
-    assert not cubic_in_p_test(x * (p ** 5 - 1) / ((p - 1) * (x + 1)))
+    assert cubic_in_p_test(x * (p ** 2 - 1) / ((p - 1) * (x + 1)), p1)
+    assert cubic_in_p_test(x * (p ** 4 - 1) / ((p - 1) * (x + 1)), p1)
+    assert not cubic_in_p_test(x * (p ** 5 - 1) / ((p - 1) * (x + 1)), p1)
     # the degree of the quotient, which the scalar verdict prints, or
     # None when the division leaves a remainder
-    p1 = ctx.jet(1, 1)
     assert _p_degree(x * (p ** 5 - 1) / ((p - 1) * (x + 1)), p1) == 4
     assert _p_degree((p ** 5 + y * p ** 4) / p, p1) == 4
     assert _p_degree(y * p ** 2 + x, p1) == 2
@@ -94,7 +108,8 @@ def test_cubic_rational_division():
 
 
 def test_cubic_counterexample():
-    assert not cubic_in_p_test(nonlinear_counterexample().rhs[0])
+    system = nonlinear_counterexample()
+    assert not cubic_in_p_test(system.rhs[0], system.ctx.jet(1, 1))
 
 
 def test_cubic_inapplicable_with_opaque_p():
@@ -104,7 +119,7 @@ def test_cubic_inapplicable_with_opaque_p():
     p = sym(ctx.jet(1, 1))
     f = (p / y) ** 3 * call(func("H"), x - y / p)
     with pytest.raises(OpaqueArgumentError):
-        cubic_in_p_test(f)
+        cubic_in_p_test(f, ctx.jet(1, 1))
 
 
 # ---------------------------------------------------------------------------

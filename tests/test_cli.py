@@ -5,11 +5,14 @@ import contextlib
 import pytest
 
 from noncartan import (
-    ParseContext, call, determining_system_2x2, format_expression, func,
-    indep, parse, sym,
+    JetContext, ParseContext, call, determining_system_2x2,
+    format_expression, full_ansatz, func, indep, parse, restricted_ansatz,
+    sym,
 )
 from noncartan.cli import format_vector_field, main
-from noncartan.io import InputError, parse_system, parse_vector_field
+from noncartan.io import (
+    InputError, parse_ansatz, parse_system, parse_vector_field,
+)
 
 
 def run(args):
@@ -213,6 +216,25 @@ def test_determining_restricted_unknowns():
     assert "xi" not in header
 
 
+def test_parse_ansatz_builds_the_named_ansatze(tmp_path, monkeypatch):
+    """`full` and `restricted` resolve in io.NAMED_ANSATZE to the
+    builders of `symmetry`, after the stripped text is looked up; a
+    builder's refusal is an InputError with its message.  The CLI reads
+    a file of the given name first, as it does for a named system."""
+    ctx = JetContext(2, 2)
+    assert parse_ansatz(" full\n", ctx) == full_ansatz(ctx)
+    assert parse_ansatz("restricted", ctx) == restricted_ansatz(ctx)
+    with pytest.raises(InputError, match="^the restricted ansatz applies "
+                       "to pairs of second-order equations$"):
+        parse_ansatz("restricted", JetContext(1, 2))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "full").write_text("xi=xi(x),phi=phi(x)")
+    code, out = run(["determining", "--system", "y''=0", "--ansatz", "full"])
+    assert code == 0
+    assert out.splitlines()[1] == "2 equations"
+    assert "xi''(x)" in out
+
+
 def test_determining_json_matches_library_ansatze():
     # the CLI and determining_system_2x2 build their ansatze in one place
     x = sym(indep())
@@ -247,6 +269,11 @@ HOSTILE = [
      "error: catalog 'canonical' needs order 2"),
     (["verify", "--system", "y''=-y", "--catalog", "canonical", "--n", "3"],
      "error: unrecognized arguments: --n 3"),
+    # a generator set names a family, not a named system
+    (["verify", "--system", "y''=0", "--catalog", "foo"],
+     "error: unknown catalog key 'foo'"),
+    (["commutators", "--set", "eq14"],
+     "error: unknown catalog key 'eq14'"),
     # the parser's depth bound refuses these before the engine recurses
     (["classify", "--system", NESTED_SUM],
      "error: cannot parse \"%s\": input nested too deeply (at position 56)"

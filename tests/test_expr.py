@@ -21,13 +21,15 @@ from noncartan import (
 from noncartan import expr as expr_module
 from noncartan.expr import (
     JET, MAX_EXPANSION_TERMS, MAX_INTEGER_DIGITS, MAX_NESTING_DEPTH, OPAQUE,
-    _ONE_MON, _ONE_TERMS, _cancel_monomial_gcd, _divide, _dot, _mk_mon,
-    _merge_points, _mon_mul, _sum, _terms_from_dict, atom_expr,
+    _ONE_MON, _ONE_TERMS, _cancel_monomial_gcd, _divide, _dot,
+    _fresh_params, _mk_mon, _merge_points, _mon_mul, _terms_from_dict,
+    atom_expr,
     monomial_expression,
 )
 
 from helpers import (
-    assert_matches_fold, evaluate, monomial_denominators, random_expression,
+    assert_matches_fold, evaluate, grouped_sum, monomial_denominators,
+    random_expression,
     reference_apply_rules, reference_cancel_monomial_gcd,
     reference_collect, reference_contains, reference_differentiate,
     reference_mon_mul, reference_monomial_expression, reference_replace_atoms,
@@ -234,6 +236,19 @@ def test_collect():
     assert groups[()] == x
     with pytest.raises(CollectError, match="^non-polynomial dependence on y'$"):
         collect(x / p, [P])
+
+
+def test_fresh_params_avoid_names_the_expressions_carry():
+    """_fresh_params lengthens its prefix past every name _t<k> the
+    expressions already carry, those inside a call's arguments too."""
+    assert [t.name for t in _fresh_params(2, [sym(X)])] == ["_t0", "_t1"]
+    t1 = sym(param("_t1"))
+    assert [t.name for t in _fresh_params(2, [sym(X) * t1])] == [
+        "_t_0", "_t_1"]
+    nested = call(func("f", 2), sym(param("_t0")) + 1, sym(param("_t_1")))
+    assert [t.name for t in _fresh_params(2, [sym(X), nested])] == [
+        "_t__0", "_t__1"]
+    assert [t.name for t in _fresh_params(1, [t1])] == ["_t0"]
 
 
 def test_collect_names_the_first_variable_in_an_argument_as_it_prints():
@@ -999,9 +1014,10 @@ def test_coefficient_domain_fixed_cases():
 
 
 def test_dot_matches_sum_of_products():
-    """_dot equals, structurally, _sum(f * g for f, g in pairs): rational
-    pairs come first, in the middle or last, some products cancel each
-    other, and some rational pairs have polynomial products."""
+    """_dot equals, structurally, the grouped sum of the products f * g
+    over the pairs (`grouped_sum`): rational pairs come first, in the
+    middle or last, some products cancel each other, and some rational
+    pairs have polynomial products."""
     x, y, a = sym(X), sym(Y), sym(param("a"))
     family = [
         (x + 1, y - a), (y - a, -(x + 1)), (x + 1, const(-1)), (x, const(3)),
@@ -1014,12 +1030,12 @@ def test_dot_matches_sum_of_products():
     # the running sum (x^2-1)/(x-1) - (x+1) is zero before 1/(x+1) is added
     assert _dot([family[6], family[2], family[7]]) == 1 / (x + 1)
     for pairs in itertools.product(family, repeat=3):
-        assert _dot(pairs) == _sum(f * g for f, g in pairs)
+        assert _dot(pairs) == grouped_sum(f * g for f, g in pairs)
     rng = random.Random(31)
     for _ in range(200):
         pairs = [(random_expression(rng, 2), random_expression(rng, 2))
                  for _ in range(rng.randint(0, 5))]
-        assert _dot(iter(pairs)) == _sum(f * g for f, g in pairs)
+        assert _dot(iter(pairs)) == grouped_sum(f * g for f, g in pairs)
 
 
 def _random_piece(rng, atoms, monomials, multi):
@@ -1049,13 +1065,13 @@ def _piece_family():
 
 
 def test_sum_matches_plus_fold_randomized():
-    """_sum matches folding the pieces with `+` (see
-    `assert_matches_fold`), structurally when every piece is over one
-    monomial: constants, polynomials, pieces over one monomial (summed
-    over the lcm in one pass) and pieces over a multi-term denominator,
-    in shuffled orders, with Fraction coefficients, pieces that cancel
-    each other and numerators that share a monomial factor with the
-    lcm."""
+    """The grouped sum (`grouped_sum`) matches folding the pieces with
+    `+` (see `assert_matches_fold`), structurally when every piece is
+    over one monomial: constants, polynomials, pieces over one monomial
+    (summed over the lcm in one pass) and pieces over a multi-term
+    denominator, in shuffled orders, with Fraction coefficients, pieces
+    that cancel each other and numerators that share a monomial factor
+    with the lcm."""
     rng = random.Random(37)
     x, y = sym(X), sym(Y)
     u = call(func("u"), x)
@@ -1068,7 +1084,7 @@ def test_sum_matches_plus_fold_randomized():
             # a piece and its negative, so that the running sum collapses
             pieces.append(-rng.choice(pieces))
         rng.shuffle(pieces)
-        got = _sum(pieces)
+        got = grouped_sum(pieces)
         expected = reference_sum(pieces)
         monomial = all(len(p.den) == 1 for p in pieces)
         assert_matches_fold(got, expected, monomial)
@@ -1079,15 +1095,15 @@ def test_sum_matches_plus_fold_randomized():
     assert grouped > 150
     # u^2/x + u/x^2 - u^2/x: the lcm x^2 is raised above the sum's x^2
     # and cancels against nothing; 1/x - 1/x is zero
-    assert _sum([u ** 2 / x, u / x ** 2, -(u ** 2) / x]) == u / x ** 2
-    assert _sum([1 / x, -1 / x]) == zero()
-    assert _sum([x * y / x ** 2, y / x]) == 2 * y / x
+    assert grouped_sum([u ** 2 / x, u / x ** 2, -(u ** 2) / x]) == u / x ** 2
+    assert grouped_sum([1 / x, -1 / x]) == zero()
+    assert grouped_sum([x * y / x ** 2, y / x]) == 2 * y / x
 
 
 def test_sum_is_independent_of_piece_order_randomized():
-    """_sum of the pieces in a shuffled order is the same expression as
-    in the original order, also with multi-term denominators, where a
-    fold with `+` depends on the order."""
+    """The grouped sum of the pieces in a shuffled order is the same
+    expression as in the original order, also with multi-term
+    denominators, where a fold with `+` depends on the order."""
     rng = random.Random(43)
     family = _piece_family()
     x = sym(X)
@@ -1101,7 +1117,7 @@ def test_sum_is_independent_of_piece_order_randomized():
                        -(3 + x) / ((1 + x) * (3 + x)), 1 / (x + 1)]
         shuffled = list(pieces)
         rng.shuffle(shuffled)
-        assert _sum(shuffled) == _sum(pieces), case
+        assert grouped_sum(shuffled) == grouped_sum(pieces), case
 
 
 def test_apply_rules_matches_per_pass_lifting_randomized():

@@ -13,9 +13,10 @@ from noncartan import (
     prolong, scalar_context, sym, zero,
 )
 from noncartan import expr as expr_module
-from noncartan.classify import _full_ansatz
 from noncartan.expr import collect
-from noncartan.symmetry import _bracket, _partials, _prolonged_residuals
+from noncartan.symmetry import (
+    _bracket, _partials, _prolonged_residuals, full_ansatz,
+)
 
 from helpers import (
     assert_matches_fold, monomial_denominators, random_expression,
@@ -316,7 +317,7 @@ def test_determining_equations_print_nothing(monkeypatch):
     x, y, w = (sym(s) for s in ctx.point_symbols())
     a, b, c = (call(func(name), x) for name in "ABC")
     system = OdeSystem(ctx, (a * y + b * w, c * y - a * w))
-    ansatz = _full_ansatz(ctx)
+    ansatz = full_ansatz(ctx)
 
     def refuse(e):
         raise AssertionError("determining_equations printed an expression")
