@@ -4,7 +4,11 @@ equation by the necessary cubic-in-p linearization test; the
 trace-removal residual verifier and the brute-force polynomial oracle
 for m x m systems, and the non-Cartan-existence decision for 2x2
 systems.  A trace-free y'' = M y is the `LinearSystemSpec` (0, -M),
-and `symmetry` builds the ansatze of its determining equations."""
+and `symmetry` builds the ansatze of its determining equations.  The
+brute-force search builds its ansatz, the prolongation and the linear
+forms of the field pieces once per (m, degree cap) and multiplies each
+system's pieces into those forms, straight into the rows of its linear
+system."""
 
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .expr import (
     _ONE_TERMS, CollectError, Expression, OpaqueArgumentError, Symbol,
-    ZeroStatus, _dot, _dot_groups, _fresh_params, collect, differentiate,
+    ZeroStatus, _dot, _fresh_params, _mon_mul, collect, differentiate,
     is_zero, one, param, sym, zero, zero_status,
 )
 from .jet import JetContext, VectorField, prolong
@@ -302,9 +306,13 @@ _ORACLE_CACHE_SIZE = 8
 def _oracle_ansatz(m: int, degree_cap: int):
     """The system-independent part of the brute-force search on m
     equations: the parameter tuple, the indices of the non-Cartan slots
-    (the alpha_i coefficients) and the second prolongation of the ansatz
-    in JetContext(m, 2), with the on-shell split of its top coefficients
-    (`ProlongedField.top_split`)."""
+    (the alpha_i coefficients), the second prolongation of the ansatz in
+    JetContext(m, 2), with the on-shell split of its top coefficients
+    (`ProlongedField.top_split`), and the linear forms of its field
+    pieces.  The forms are laid out as `_split_pairs` lays out its
+    pairs, one tuple per equation, and each is the piece's
+    `linalg._affine_groups` {rest monomial: {column: coefficient}}, the
+    column of a parameter being its index in the tuple."""
     ctx = JetContext(m, 2)
     x, *ys = map(sym, ctx.point_symbols())
     params = []
@@ -328,7 +336,36 @@ def _oracle_ansatz(m: int, degree_cap: int):
         etas = [eta + poly("e%d_%d_%d_" % (k, i, j), degree_cap + 2)
                 * factors[i] * factors[j] for k, eta in enumerate(etas, 1)]
     pf = prolong(VectorField(xi, tuple(etas), ctx), 2)
-    return tuple(params), tuple(noncartan_slots), pf
+    column = {p: i for i, p in enumerate(params)}
+    zmat = ((zero(),) * m,) * m
+    layout = _split_pairs(pf, LinearSystemSpec(m, 2, (zmat, zmat)).ode_system())
+    forms = tuple(tuple(linalg._affine_groups(piece.num, column)
+                        for piece, _ in eq) for eq in layout)
+    return tuple(params), tuple(noncartan_slots), pf, forms
+
+
+def _search_rows(forms, pairs) -> list:
+    """The rows {column: coefficient} of the split residuals, one per
+    equation and rest monomial: each pair's system piece multiplied
+    into its field piece's cached linear form, the products of one
+    equation added by rest monomial and column, and the entries and rows
+    that cancel dropped.  These are the rows `linalg._affine_groups`
+    makes of the residuals' terms, in another order."""
+    rows = []
+    for eq_forms, eq_pairs in zip(forms, pairs, strict=True):
+        acc = {}
+        for form, (_, piece) in zip(eq_forms, eq_pairs, strict=True):
+            for smon, sc in piece.num:
+                for rest, lin in form.items():
+                    row = acc.setdefault(_mon_mul(rest, smon), {})
+                    for col, v in lin.items():
+                        t = row.get(col, 0) + sc * v
+                        if t:
+                            row[col] = t
+                        else:
+                            del row[col]
+        rows.extend(row for row in acc.values() if row)
+    return rows
 
 
 def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
@@ -340,16 +377,19 @@ def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
     solution of the determining equations has an alpha_i != 0.  The
     answer is one-sided, and trace removal comes first: the fields of an
     isotropic y'' = -2 y are trigonometric, so a matrix whose trace is
-    not zero is refused with ValueError.  The ansatz and its
-    prolongation depend only on (m, degree_cap), so they are built once
-    per pair per process.  The ansatz is a polynomial, so its cached
-    prolongation carries the split phi_k^(2) = E_k + sum_j y_j'' G_kj of
-    `ProlongedField.top_split`; for a polynomial M the products of each
-    residual's `_split_pairs` go into one unsorted term dict, with no
-    Expression, and for a rational M the solved form is substituted.
-    `linalg._affine_groups` splits each term into its parameter's column
-    and the rest, so each equation goes to `linalg.nullspace` as a dict
-    row {column: coefficient} in the order its terms come."""
+    not zero is refused with ValueError, as is an entry that carries
+    one of the search's own parameters.  The ansatz, its prolongation
+    and the linear forms of its field pieces depend only on
+    (m, degree_cap), so they are built once per pair per process (see
+    `_oracle_ansatz`).  For a polynomial M each residual is its
+    `_split_pairs`, and `_search_rows` multiplies the few terms of each
+    system piece (1, d delta / dx, F_k or d delta / dy_k^(i)) into the
+    cached form of its field piece, straight into the rows; no
+    Expression is built and no term is split again.  For a rational M
+    the solved form is substituted (`_prolonged_residuals`) and
+    `linalg._affine_groups` splits each term into its parameter's
+    column and the rest.  Each row goes to `linalg.nullspace` as a dict
+    {column: coefficient}."""
     if (not isinstance(degree_cap, int) or isinstance(degree_cap, bool)
             or degree_cap < 0):
         raise ValueError("degree_cap must be a non-negative int, got %r"
@@ -361,14 +401,17 @@ def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
     if zero_status(trace) is ZeroStatus.NONZERO:
         raise ValueError("expected a trace-free matrix, got trace %s"
                          % trace)
-    params, noncartan_slots, pf = _oracle_ansatz(m, degree_cap)
-    column = {p: i for i, p in enumerate(params)}
+    params, noncartan_slots, pf, forms = _oracle_ansatz(m, degree_cap)
+    if any(a in params for row in matrix for e in row for a in e.atoms()):
+        raise ValueError("matrix entries may not carry the search's "
+                         "parameters")
     pairs = _split_pairs(pf, system)
-    terms = ([res.num for res in _prolonged_residuals(pf, system)]
-             if pairs is None else
-             [_dot_groups(eq)[_ONE_TERMS].items() for eq in pairs])
-    rows = [row for eq in terms
-            for row in linalg._affine_groups(eq, column).values()]
+    if pairs is None:
+        column = {p: i for i, p in enumerate(params)}
+        rows = [row for res in _prolonged_residuals(pf, system)
+                for row in linalg._affine_groups(res.num, column).values()]
+    else:
+        rows = _search_rows(forms, pairs)
     if any(None in row for row in rows):
         raise AssertionError("homogeneous system expected")
     return any(any(vec[i] != 0 for i in noncartan_slots)

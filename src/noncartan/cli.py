@@ -193,7 +193,7 @@ def cmd_verify(args) -> tuple:
 
 def cmd_determining(args) -> tuple:
     system = parse_system(_read_source(args.system))
-    spec = (args.ansatz or "full").strip()
+    spec = args.ansatz.strip()
     ansatz = parse_ansatz(_read_source(spec), system.ctx)
     try:
         ds = determining_equations(system, ansatz)

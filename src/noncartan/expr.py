@@ -696,16 +696,12 @@ def _over(groups: dict) -> Expression:
 
 
 def _dot(pairs: Iterable[tuple]) -> Expression:
-    """The sum of the products f * g: `_over` of `_dot_groups`."""
-    return _over(_dot_groups(pairs))
-
-
-def _dot_groups(pairs: Iterable[tuple]) -> dict:
-    """The products f * g over the pairs as unsorted term dicts keyed by
-    their denominators, `_over`'s input.  The product of two polynomials
-    is their term products, with nothing to cancel, rescale or divide,
-    so those go straight into the polynomial group; any other product
-    goes through `*`, and its numerator into its denominator's group."""
+    """The sum of the products f * g: `_over` of the products as unsorted
+    term dicts keyed by their denominators.  The product of two
+    polynomials is their term products, with nothing to cancel, rescale
+    or divide, so those go straight into the polynomial group; any other
+    product goes through `*`, and its numerator into its denominator's
+    group."""
     acc = {}
     groups = {_ONE_TERMS: acc}
     for f, g in pairs:
@@ -715,7 +711,7 @@ def _dot_groups(pairs: Iterable[tuple]) -> dict:
         else:
             fg = f * g
             _tadd(groups.setdefault(fg.den, {}), fg.num)
-    return groups
+    return _over(groups)
 
 
 def _lead_product(c, mon, image):

@@ -179,7 +179,7 @@ def parse_ansatz(spec: str, ctx: JetContext) -> VectorField:
     """Parse an ansatz `name=expr, ...`, or build a named ansatz in ctx:
     `xi` is the d/dx component, and the component of the j-th dependent
     variable is `phi<j>`, the variable's own name (m > 1) or its name in
-    the full ansatz."""
+    the full ansatz.  InputError names a repeated or unknown component."""
     build = NAMED_ANSATZE.get(spec.strip())
     if build is not None:
         try:
@@ -194,8 +194,11 @@ def parse_ansatz(spec: str, ctx: JetContext) -> VectorField:
             raise InputError("ansatz component %r needs name=expression"
                              % part)
         name, _, body = part.partition("=")
+        name = name.strip()
+        if name in comps:
+            raise InputError("repeated ansatz component: %s" % name)
         try:
-            comps[name.strip()] = parse(body, pctx)
+            comps[name] = parse(body, pctx)
         except ParseError as exc:
             raise InputError("cannot parse ansatz component %r: %s"
                              % (part, exc))

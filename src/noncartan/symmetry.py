@@ -238,10 +238,14 @@ def _prolonged_residuals(pf: ProlongedField, system: OdeSystem) -> list:
 
 
 def _split_pairs(pf: ProlongedField, system: OdeSystem):
-    """For each equation j, polynomial pairs (f, g) whose sum of f * g is
-    its on-shell residual E_j + sum_k F_k G_jk - X^(n-1) F_j before the
-    rules, with phi_j^(n) = E_j + sum_k y_k^(n) G_jk the field's
-    `top_split`; None without that split or with a rational F_k."""
+    """For each equation j, polynomial pairs (field piece, system piece)
+    whose sum of products is its on-shell residual
+    E_j + sum_k G_jk F_k - X^(n-1) F_j before the rules, with
+    phi_j^(n) = E_j + sum_k y_k^(n) G_jk the field's `top_split`: the
+    pieces E_j, xi, G_jk and phi_k^(i) against 1, d delta / dx, F_k and
+    d delta / dy_k^(i), where delta = y_j^(n) - F_j.  The field pieces
+    and the layout depend on the field alone.  None without that split
+    or with a rational F_k."""
     ctx = system.ctx
     n = ctx.order
     if (pf.p != n or pf.top_split is None
@@ -250,8 +254,8 @@ def _split_pairs(pf: ProlongedField, system: OdeSystem):
     out = []
     for j, (e_j, g_j) in enumerate(pf.top_split, 1):
         delta = sym(ctx.jet(j, n)) - system.rhs[j - 1]
-        out.append([(one(), e_j), (pf.base.xi, differentiate(delta, ctx.x))]
-                   + list(zip(system.rhs, g_j))
+        out.append([(e_j, one()), (pf.base.xi, differentiate(delta, ctx.x))]
+                   + list(zip(g_j, system.rhs))
                    + [(pf.coeff(k, i), differentiate(delta, ctx.jet(k, i)))
                       for k in range(1, ctx.m + 1) for i in range(n)])
     return out

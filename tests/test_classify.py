@@ -27,7 +27,7 @@ from noncartan.classify import (
 from noncartan.cli import main
 from noncartan.expr import format_expression
 from noncartan.io import parse_system
-from noncartan.linalg import linear_equations_in_params
+from noncartan.linalg import _affine_groups, linear_equations_in_params
 from noncartan.symmetry import _prolonged_residuals, _split_pairs
 
 from helpers import reference_brute_force_search, reference_oracle_ansatz
@@ -551,7 +551,7 @@ def _snapshot(pf):
 
 def test_oracle_ansatz_matches_fresh_prolongation():
     for m, cap in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1)):
-        params, slots, pf = _oracle_ansatz(m, cap)
+        params, slots, pf, forms = _oracle_ansatz(m, cap)
         ref_params, ref_slots, ansatz = reference_oracle_ansatz(m, cap)
         assert params == ref_params
         assert slots == ref_slots
@@ -565,12 +565,19 @@ def test_oracle_ansatz_matches_fresh_prolongation():
             assert cached.num == coeff.num and cached.den == coeff.den
             assert ([type(c) for _, c in cached.num]
                     == [type(c) for _, c in coeff.num])
+        # the cached forms are those of the fresh pieces, whatever the
+        # system the pieces are laid out against
+        column = {p: i for i, p in enumerate(params)}
+        for mat in _trace_free_corpus(m, 31 + cap, 1)[1:]:
+            assert forms == tuple(
+                tuple(_affine_groups(piece.num, column) for piece, _ in eq)
+                for eq in _split_pairs(fresh, _trace_free(mat)))
         assert _oracle_ansatz(m, cap) is _oracle_ansatz(m, cap)
 
 
 def test_oracle_residuals_match_invariance_residual():
     for m, cap, count in ((2, 0, 8), (2, 1, 8), (3, 0, 3)):
-        _params, _slots, pf = _oracle_ansatz(m, cap)
+        _params, _slots, pf, _forms = _oracle_ansatz(m, cap)
         _ref_params, _ref_slots, ansatz = reference_oracle_ansatz(m, cap)
         for mat in _trace_free_corpus(m, 11 + cap, count):
             system = _trace_free(mat)
@@ -603,7 +610,7 @@ def test_search_rows_match_linear_equations_in_params(monkeypatch):
              for mat in _trace_free_corpus(m, 21 + cap, count)]
     cases += [(2, cap, _rational_trace_free(), False) for cap in (0, 1)]
     for m, cap, mat, split in cases:
-        params, _slots, pf = _oracle_ansatz(m, cap)
+        params, _slots, pf, _forms = _oracle_ansatz(m, cap)
         system = _trace_free(mat)
         assert (_split_pairs(pf, system) is not None) == split
         column = {p: i for i, p in enumerate(params)}
@@ -621,22 +628,34 @@ def test_search_rows_match_linear_equations_in_params(monkeypatch):
 
 def test_search_refuses_a_constant_term(monkeypatch):
     """A term free of the ansatz parameters makes the system
-    inhomogeneous, on both paths of the search."""
-    real_pairs = classify_module._split_pairs
-    real_residuals = classify_module._prolonged_residuals
+    inhomogeneous, on both paths of the search: here it enters through
+    the ansatz, whose first eta gains x^2, so E_1 and every residual of
+    y_1 gain the constant 2 and the cached forms a constant part."""
+    real_prolong = classify_module.prolong
 
-    def pairs_plus_one(pf, system):
-        pairs = real_pairs(pf, system)
-        return pairs and [eq + [(one(), one())] for eq in pairs]
+    def prolong_plus_x2(v, p):
+        eta = (v.phi[0] + sym(X) ** 2,) + v.phi[1:]
+        return real_prolong(VectorField(v.xi, eta, v.context), p)
 
-    monkeypatch.setattr(classify_module, "_split_pairs", pairs_plus_one)
-    monkeypatch.setattr(
-        classify_module, "_prolonged_residuals",
-        lambda pf, system: [r + 1 for r in real_residuals(pf, system)])
+    monkeypatch.setattr(classify_module, "prolong", prolong_plus_x2)
+    _oracle_ansatz.cache_clear()
+    try:
+        z = zero()
+        for mat in ((z, z), (z, z)), _rational_trace_free():
+            with pytest.raises(AssertionError, match="homogeneous"):
+                non_cartan_search(mat, degree_cap=0)
+    finally:
+        _oracle_ansatz.cache_clear()
+
+
+def test_search_refuses_its_own_parameters():
+    """An entry that carries an ansatz parameter would make a residual
+    that is not linear in the parameters."""
+    params = _oracle_ansatz(2, 0)[0]
     z = zero()
-    for mat in ((z, z), (z, z)), _rational_trace_free():
-        with pytest.raises(AssertionError, match="homogeneous"):
-            non_cartan_search(mat, degree_cap=0)
+    for p in (params[0], params[-1]):
+        with pytest.raises(ValueError, match="parameters"):
+            non_cartan_search(((z, sym(p)), (z, z)), degree_cap=0)
 
 
 def test_oracle_cache_reuse_keeps_answers_and_coefficients():

@@ -365,6 +365,17 @@ HOSTILE = [
      "(at position 2)"),
     (["determining", "--system", "y''=0", "--ansatz", "xi=x,zeta=y"],
      "error: unknown ansatz components: zeta"),
+    (["determining", "--system", "y''=0", "--ansatz", "xi=f(x),xi=g(x)"],
+     "error: repeated ansatz component: xi"),
+    (["determining", "--system", "y''=w; w''=0", "--ansatz",
+      "xi=x, phi =y, phi= w"],
+     "error: repeated ansatz component: phi"),
+    # an empty ansatz is refused whatever its spaces; `full` names the
+    # full ansatz
+    (["determining", "--system", "y''=0", "--ansatz", ""],
+     "error: ansatz component '' needs name=expression"),
+    (["determining", "--ansatz", " ", "--system", "y''=0"],
+     "error: ansatz component '' needs name=expression"),
     (["determining", "--system", "y''=0", "--ansatz", "xi=y'"],
      "error: point vector field components may depend only on x and "
      "zeroth-order jet variables"),
