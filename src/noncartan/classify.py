@@ -5,10 +5,9 @@ trace-removal residual verifier and the brute-force polynomial oracle
 for m x m systems, and the non-Cartan-existence decision for 2x2
 systems.  A trace-free y'' = M y is the `LinearSystemSpec` (0, -M),
 and `symmetry` builds the ansatze of its determining equations.  The
-brute-force search builds its ansatz, the prolongation and the linear
-forms of the field pieces once per (m, degree cap) and multiplies each
-system's pieces into those forms, straight into the rows of its linear
-system."""
+brute-force search caches the linear forms of its ansatz's field pieces
+once per (m, degree cap) and multiplies the pieces of each system,
+polynomial or rational, into them, straight into its rows."""
 
 from __future__ import annotations
 
@@ -24,9 +23,9 @@ from .expr import (
 )
 from .jet import JetContext, VectorField, prolong
 from .symmetry import (
-    DeterminingSystem, LinearSystemSpec, OdeSystem, _prolonged_residuals,
-    _split_pairs, determining_equations, full_ansatz, invariance_residual,
-    restricted_ansatz,
+    DeterminingSystem, LinearSystemSpec, OdeSystem, _cleared,
+    _prolonged_residuals, _split_pairs, _system_pieces, determining_equations,
+    full_ansatz, invariance_residual, restricted_ansatz,
 )
 from .catalog import SourceEquation, non_cartan_generators
 
@@ -217,9 +216,8 @@ def _witness_prolongation(field: VectorField):
 def _trivial_witnesses() -> tuple:
     """The non-Cartan generators of the trivial 2x2 system, verified on
     first use; they depend on nothing, so later calls share them."""
-    zmat = ((zero(),) * 2,) * 2
-    return _verified_witnesses(SourceEquation.trivial(),
-                               LinearSystemSpec(2, 2, (zmat, zmat)).ode_system())
+    system = LinearSystemSpec.from_matrix(((zero(),) * 2,) * 2).ode_system()
+    return _verified_witnesses(SourceEquation.trivial(), system)
 
 
 def non_cartan_existence_2x2(a: Expression, b: Expression,
@@ -242,8 +240,7 @@ def determining_system_2x2(a: Expression, b: Expression, c: Expression,
     """Determining equations for a symmetry of the trace-free 2x2 normal
     form; when restricted, the xi-component is alpha(x) y + beta(x) w +
     gamma(x) with the induced forms of the other components."""
-    system = LinearSystemSpec(2, 2, (((zero(),) * 2,) * 2,
-                                     ((-a, -b), (-c, a)))).ode_system()
+    system = LinearSystemSpec.from_matrix(((a, b), (c, -a))).ode_system()
     build = restricted_ansatz if restricted else full_ansatz
     return determining_equations(system, build(system.ctx))
 
@@ -305,14 +302,13 @@ _ORACLE_CACHE_SIZE = 8
 @functools.lru_cache(maxsize=_ORACLE_CACHE_SIZE)
 def _oracle_ansatz(m: int, degree_cap: int):
     """The system-independent part of the brute-force search on m
-    equations: the parameter tuple, the indices of the non-Cartan slots
-    (the alpha_i coefficients), the second prolongation of the ansatz in
-    JetContext(m, 2), with the on-shell split of its top coefficients
-    (`ProlongedField.top_split`), and the linear forms of its field
-    pieces.  The forms are laid out as `_split_pairs` lays out its
-    pairs, one tuple per equation, and each is the piece's
-    `linalg._affine_groups` {rest monomial: {column: coefficient}}, the
-    column of a parameter being its index in the tuple."""
+    equations: the parameters, the indices of the non-Cartan slots (the
+    alpha_i coefficients) and, laid out as `_split_pairs` lays out its
+    pairs, the `linalg._affine_groups` form {rest monomial: {column:
+    coefficient}} of each field piece of the ansatz's second
+    prolongation in JetContext(m, 2), a column being a parameter's
+    index.  The forms of the phi_k', which every y'' = M(x) y meets
+    with a zero system piece, are left empty."""
     ctx = JetContext(m, 2)
     x, *ys = map(sym, ctx.point_symbols())
     params = []
@@ -337,24 +333,30 @@ def _oracle_ansatz(m: int, degree_cap: int):
                 * factors[i] * factors[j] for k, eta in enumerate(etas, 1)]
     pf = prolong(VectorField(xi, tuple(etas), ctx), 2)
     column = {p: i for i, p in enumerate(params)}
-    zmat = ((zero(),) * m,) * m
-    layout = _split_pairs(pf, LinearSystemSpec(m, 2, (zmat, zmat)).ode_system())
-    forms = tuple(tuple(linalg._affine_groups(piece.num, column)
-                        for piece, _ in eq) for eq in layout)
-    return tuple(params), tuple(noncartan_slots), pf, forms
+    # a piece of the all-x matrix is zero only where every M(x)'s is
+    full = LinearSystemSpec.from_matrix([[x] * m] * m, ctx).ode_system()
+    return tuple(params), tuple(noncartan_slots), tuple(
+        tuple({} if piece.is_rational_zero()
+              else linalg._affine_groups(fpiece.num, column)
+              for fpiece, piece in eq) for eq in _split_pairs(pf, full))
 
 
-def _search_rows(forms, pairs) -> list:
-    """The rows {column: coefficient} of the split residuals, one per
-    equation and rest monomial: each pair's system piece multiplied
-    into its field piece's cached linear form, the products of one
-    equation added by rest monomial and column, and the entries and rows
-    that cancel dropped.  These are the rows `linalg._affine_groups`
-    makes of the residuals' terms, in another order."""
+def _search_rows(forms, pieces) -> list:
+    """The rows {column: coefficient} of each residual times the product
+    of its equation's distinct denominators (1 for a polynomial M), one
+    per equation and rest monomial: the terms of each `_cleared` system
+    piece multiplied into the cached form of its field piece, added by
+    rest monomial and column, the entries and rows that cancel dropped.
+    AssertionError if a nonzero piece meets an empty (dropped) form."""
     rows = []
-    for eq_forms, eq_pairs in zip(forms, pairs, strict=True):
+    for eq_forms, eq_pieces in zip(forms, pieces, strict=True):
+        dens = list(dict.fromkeys(p.den for p in eq_pieces))
+        if len(dens) > 1:
+            eq_pieces = [_cleared(p, dens) for p in eq_pieces]
         acc = {}
-        for form, (_, piece) in zip(eq_forms, eq_pairs, strict=True):
+        for form, piece in zip(eq_forms, eq_pieces, strict=True):
+            if piece.num and not form:
+                raise AssertionError("a nonzero piece meets an empty form")
             for smon, sc in piece.num:
                 for rest, lin in form.items():
                     row = acc.setdefault(_mon_mul(rest, smon), {})
@@ -378,40 +380,24 @@ def non_cartan_search(matrix, degree_cap: int = 4) -> bool:
     answer is one-sided, and trace removal comes first: the fields of an
     isotropic y'' = -2 y are trigonometric, so a matrix whose trace is
     not zero is refused with ValueError, as is an entry that carries
-    one of the search's own parameters.  The ansatz, its prolongation
-    and the linear forms of its field pieces depend only on
-    (m, degree_cap), so they are built once per pair per process (see
-    `_oracle_ansatz`).  For a polynomial M each residual is its
-    `_split_pairs`, and `_search_rows` multiplies the few terms of each
-    system piece (1, d delta / dx, F_k or d delta / dy_k^(i)) into the
-    cached form of its field piece, straight into the rows; no
-    Expression is built and no term is split again.  For a rational M
-    the solved form is substituted (`_prolonged_residuals`) and
-    `linalg._affine_groups` splits each term into its parameter's
-    column and the rest.  Each row goes to `linalg.nullspace` as a dict
-    {column: coefficient}."""
+    one of the search's own parameters.  For every M, polynomial or
+    rational, `_search_rows` multiplies the few terms of each
+    `_system_pieces` piece into the linear forms `_oracle_ansatz` caches
+    per (m, degree_cap), straight into the rows for `linalg.nullspace`."""
     if (not isinstance(degree_cap, int) or isinstance(degree_cap, bool)
             or degree_cap < 0):
         raise ValueError("degree_cap must be a non-negative int, got %r"
                          % (degree_cap,))
-    m = len(matrix)
-    system = LinearSystemSpec(m, 2, (((zero(),) * m,) * m, tuple(
-        tuple(-e for e in row) for row in matrix))).ode_system()
+    system = LinearSystemSpec.from_matrix(matrix).ode_system()
     trace = _trace(matrix)
     if zero_status(trace) is ZeroStatus.NONZERO:
         raise ValueError("expected a trace-free matrix, got trace %s"
                          % trace)
-    params, noncartan_slots, pf, forms = _oracle_ansatz(m, degree_cap)
+    params, noncartan_slots, forms = _oracle_ansatz(len(matrix), degree_cap)
     if any(a in params for row in matrix for e in row for a in e.atoms()):
         raise ValueError("matrix entries may not carry the search's "
                          "parameters")
-    pairs = _split_pairs(pf, system)
-    if pairs is None:
-        column = {p: i for i, p in enumerate(params)}
-        rows = [row for res in _prolonged_residuals(pf, system)
-                for row in linalg._affine_groups(res.num, column).values()]
-    else:
-        rows = _search_rows(forms, pairs)
+    rows = _search_rows(forms, _system_pieces(system))
     if any(None in row for row in rows):
         raise AssertionError("homogeneous system expected")
     return any(any(vec[i] != 0 for i in noncartan_slots)

@@ -179,7 +179,8 @@ def parse_ansatz(spec: str, ctx: JetContext) -> VectorField:
     """Parse an ansatz `name=expr, ...`, or build a named ansatz in ctx:
     `xi` is the d/dx component, and the component of the j-th dependent
     variable is `phi<j>`, the variable's own name (m > 1) or its name in
-    the full ansatz.  InputError names a repeated or unknown component."""
+    the full ansatz, in that order of precedence.  InputError names an
+    unknown component or one given twice, under one name or two."""
     build = NAMED_ANSATZE.get(spec.strip())
     if build is not None:
         try:
@@ -188,30 +189,29 @@ def parse_ansatz(spec: str, ctx: JetContext) -> VectorField:
             raise InputError(str(exc))
     pctx = ParseContext(ctx.m, dep_names=ctx.dep_names,
                         indep_name=ctx.indep_name)
-    comps = {}
+    owner = {"xi": 0}      # each name -> the index of its component
+    for names in (["phi%d" % j for j in range(1, ctx.m + 1)],
+                  ctx.dep_names if ctx.m > 1 else (), _component_names(ctx.m)):
+        for j, name in enumerate(names, start=1):
+            owner.setdefault(name, j)
+    comps, given = {}, {}
     for part in _split_top_level(spec):
         if "=" not in part:
             raise InputError("ansatz component %r needs name=expression"
                              % part)
         name, _, body = part.partition("=")
         name = name.strip()
-        if name in comps:
-            raise InputError("repeated ansatz component: %s" % name)
+        key = owner.get(name, name)
+        if key in given:
+            raise InputError("repeated ansatz component: %s" % " and ".join(
+                dict.fromkeys((given[key], name))))
+        given[key] = name
         try:
-            comps[name] = parse(body, pctx)
+            comps[key] = parse(body, pctx)
         except ParseError as exc:
             raise InputError("cannot parse ansatz component %r: %s"
                              % (part, exc))
-    xi = comps.pop("xi", zero())
-    phi = []
-    names = _component_names(ctx.m)
-    for j, dname in enumerate(ctx.dep_names, start=1):
-        for key in ("phi%d" % j, dname if ctx.m > 1 else None, names[j - 1]):
-            if key is not None and key in comps:
-                phi.append(comps.pop(key))
-                break
-        else:
-            phi.append(zero())
+    xi, *phi = (comps.pop(j, zero()) for j in range(ctx.m + 1))
     if comps:
         raise InputError("unknown ansatz components: %s"
                          % ", ".join(sorted(comps)))

@@ -108,14 +108,21 @@ class LinearSystemSpec:
             for i in range(self.m)), rules)
 
     @classmethod
+    def from_matrix(cls, matrix, ctx: JetContext = None):
+        """The spec (A_1, A_0) = (0, -M) of the system y'' = M y."""
+        zmat = [[zero()] * len(matrix)] * len(matrix)
+        return cls(len(matrix), 2, (zmat, [[-e for e in row]
+                                           for row in matrix]), ctx=ctx)
+
+    @classmethod
     def from_system(cls, system: OdeSystem):
-        """The spec (A_1, A_0) = (0, -M) of a system y'' = M y whose M is
-        free of y and y'; None for any other system."""
+        """The spec `from_matrix` of a system y'' = M y whose M is free
+        of y and y'; None for any other system."""
         ctx = system.ctx
         if ctx.order != 2:
             return None
         deps = [ctx.y(j) for j in range(1, ctx.m + 1)]
-        a0 = []
+        matrix = []
         for f in system.rhs:
             if any(f.contains(ctx.jet(j, 1)) for j in range(1, ctx.m + 1)):
                 return None
@@ -125,8 +132,8 @@ class LinearSystemSpec:
                 return None
             if terms is None or not terms[1].is_rational_zero():
                 return None
-            a0.append(tuple(-terms[0].get(s, zero()) for s in deps))
-        return cls(ctx.m, 2, (((zero(),) * ctx.m,) * ctx.m, a0), ctx=ctx)
+            matrix.append(tuple(terms[0].get(s, zero()) for s in deps))
+        return cls.from_matrix(matrix, ctx)
 
 
 @dataclass(frozen=True)
@@ -242,23 +249,30 @@ def _split_pairs(pf: ProlongedField, system: OdeSystem):
     whose sum of products is its on-shell residual
     E_j + sum_k G_jk F_k - X^(n-1) F_j before the rules, with
     phi_j^(n) = E_j + sum_k y_k^(n) G_jk the field's `top_split`: the
-    pieces E_j, xi, G_jk and phi_k^(i) against 1, d delta / dx, F_k and
-    d delta / dy_k^(i), where delta = y_j^(n) - F_j.  The field pieces
-    and the layout depend on the field alone.  None without that split
-    or with a rational F_k."""
-    ctx = system.ctx
-    n = ctx.order
-    if (pf.p != n or pf.top_split is None
+    field pieces E_j, xi, G_jk and phi_k^(i), which depend on the field
+    alone, against the `_system_pieces`.  None without that split or
+    with a rational F_k."""
+    if (pf.p != system.ctx.order or pf.top_split is None
             or any(f.den != _ONE_TERMS for f in system.rhs)):
         return None
-    out = []
-    for j, (e_j, g_j) in enumerate(pf.top_split, 1):
-        delta = sym(ctx.jet(j, n)) - system.rhs[j - 1]
-        out.append([(e_j, one()), (pf.base.xi, differentiate(delta, ctx.x))]
-                   + list(zip(g_j, system.rhs))
-                   + [(pf.coeff(k, i), differentiate(delta, ctx.jet(k, i)))
-                      for k in range(1, ctx.m + 1) for i in range(n)])
-    return out
+    phis = [pf.coeff(k, i) for k in range(1, system.ctx.m + 1)
+            for i in range(pf.p)]
+    return [list(zip([e_j, pf.base.xi, *g_j, *phis], pieces, strict=True))
+            for (e_j, g_j), pieces in zip(pf.top_split,
+                                          _system_pieces(system))]
+
+
+def _system_pieces(system: OdeSystem) -> list:
+    """For each equation j, the pieces 1, d delta / dx, F_1..F_m and
+    d delta / dy_k^(i) (k = 1..m, i < n), where delta = y_j^(n) - F_j,
+    that multiply the field pieces of `_split_pairs`, for any F."""
+    ctx, rhs = system.ctx, system.rhs
+    jets = [ctx.jet(k, i) for k in range(1, ctx.m + 1)
+            for i in range(ctx.order)]
+    return [[one(), differentiate(delta, ctx.x), *rhs]
+            + [differentiate(delta, s) for s in jets]
+            for delta in (sym(ctx.jet(j, ctx.order)) - f
+                          for j, f in enumerate(rhs, 1))]
 
 
 def determining_equations(system: OdeSystem, ansatz: VectorField) -> DeterminingSystem:
@@ -396,27 +410,27 @@ class LieAlgebraReport:
 def _slot_denominators(component_lists) -> list:
     """The distinct denominators of each slot of the component tuples, in
     order of appearance."""
-    dens = []
-    for s in range(len(component_lists[0])):
-        slot = []
-        for comps in component_lists:
-            if comps[s].den not in slot:
-                slot.append(comps[s].den)
-        dens.append(slot)
-    return dens
+    return [list(dict.fromkeys(c.den for c in slot))
+            for slot in zip(*component_lists)]
+
+
+def _cleared(e: Expression, dens) -> Expression:
+    """e brought over the product of the denominators dens, one of them
+    e's own: its numerator times the others."""
+    scaled = Expression(e.num, _ONE_TERMS)
+    for d in dens:
+        if d != e.den:
+            scaled = scaled * Expression(d, _ONE_TERMS)
+    return scaled
 
 
 def _flat_vector(comps, dens, columns):
-    """The coefficient vector of one component tuple: each component's
-    numerator times the other denominators of its slot.  A pair that has
-    no column gets the next one."""
+    """The coefficient vector of one component tuple: each component
+    `_cleared` over the denominators of its slot.  A pair that has no
+    column gets the next one."""
     vec = {}
     for s, e in enumerate(comps):
-        scaled = Expression(e.num, _ONE_TERMS)
-        for d in dens[s]:
-            if d != e.den:
-                scaled = scaled * Expression(d, _ONE_TERMS)
-        for mon, c in scaled.num:
+        for mon, c in _cleared(e, dens[s]).num:
             col = columns.get((s, mon))
             if col is None:
                 col = columns[(s, mon)] = len(columns)

@@ -12,23 +12,26 @@ from noncartan import (
     OpaqueArgumentError, RewriteRule, SourceEquation, TraceReductionError,
     ZeroStatus, brute_force_non_cartan_search, call, classify_linear_system,
     classify_system,
-    const, cubic_in_p_test, determining_system_2x2, func, indep,
-    invariance_residual, is_non_cartan, is_zero, non_cartan_existence_2x2,
-    non_cartan_search, nonlinear_counterexample, OdeSystem, scalar_context,
-    sym, trace_free_reduce, zero,
+    const, cubic_in_p_test, determining_system_2x2, differentiate, func,
+    indep, invariance_residual, is_non_cartan, is_zero,
+    non_cartan_existence_2x2, non_cartan_search, nonlinear_counterexample,
+    OdeSystem, scalar_context, sym, trace_free_reduce, zero,
     one, zero_status, isotropy_test, prolong, VectorField,
 )
 from noncartan import classify as classify_module
 from noncartan import linalg
 from noncartan.classify import (
-    _oracle_ansatz, _p_degree, _trivial_witnesses, _verified_witnesses,
-    _witness_prolongation,
+    _oracle_ansatz, _p_degree, _search_rows, _trivial_witnesses,
+    _verified_witnesses, _witness_prolongation,
 )
 from noncartan.cli import main
-from noncartan.expr import format_expression
+from noncartan.expr import _ONE_TERMS, Expression
 from noncartan.io import parse_system
 from noncartan.linalg import _affine_groups, linear_equations_in_params
-from noncartan.symmetry import _prolonged_residuals, _split_pairs
+from noncartan.jet import ProlongedField
+from noncartan.symmetry import (
+    _prolonged_residuals, _split_pairs, _system_pieces,
+)
 
 from helpers import reference_brute_force_search, reference_oracle_ansatz
 
@@ -451,6 +454,8 @@ def test_from_system_round_trip():
             a0 = tuple(tuple(rng.choice(entries) for _ in range(m))
                        for _ in range(m))
             spec = LinearSystemSpec(m, 2, (zmat, a0))
+            assert spec == LinearSystemSpec.from_matrix(
+                tuple(tuple(-e for e in row) for row in a0))
             back = LinearSystemSpec.from_system(spec.ode_system())
             assert back.a0 == a0
             assert back.a1 == zmat
@@ -544,41 +549,55 @@ def _trace_free_corpus(m, seed, count):
             + [trace_free(lambda i, j: entry()) for _ in range(count)])
 
 
-def _snapshot(pf):
-    return {key: (format_expression(c), c.num, c.den)
-            for key, c in pf.coefficients.items()}
+def _fresh_forms(m, cap, system):
+    """The linear forms of the field pieces of a fresh prolongation of
+    the reference ansatz, laid out against the system, with the forms of
+    the phi_k' pieces (positions 2 + m + 2k + 1 for k < m) left empty."""
+    params, _slots, ansatz = reference_oracle_ansatz(m, cap)
+    column = {p: i for i, p in enumerate(params)}
+    dropped = {2 + m + 2 * k + 1 for k in range(m)}
+    return tuple(
+        tuple({} if i in dropped else _affine_groups(piece.num, column)
+              for i, (piece, _) in enumerate(eq))
+        for eq in _split_pairs(prolong(ansatz, 2), system))
+
+
+def _snapshot(forms):
+    return tuple(tuple(tuple((rest, tuple(lin.items()))
+                             for rest, lin in form.items())
+                       for form in eq) for eq in forms)
 
 
 def test_oracle_ansatz_matches_fresh_prolongation():
+    """The cache keeps the parameters, the non-Cartan slots and the
+    forms of a fresh prolongation's field pieces, whatever the system
+    they are laid out against, and no prolongation.  The forms it leaves
+    empty are those of the phi_k' pieces, which meet zero in every
+    y'' = M(x) y; every other form is nonempty."""
     for m, cap in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1)):
-        params, slots, pf, forms = _oracle_ansatz(m, cap)
-        ref_params, ref_slots, ansatz = reference_oracle_ansatz(m, cap)
+        entry = _oracle_ansatz(m, cap)
+        assert len(entry) == 3
+        assert not any(isinstance(v, ProlongedField) for v in entry)
+        params, slots, forms = entry
+        ref_params, ref_slots, _ansatz = reference_oracle_ansatz(m, cap)
         assert params == ref_params
         assert slots == ref_slots
         assert len(slots) == m * (cap + 1)
-        assert pf.base == ansatz
-        fresh = prolong(ansatz, 2)
-        assert pf.p == fresh.p == 2
-        assert list(pf.coefficients) == list(fresh.coefficients)
-        for key, coeff in fresh.coefficients.items():
-            cached = pf.coefficients[key]
-            assert cached.num == coeff.num and cached.den == coeff.den
-            assert ([type(c) for _, c in cached.num]
-                    == [type(c) for _, c in coeff.num])
-        # the cached forms are those of the fresh pieces, whatever the
-        # system the pieces are laid out against
-        column = {p: i for i, p in enumerate(params)}
-        for mat in _trace_free_corpus(m, 31 + cap, 1)[1:]:
-            assert forms == tuple(
-                tuple(_affine_groups(piece.num, column) for piece, _ in eq)
-                for eq in _split_pairs(fresh, _trace_free(mat)))
+        for mat in _trace_free_corpus(m, 31 + cap, 1):
+            system = _trace_free(mat)
+            assert forms == _fresh_forms(m, cap, system)
+            for eq_forms, eq_pieces in zip(forms, _system_pieces(system),
+                                           strict=True):
+                for form, piece in zip(eq_forms, eq_pieces, strict=True):
+                    assert form or piece.is_rational_zero()
+        assert sum(not form for eq in forms for form in eq) == m * m
         assert _oracle_ansatz(m, cap) is _oracle_ansatz(m, cap)
 
 
 def test_oracle_residuals_match_invariance_residual():
     for m, cap, count in ((2, 0, 8), (2, 1, 8), (3, 0, 3)):
-        _params, _slots, pf, _forms = _oracle_ansatz(m, cap)
         _ref_params, _ref_slots, ansatz = reference_oracle_ansatz(m, cap)
+        pf = prolong(ansatz, 2)
         for mat in _trace_free_corpus(m, 11 + cap, count):
             system = _trace_free(mat)
             assert (_prolonged_residuals(pf, system)
@@ -590,12 +609,47 @@ def _rational_trace_free():
     return ((1 / (x + 1), one()), (x, -1 / (x + 1)))
 
 
+def _rational_cases():
+    """Trace-free matrices with denominators: a 2x2 one, a 3x3 one with
+    three distinct denominators, and one over an opaque 1/f(x)."""
+    x = sym(X)
+    z = zero()
+    f = call(func("f"), x)
+    return [
+        _rational_trace_free(),
+        ((1 / (x + 1), x, z), (z, 1 / (x - 1), one()),
+         (x / (x + 2), z, -1 / (x + 1) - 1 / (x - 1))),
+        ((1 / f, x), (z, -1 / f)),
+    ]
+
+
+def _cleared_residuals(ansatz, system):
+    """Each `invariance_residual` of the ansatz times D, the product of
+    the distinct denominators of its equation's F_k and derivatives of
+    delta = y_j'' - F_j by x, y_k and y_k'."""
+    ctx = system.ctx
+    out = []
+    for j, res in enumerate(invariance_residual(ansatz, system), 1):
+        delta = sym(ctx.jet(j, 2)) - system.rhs[j - 1]
+        pieces = [differentiate(delta, ctx.x), *system.rhs] + [
+            differentiate(delta, ctx.jet(k, i))
+            for k in range(1, ctx.m + 1) for i in (0, 1)]
+        d = one()
+        for den in dict.fromkeys(p.den for p in pieces):
+            d = d * Expression(den, _ONE_TERMS)
+        out.append(res * d)
+    return out
+
+
 def test_search_rows_match_linear_equations_in_params(monkeypatch):
     """The rows the search hands to `linalg.nullspace` are, as a
-    multiset, the rows `linear_equations_in_params` makes from the
-    `_prolonged_residuals` Expressions: on the split path (integer and
-    opaque M) and on the substituted one (a rational M); and the search
-    answers as the reference search does."""
+    multiset, the rows `linear_equations_in_params` makes from each
+    `invariance_residual` of the reference ansatz times the product D
+    of its equation's distinct denominators: D = 1 for an integer or
+    opaque M, whose residuals come from the split pairs, and a
+    polynomial for a rational M, whose residuals come from the
+    substituted solved form; and the search answers as the reference
+    search does."""
     captured = []
     real = linalg.nullspace
 
@@ -604,18 +658,24 @@ def test_search_rows_match_linear_equations_in_params(monkeypatch):
         return real(rows, ncols)
 
     monkeypatch.setattr(linalg, "nullspace", spy)
-    cases = [(m, cap, mat, True)
+    cases = [(m, cap, mat, False)
              for m, cap, count in ((2, 0, 6), (2, 1, 6), (2, 2, 2),
                                    (3, 0, 3), (3, 1, 1))
              for mat in _trace_free_corpus(m, 21 + cap, count)]
-    cases += [(2, cap, _rational_trace_free(), False) for cap in (0, 1)]
-    for m, cap, mat, split in cases:
-        params, _slots, pf, _forms = _oracle_ansatz(m, cap)
+    rational_2x2, rational_3x3, opaque_den = _rational_cases()
+    cases += [(len(mat), cap, mat, True)
+              for mat, caps in ((rational_2x2, (0, 1)), (rational_3x3, (0,)),
+                                (opaque_den, (0, 1)))
+              for cap in caps]
+    for m, cap, mat, rational in cases:
+        params = _oracle_ansatz(m, cap)[0]
+        ansatz = reference_oracle_ansatz(m, cap)[2]
         system = _trace_free(mat)
-        assert (_split_pairs(pf, system) is not None) == split
+        assert (_split_pairs(prolong(ansatz, 2), system) is None) == rational
         column = {p: i for i, p in enumerate(params)}
         want = Counter()
-        for res in _prolonged_residuals(pf, system):
+        for res in _cleared_residuals(ansatz, system):
+            assert res.den == _ONE_TERMS
             for lin, cst in linear_equations_in_params(res, params):
                 assert cst == 0
                 want[frozenset((column[p], v) for p, v in lin.items())] += 1
@@ -626,9 +686,21 @@ def test_search_rows_match_linear_equations_in_params(monkeypatch):
         assert found == reference_brute_force_search(system, cap)
 
 
+def test_search_rows_refuse_a_piece_the_cache_dropped():
+    """The cache keeps no form for the phi_k' pieces, whose system
+    pieces d delta / dy_k' are zero for every y'' = M(x) y; a system
+    whose F carries y' would meet those empty forms with nonzero pieces,
+    and `_search_rows` refuses it rather than drop its terms."""
+    ctx = JetContext(2, 2)
+    system = OdeSystem(ctx, (sym(ctx.jet(1, 1)), zero()))
+    forms = _oracle_ansatz(2, 0)[2]
+    with pytest.raises(AssertionError, match="empty form"):
+        _search_rows(forms, _system_pieces(system))
+
+
 def test_search_refuses_a_constant_term(monkeypatch):
     """A term free of the ansatz parameters makes the system
-    inhomogeneous, on both paths of the search: here it enters through
+    inhomogeneous, for a polynomial and a rational M: here it enters through
     the ansatz, whose first eta gains x^2, so E_1 and every residual of
     y_1 gain the constant 2 and the cached forms a constant part."""
     real_prolong = classify_module.prolong
@@ -659,6 +731,8 @@ def test_search_refuses_its_own_parameters():
 
 
 def test_oracle_cache_reuse_keeps_answers_and_coefficients():
+    """Searches leave the cached forms as they were, and those are the
+    forms of a fresh prolongation."""
     x = sym(X)
     z = zero()
     cap = 1
@@ -673,10 +747,10 @@ def test_oracle_cache_reuse_keeps_answers_and_coefficients():
         reference_brute_force_search(_trace_free(((a, b), (c, -a))),
                                      cap)
         for a, b, c in (s1, s2, s1, s3, s2)]
+    assert not non_cartan_search(_rational_trace_free(), degree_cap=cap)
     after = _oracle_ansatz(2, cap)[2]
     assert _snapshot(after) == before
-    fresh = prolong(reference_oracle_ansatz(2, cap)[2], 2)
-    assert after.coefficients == fresh.coefficients
+    assert after == _fresh_forms(2, cap, _trace_free(((z, z), (z, z))))
 
 
 def test_oracle_cache_fills_lazily_per_degree_cap():

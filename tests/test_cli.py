@@ -7,7 +7,7 @@ import pytest
 from noncartan import (
     JetContext, ParseContext, call, determining_system_2x2,
     format_expression, full_ansatz, func, indep, parse, restricted_ansatz,
-    sym,
+    sym, zero,
 )
 from noncartan.cli import format_vector_field, main
 from noncartan.io import (
@@ -216,6 +216,23 @@ def test_determining_restricted_unknowns():
     assert "xi" not in header
 
 
+def test_parse_ansatz_reads_each_name_of_a_component():
+    """phi<j>, the variable's own name and its full-ansatz name each
+    give the j-th component; a variable's own name wins over another
+    component's full-ansatz name."""
+    x = sym(indep("x"))
+    ctx = JetContext(2, 2)
+    for first, second in (("phi1", "phi2"), ("y", "w"), ("eta", "phi")):
+        field = parse_ansatz("xi=x, %s=x^2, %s=x^3" % (first, second), ctx)
+        assert field.phi == (x ** 2, x ** 3)
+    ctx = JetContext(2, 2, dep_names=("y", "eta"))
+    assert parse_ansatz("eta=x", ctx).phi == (zero(), x)
+    assert parse_ansatz("phi1=x", ctx).phi == (x, zero())
+    with pytest.raises(InputError, match="^repeated ansatz component: "
+                       "eta and phi2$"):
+        parse_ansatz("eta=x, phi2=x", ctx)
+
+
 def test_parse_ansatz_builds_the_named_ansatze(tmp_path, monkeypatch):
     """`full` and `restricted` resolve in io.NAMED_ANSATZE to the
     builders of `symmetry`, after the stripped text is looked up; a
@@ -370,6 +387,13 @@ HOSTILE = [
     (["determining", "--system", "y''=w; w''=0", "--ansatz",
       "xi=x, phi =y, phi= w"],
      "error: repeated ansatz component: phi"),
+    # two names of one component: phi1, y and eta all name the first
+    (["determining", "--system", "y''=0; w''=0", "--ansatz",
+      "xi=x, phi1=y, eta=w"],
+     "error: repeated ansatz component: phi1 and eta"),
+    (["determining", "--system", "y''=0; w''=0", "--ansatz",
+      "xi=x, y=y, phi1=w"],
+     "error: repeated ansatz component: y and phi1"),
     # an empty ansatz is refused whatever its spaces; `full` names the
     # full ansatz
     (["determining", "--system", "y''=0", "--ansatz", ""],
