@@ -32,7 +32,7 @@ def scalar_context(order: int = 2) -> JetContext:
     return JetContext(1, order, dep_names=("y",))
 
 
-# the symbolic sources and the normal-form tables are pure in their
+# the source equations and the normal-form tables are pure in their
 # arguments: each is built once per process, up to this many of each
 _TABLE_CACHE_SIZE = 16
 
@@ -44,7 +44,8 @@ _TABLE_CACHE_SIZE = 16
 @dataclass(frozen=True)
 class SourceEquation:
     """A pair (u, v) of formal solutions of y'' + q y = 0 with Wronskian
-    normalized to one, plus the rewrite rules they induce."""
+    normalized to one, plus the rewrite rules they induce; every
+    constructor builds through the cached `_source`."""
 
     q: Expression
     u: Expression
@@ -70,50 +71,43 @@ class SourceEquation:
     @staticmethod
     def symbolic(avoid=()) -> "SourceEquation":
         """The source equation of an opaque q(x); the solution pair is
-        named u, v unless a name in `avoid` or q calls one of those.  It
-        is built, and checked, once per process for each set of names to
-        avoid."""
-        return _symbolic_source(frozenset(avoid))
+        named u, v unless a name in `avoid` or q calls one of those."""
+        return _source(call(func("q"), sym(indep())), frozenset(avoid))
 
     @staticmethod
     def for_q(q: Expression) -> "SourceEquation":
         """Source equation for a given coefficient q(x); the trivial
         solution pair (1, x) is used when q is zero."""
-        if q.is_rational_zero():
-            return SourceEquation.trivial()
-        return SourceEquation._opaque_pair(q, indep())
+        return _source(q, frozenset())
 
     @staticmethod
     def trivial() -> "SourceEquation":
-        x = indep()
-        return SourceEquation(zero(), one(), sym(x), (), x)
-
-    @staticmethod
-    def _opaque_pair(q: Expression, x: Symbol, avoid=()) -> "SourceEquation":
-        # the pair is named u, v unless q calls functions of those names
-        # or they are to be avoided
-        taken = {a.head.name for a in q.atoms() if isinstance(a, Call)}
-        taken.update(avoid)
-        un, vn = "u", "v"
-        while un in taken or vn in taken:
-            un, vn = un + "_", vn + "_"
-        ex = sym(x)
-        u = call(func(un), ex)
-        v = call(func(vn), ex)
-        up = call(func(un, 1, (1,)), ex)
-        rules = (
-            RewriteRule(func(un, 1, (2,)), -q * u, x),
-            RewriteRule(func(vn, 1, (2,)), -q * v, x),
-            # Wronskian elimination, used during zero testing
-            RewriteRule(func(vn, 1, (1,)), (1 + up * v) / u, x),
-        )
-        return SourceEquation(q, u, v, rules, x)
+        return _source(zero(), frozenset())
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _symbolic_source(avoid: frozenset) -> SourceEquation:
+def _source(q: Expression, avoid: frozenset) -> SourceEquation:
+    """The source equation of q, built and checked once per (q, avoid):
+    the pair (1, x) when q is zero, else opaque u(x), v(x), renamed apart
+    from the names in `avoid` and from the functions that q calls."""
     x = indep()
-    return SourceEquation._opaque_pair(call(func("q"), sym(x)), x, avoid)
+    ex = sym(x)
+    if q.is_rational_zero():
+        return SourceEquation(q, one(), ex, (), x)
+    taken = {a.head.name for a in q.atoms() if isinstance(a, Call)} | avoid
+    un, vn = "u", "v"
+    while un in taken or vn in taken:
+        un, vn = un + "_", vn + "_"
+    u = call(func(un), ex)
+    v = call(func(vn), ex)
+    up = call(func(un, 1, (1,)), ex)
+    rules = (
+        RewriteRule(func(un, 1, (2,)), -q * u, x),
+        RewriteRule(func(vn, 1, (2,)), -q * v, x),
+        # Wronskian elimination, used during zero testing
+        RewriteRule(func(vn, 1, (1,)), (1 + up * v) / u, x),
+    )
+    return SourceEquation(q, u, v, rules, x)
 
 
 def source_solution_basis(src: SourceEquation, n: int) -> list:

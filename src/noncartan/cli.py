@@ -78,8 +78,8 @@ def _generator_set(key: str, ctx: JetContext, avoid=()):
     """Named families of vector fields, built in ctx, whose number m of
     dependent variables (and, for the canonical basis, order n) is the
     family's shape.  Returns the labels, the fields and the source
-    equation whose solution pair the fields call (None for free-fall);
-    the pair is named apart from the function names in `avoid`."""
+    equation whose solution pair the fields call (y'' = 0 for
+    free-fall), named apart from the function names in `avoid`."""
     if key not in ("free-fall", "non-cartan", "canonical"):
         raise InputError("unknown catalog key %r" % key)
     if key == "free-fall":
@@ -87,7 +87,7 @@ def _generator_set(key: str, ctx: JetContext, avoid=()):
             raise InputError("catalog 'free-fall' has m = 1, the system "
                              "has m = %d" % ctx.m)
         return ["S1", "S2", "Fz", "Fm", "Fp", "H", "C1", "C2"], \
-            free_fall_symmetries(ctx), None
+            free_fall_symmetries(ctx), SourceEquation.trivial()
     if key == "canonical" and ctx.order < 2:
         raise InputError("catalog 'canonical' needs order 2 or more; "
                          "the system has order %d" % ctx.order)
@@ -160,8 +160,7 @@ def cmd_verify(args) -> tuple:
         avoid = _called_names(list(system.rhs) + [c for v in given
                                                   for c in v.components()])
         labels, fields, src = _generator_set(args.catalog, ctx, avoid)
-        if src is not None:
-            rules = rules + src.rules
+        rules = rules + src.rules
     fields += given
     labels += ["v%d" % (i + 1) for i in range(len(given))]
     if not fields:
@@ -293,8 +292,7 @@ def cmd_catalog(args) -> tuple:
 def cmd_commutators(args) -> tuple:
     key = args.set
     labels, fields, src = _generator_set(key, _family_context(key, args))
-    rules = src.rules if src is not None else ()
-    report_obj = algebra_report(fields, rules)
+    report_obj = algebra_report(fields, src.rules)
     lines = ["basis: %s" % ", ".join(labels),
              "independent over rationals: %s" % report_obj.independent,
              "abelian: %s" % report_obj.abelian,

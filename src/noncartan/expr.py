@@ -407,12 +407,11 @@ class Expression:
                 return True
         return False
 
-    def max_jet_order(self, index: int = None) -> int:
+    def max_jet_order(self) -> int:
         best = -1
         for a in self.atoms():
             if isinstance(a, Symbol) and a.kind in (DEP, JET):
-                if index is None or a.index == index:
-                    best = max(best, a.order)
+                best = max(best, a.order)
         return best
 
     def sort_key(self):

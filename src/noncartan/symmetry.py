@@ -390,6 +390,9 @@ def change_coordinates(v: VectorField, t: PointTransformation) -> VectorField:
 
 @dataclass(frozen=True)
 class LieAlgebraReport:
+    """`algebra_report`'s findings; `non_cartan_count` is the dimension
+    of the span modulo its Cartan fields, whatever the basis."""
+
     basis: tuple
     structure_constants: dict    # (i, j) -> tuple of Fractions, i < j
     independent: bool
@@ -465,7 +468,8 @@ def _span_solve(vectors, targets):
 def algebra_report(fields, rules=()) -> LieAlgebraReport:
     """Linear independence over the rationals, structure constants when
     every bracket lies in the rational span, abelian flag, and the
-    non-Cartan count.
+    non-Cartan count: the rank of the fields' vectors (d xi/dy_i)_i,
+    under the rules and flattened as the basis is.
 
     Each field's partials are taken once and every bracket is built from
     them (see `_bracket`).  The basis and the nonzero brackets are
@@ -505,6 +509,8 @@ def algebra_report(fields, rules=()) -> LieAlgebraReport:
     sols, independent = _span_solve(vectors[:n], vectors[n:])
     structure.update(zip(brackets, sols))
     failures = tuple(p for p, row in structure.items() if row is None)
-    ncc = sum(1 for f in fields if is_non_cartan(f))
+    dxi = [tuple(apply_rules(d, rules) for d in p[0][1:]) for p in partials]
+    xi_dens, xi_columns = _slot_denominators(dxi), {}
+    ncc = linalg.rank([_flat_vector(d, xi_dens, xi_columns) for d in dxi])
     return LieAlgebraReport(tuple(fields), structure, independent,
                             not brackets, ncc, failures)

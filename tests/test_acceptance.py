@@ -6,12 +6,10 @@ import io
 import json
 import contextlib
 import random
-from fractions import Fraction
 
 from noncartan import (
     JetContext, LinearSystemSpec, OdeSystem, PointTransformation,
-    SourceEquation, VectorField, ZeroStatus, algebra_report,
-    brute_force_non_cartan_search, c1_symmetry_pde_residual, call,
+    SourceEquation, ZeroStatus, brute_force_non_cartan_search, c1_symmetry_pde_residual, call,
     canonical_basis, change_coordinates, classify_linear_system, commutator,
     const, cubic_in_p_test, determining_system_2x2, differentiate,
     free_fall_symmetries, func, indep, invariance_residual, is_non_cartan,

@@ -1,9 +1,9 @@
 import pytest
 
 from noncartan import (
-    Call, IterativeOperator, JetContext, OdeSystem, PointTransformation,
-    SourceEquation, VectorField, algebra_report, c1_symmetry_pde_residual,
-    call, canonical_basis, change_coordinates, const, differentiate,
+    IterativeOperator, JetContext, LinearSystemSpec, SourceEquation,
+    algebra_report, c1_symmetry_pde_residual, call, canonical_basis,
+    change_coordinates, classify_linear_system, const, differentiate,
     format_expression, func, indep, invariance_residual, is_non_cartan,
     is_zero, isotropic_system, iterative_power, non_cartan_family,
     non_cartan_generators, nonlinear_counterexample, normal_form_coeffs,
@@ -162,13 +162,13 @@ def test_normal_form_recheck_catches_each_bad_coefficient():
 
 @pytest.fixture
 def cold_tables():
-    """Empty the process-wide normal-form and symbolic-source tables
+    """Empty the process-wide normal-form and source-equation tables
     before and after the test."""
     normal_form_coeffs.cache_clear()
-    catalog._symbolic_source.cache_clear()
+    catalog._source.cache_clear()
     yield
     normal_form_coeffs.cache_clear()
-    catalog._symbolic_source.cache_clear()
+    catalog._source.cache_clear()
 
 
 def test_normal_form_table_checked_once_per_key(cold_tables, monkeypatch):
@@ -202,7 +202,28 @@ def test_symbolic_source_built_once_per_name_set(cold_tables):
     assert SourceEquation.symbolic(["H", "u", "u"]) is renamed
     assert renamed is not src
     assert format_expression(renamed.u) == "u_(x)"
-    assert catalog._symbolic_source.cache_info().misses == 2
+    assert catalog._source.cache_info().misses == 2
+
+
+def test_source_built_once_per_q(cold_tables, monkeypatch):
+    """Equal coefficients q give the same source equation, and a repeated
+    isotropic classification builds and checks its source once."""
+    built = []
+    check = SourceEquation.__post_init__
+
+    def counting(src):
+        built.append(src.q)
+        check(src)
+
+    monkeypatch.setattr(SourceEquation, "__post_init__", counting)
+    q = 5 * call(func("q"), sym(X)) + 3
+    assert SourceEquation.for_q(q) is SourceEquation.for_q(parse("3+5*q(x)"))
+    assert SourceEquation.for_q(zero()) is SourceEquation.trivial()
+    spec = LinearSystemSpec.from_matrix(((-q, zero()), (zero(), -q)))
+    verdicts = [classify_linear_system(spec) for _ in range(2)]
+    assert verdicts[0].in_canonical_class
+    assert verdicts[1] == verdicts[0]
+    assert built == [q, zero()]
 
 
 # a context whose shape and names are none of the defaults
@@ -376,3 +397,19 @@ def test_free_fall_matches_canonical_construction():
     report = algebra_report(fields)
     assert report.independent
     assert report.non_cartan_count == 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_non_cartan_count_is_free_of_the_basis(m):
+    """Adding C_11 to each Cartan field of the y'' = 0 algebra leaves a
+    basis of the same span, so the count stays 2m, not the 8, 15 and 24
+    fields of that basis with d xi/dy != 0."""
+    src, ctx = SourceEquation.trivial(), JetContext(m, 2)
+    generators = non_cartan_generators(src, ctx)
+    cartan = canonical_basis(src, ctx)
+    shifted = [v + generators[0] for v in cartan] + generators
+    assert all(is_non_cartan(v) for v in shifted)
+    for fields in (cartan + generators, shifted):
+        report = algebra_report(fields)
+        assert report.independent
+        assert report.non_cartan_count == 2 * m

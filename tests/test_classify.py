@@ -10,13 +10,13 @@ import pytest
 from noncartan import (
     ClassificationVerdict, JetContext, LinearSystemSpec, NotInNormalFormError,
     OpaqueArgumentError, RewriteRule, SourceEquation, TraceReductionError,
-    ZeroStatus, brute_force_non_cartan_search, call, classify_linear_system,
+    brute_force_non_cartan_search, call, classify_linear_system,
     classify_system,
     const, cubic_in_p_test, determining_system_2x2, differentiate, func,
-    indep, invariance_residual, is_non_cartan, is_zero,
+    indep, invariance_residual, is_non_cartan,
     non_cartan_existence_2x2, non_cartan_search, nonlinear_counterexample,
     OdeSystem, scalar_context, sym, trace_free_reduce, zero,
-    one, zero_status, isotropy_test, prolong, VectorField,
+    one, isotropy_test, prolong, VectorField,
 )
 from noncartan import classify as classify_module
 from noncartan import linalg

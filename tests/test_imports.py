@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package or test module imports is used there or
+re-exported."""
 
 import ast
 import pathlib
@@ -7,6 +8,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "noncartan"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -39,7 +41,9 @@ def test_checker_flags_unused_and_spares_used_names():
     assert unused_imports(source) == [(2, "os"), (4, "b")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=lambda p: p.name if p.parent == PACKAGE else "tests/" + p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

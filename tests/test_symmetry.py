@@ -5,9 +5,9 @@ import pytest
 
 from noncartan import (
     ContextMismatchError, JetContext, LinearSystemSpec, MissingInverseError,
-    OdeSystem, PointTransformation, SourceEquation, VectorField,
-    algebra_report, call, canonical_basis, change_coordinates, commutator,
-    const,
+    NotInNormalFormError, OdeSystem, PointTransformation, SourceEquation,
+    VectorField, algebra_report, call, canonical_basis, change_coordinates,
+    classify_linear_system, commutator, const, isotropy_test,
     determining_equations, format_expression, free_fall_symmetries, func,
     invariance_residual, is_non_cartan, is_zero, non_cartan_generators, one,
     prolong, scalar_context, sym, zero,
@@ -106,6 +106,42 @@ def test_algebra_report_dependence():
 def test_algebra_report_needs_a_field():
     with pytest.raises(ValueError, match="at least one vector field"):
         algebra_report([])
+
+
+def _third_order_spec():
+    """y''' = 0: linear, but not second order."""
+    return LinearSystemSpec(1, 3, [((zero(),),)] * 3)
+
+
+def _fields_in_two_contexts():
+    """The field y d/dx in the contexts of order 2 and 3, which differ
+    although their point coordinates agree."""
+    return [VectorField(sym(ctx.y(1)), (zero(),), ctx)
+            for ctx in (scalar_context(2), scalar_context(3))]
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: isotropy_test(_third_order_spec()), NotInNormalFormError,
+     "requires a second-order system"),
+    (lambda: classify_linear_system(_third_order_spec()),
+     NotInNormalFormError, "requires a second-order system"),
+    (lambda: LinearSystemSpec(1, 2, [((zero(),),)]), ValueError,
+     "expected 2 coefficient matrices"),
+    (lambda: LinearSystemSpec(1, 2, [((zero(),),)] * 2, JetContext(2, 2)),
+     ValueError, "context does not match the system shape"),
+    (lambda: commutator(*_fields_in_two_contexts()), ContextMismatchError,
+     "contexts differ"),
+    (lambda: algebra_report(_fields_in_two_contexts()), ContextMismatchError,
+     "contexts differ"),
+    (lambda: SourceEquation(one(), one(), sym(scalar_context().x), (),
+                            scalar_context().x),
+     ValueError, "u does not satisfy the source equation"),
+], ids=["isotropy-order-3", "classify-order-3", "matrix-count",
+        "context-shape", "commutator-contexts", "report-contexts",
+        "source-u"])
+def test_guards_refuse_malformed_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def _random_rational_field(rng, ctx):
