@@ -354,9 +354,9 @@ def reduction_transformation(src: SourceEquation,
     xinv = call(func("xinv"), z)
     inverse = ({y: src.u ** (n - 1) * w}, {x: xinv})
     # the composition identity (v/u)(xinv(z)) = z, as an atom rewrite
-    v_comp = Call(func("v"), (xinv,))
-    u_comp = call(func("u"), xinv)
-    post = ((v_comp, z * u_comp),)
+    u, v = (next(a for a in e.atoms() if isinstance(a, Call)).head
+            for e in (src.u, src.v))
+    post = ((Call(v, (xinv,)), z * call(u, xinv)),)
     return PointTransformation(old_ctx, new_ctx, forward, inverse,
                                src.rules, post)
 

@@ -1156,13 +1156,20 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+def y_index(name: str):
+    """k for a name y<k>, k in ASCII digits, else None."""
+    k = name[1:]
+    return int(k) if name[:1] == "y" and k.isascii() and k.isdigit() else None
+
+
 class ParseContext:
     """Resolution of identifiers to symbols.
 
     Dependent variables are y1..ym; for m == 1 the alias `y` (and `p`
-    for y') applies, for m == 2 the aliases `y` and `w`.  Identifiers
-    followed by `(` are opaque functions (arity fixed on first use);
-    any other identifier is a parameter.
+    for y') applies, for m == 2 the aliases `y` and `w`; y<k> reads as
+    the k-th variable unless some variable named y<j> is not the j-th.
+    Identifiers followed by `(` are opaque functions (arity fixed on
+    first use); any other identifier is a parameter.
     """
 
     def __init__(self, m: int = 1, dep_names: Sequence[str] = None,
@@ -1172,20 +1179,22 @@ class ParseContext:
                                else dep_names)
         self.indep_name = indep_name
         self.func_arities: dict = {}
+        self.index = {n: i for i, n in enumerate(self.dep_names, 1)}
+        self.y_alias = all(y_index(n) in (None, i)
+                           for n, i in self.index.items())
 
     def resolve(self, name: str, primes: int, pos: int) -> Symbol:
         if name == self.indep_name:
             if primes:
                 raise ParseError("the independent variable takes no primes", pos)
             return Symbol(name, INDEP)
-        if name in self.dep_names:
-            i = self.dep_names.index(name) + 1
-            return jet(i, primes, name=name) if primes else dep(i, name=name)
-        if name.startswith("y") and name[1:].isdigit():
-            i = int(name[1:])
-            if 1 <= i <= self.m:
-                cname = self.dep_names[i - 1]
-                return jet(i, primes, name=cname) if primes else dep(i, name=cname)
+        i = self.index.get(name)
+        if i is None and self.y_alias:
+            k = y_index(name)
+            i = k if k and k <= self.m else None
+        if i is not None:
+            cname = self.dep_names[i - 1]
+            return jet(i, primes, name=cname) if primes else dep(i, name=cname)
         if name == "p" and self.m == 1:
             return jet(1, primes + 1, name=self.dep_names[0])
         if primes:
@@ -1205,13 +1214,16 @@ class ParseContext:
 
 
 _TOKEN_OPS = set("+-*/^(),")
+_DIGITS = "0123456789"  # ASCII: int() misreads or refuses other digits
+_NAME_CHARS = _DIGITS + "_"
 
 # the most terms that a sum of fractions, a product, a quotient or a power
 # in parsed text may expand to, in its numerator or its denominator
 MAX_EXPANSION_TERMS = 100
 
-# the most decimal digits of a numerator or denominator in parsed text:
-# Python refuses to print an integer of more than 4300 digits
+# the most decimal digits of a numerator or denominator, and the most
+# characters of a name, in parsed text: Python refuses to print an
+# integer of more than 4300 digits, or to read one from a name y<k>
 MAX_INTEGER_DIGITS = 1000
 
 # the deepest nesting of parentheses, call arguments and unary signs in
@@ -1231,17 +1243,19 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
             continue
         if ch.isalpha():
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j] in _NAME_CHARS):
                 j += 1
+            if j - i > MAX_INTEGER_DIGITS:
+                raise ParseError("name too long", i)
             primes = 0
             while j < n and text[j] == "'":
                 primes += 1

@@ -6,8 +6,8 @@ a typed ansatz."""
 from __future__ import annotations
 
 from .expr import (
-    CollectError, ParseContext, ParseError, _linear_terms, param, parse,
-    substitute, zero,
+    CollectError, ParseContext, ParseError, _linear_terms, _tokenize,
+    param, parse, substitute, y_index, zero,
 )
 from .jet import JetContext, VectorField
 from .symmetry import (
@@ -37,21 +37,6 @@ NAMED_SYSTEMS = {
 NAMED_ANSATZE = {"full": full_ansatz, "restricted": restricted_ansatz}
 
 
-class _DependentScan(ParseContext):
-    """Records each primed identifier that is not a function head, in
-    order of first appearance, with its highest prime count; every other
-    identifier reads as a parameter."""
-
-    def __init__(self):
-        super().__init__(dep_names=())
-        self.orders = {}
-
-    def resolve(self, name: str, primes: int, pos: int):
-        if primes and name != self.indep_name:
-            self.orders[name] = max(self.orders.get(name, 0), primes)
-        return param(name + "'" * primes)
-
-
 def _parse_equation(eq: str, pctx: ParseContext):
     """The residual lhs - rhs of `lhs = rhs`, or the expression itself;
     each side is parsed on its own, and error positions count from the
@@ -71,37 +56,45 @@ def _parse_equation(eq: str, pctx: ParseContext):
 def parse_system(text: str) -> OdeSystem:
     """Parse a semicolon-separated system of ODEs in solved or
     homogeneous form, or look up a named catalog system.  The dependent
-    variables are the primed identifiers; when all of them read y<k>,
-    they are y1..ym for the largest k."""
+    variables are the primed identifiers that are not function heads,
+    in order of first appearance; when all of them read y<k> with
+    k >= 1, they are y1..ym for the largest k."""
     text = text.strip()
     if text in NAMED_SYSTEMS:
         return NAMED_SYSTEMS[text]()
     equations = [part.strip() for part in text.split(";") if part.strip()]
     if not equations:
         raise InputError("empty system")
-    scan = _DependentScan()
+    orders = {}
     for eq in equations:
-        _parse_equation(eq, scan)
-    primed = list(scan.orders)
-    if not primed:
+        try:       # '=' read as ',' keeps each token and its position
+            tokens = _tokenize(eq.replace("=", ","))
+        except ParseError as exc:
+            raise InputError("cannot parse %r: %s" % (eq, exc))
+        for tok, nxt in zip(tokens, tokens[1:]):
+            if (tok[0] == "ident" and tok[3] and tok[1] != "x"
+                    and nxt[:2] != ("op", "(")):
+                orders[tok[1]] = max(orders.get(tok[1], 0), tok[3])
+    names = tuple(orders)
+    ks = [y_index(n) for n in names]
+    m = max(ks) if ks and all(ks) else len(names)   # all y<k>, k >= 1
+    # y1..ym, unless there are more of them than equations and names
+    if ks and all(ks) and m <= max(len(equations), len(names)):
+        names = tuple("y%d" % k for k in range(1, m + 1))
+    pctx = ParseContext(len(names), dep_names=names)
+    residuals = [_parse_equation(eq, pctx) for eq in equations]
+    if not names:
         raise InputError("no differentiated variable found in the system")
-    if all(n[0] == "y" and n[1:].isdigit() for n in primed):
-        m = max(int(n[1:]) for n in primed)
-        names = tuple("y%d" % i for i in range(1, m + 1))
-    else:
-        names = tuple(primed)
-    order = max(scan.orders.values())
-    m = len(names)
     if len(equations) != m:
+        shown = ", ".join(names) if m == len(names) else "y1..y%d" % m
         raise InputError("expected %d equations for variables %s, got %d"
-                         % (m, ", ".join(names), len(equations)))
-    ctx = JetContext(m, order, dep_names=names)
-    pctx = ParseContext(m, dep_names=names)
-    top = [ctx.jet(j, order) for j in range(1, m + 1)]
+                         % (m, shown, len(equations)))
+    ctx = JetContext(m, max(orders.values()), dep_names=names)
+    top = [ctx.jet(j, ctx.order) for j in range(1, m + 1)]
     solved = [None] * m
-    for eq in equations:
+    for eq, residual in zip(equations, residuals):
         try:
-            terms = _linear_terms(_parse_equation(eq, pctx), top)
+            terms = _linear_terms(residual, top)
         except CollectError:
             raise InputError("equation %r is not polynomial in the highest "
                              "derivatives" % eq)
@@ -158,21 +151,13 @@ def parse_vector_field(text: str, ctx: JetContext) -> VectorField:
 
 
 def _split_top_level(text: str):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
 
 
 def parse_ansatz(spec: str, ctx: JetContext) -> VectorField:

@@ -323,6 +323,14 @@ def test_reduction_transformation_trivial_q():
     assert tr.verify_inverse()
 
 
+def test_reduction_transformation_reads_the_pair_names():
+    """The composition rewrite is written in the pair's own heads, so a
+    pair renamed apart from u inverts as the plain pair does."""
+    for avoid in ((), {"u"}):
+        src = SourceEquation.symbolic(avoid)
+        assert reduction_transformation(src, 2).verify_inverse()
+
+
 def test_reduction_transformation_symbolic_q():
     src = SourceEquation.symbolic()
     tr = reduction_transformation(src, 2)

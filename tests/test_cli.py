@@ -6,8 +6,8 @@ import pytest
 
 from noncartan import (
     JetContext, ParseContext, call, determining_system_2x2,
-    format_expression, full_ansatz, func, indep, parse, restricted_ansatz,
-    sym, zero,
+    dep, format_expression, full_ansatz, func, indep, param, parse,
+    restricted_ansatz, sym, zero,
 )
 from noncartan.cli import format_vector_field, main
 from noncartan.io import (
@@ -40,8 +40,36 @@ def test_parse_system_homogeneous_form():
 
 
 def test_parse_system_named_variables():
-    system = parse_system("y''=q(x)*y; w''=q(x)*w")
-    assert system.ctx.dep_names == ("y", "w")
+    for text, names in (
+            ("y''=q(x)*y; w''=q(x)*w", ("y", "w")),
+            # a primed function head names no variable
+            ("y''=q'(x)*y", ("y",)),
+            # the names keep their order of first appearance
+            ("w''=y; y''=w", ("w", "y")),
+            ("y2''=y1; y1''=0", ("y1", "y2")),
+            # the y<k> rule needs every k >= 1
+            ("y0''=0", ("y0",)),
+            ("y0''=0; y1''=0", ("y0", "y1")),
+            ("y0''=y2; y1''=0", ("y0", "y1"))):
+        assert parse_system(text).ctx.dep_names == names
+    # y<k> aliases the k-th variable only where no y<j> names another
+    assert parse_system("y''=y1; w''=y2").rhs == tuple(
+        sym(dep(i, name=n)) for i, n in ((1, "y"), (2, "w")))
+    assert parse_system("y0''=y2; y1''=0").rhs[0] == sym(param("y2"))
+
+
+def test_parse_system_parses_each_side_once(monkeypatch):
+    """The dependent variables come from the tokens, so each side of
+    each equation goes through `parse` once."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr("noncartan.io.parse", counting)
+    parse_system("y''=A(x)*y+B(x)*w; w''=C(x)*y-A(x)*w")
+    assert len(calls) == 4
 
 
 def test_parse_system_errors():
@@ -305,6 +333,26 @@ HOSTILE = [
     (["classify", "--system", "y''=%s*y" % ("9" * 5000)],
      "error: cannot parse \"y''=%s*y\": integer too large (at position 4)"
      % ("9" * 5000)),
+    # integers and the digits in names are ASCII: int() refuses the others
+    (["classify", "--system", "y''=\u00b2*y"],
+     "error: cannot parse \"y''=\u00b2*y\": unexpected character "
+     "'\u00b2' (at position 4)"),
+    (["classify", "--system", "y\u00b2''=0"],
+     "error: cannot parse \"y\u00b2''=0\": unexpected character "
+     "'\u00b2' (at position 1)"),
+    (["classify", "--system", "y''=y\u00b2"],
+     "error: cannot parse \"y''=y\u00b2\": unexpected character "
+     "'\u00b2' (at position 5)"),
+    # a name y<k> of many digits: refused, or counted before it is built
+    (["classify", "--system", "y%s''=0" % ("9" * 5000)],
+     "error: cannot parse \"y%s''=0\": name too long (at position 0)"
+     % ("9" * 5000)),
+    (["classify", "--system", "y''=y%s" % ("9" * 5000)],
+     "error: cannot parse \"y''=y%s\": name too long (at position 4)"
+     % ("9" * 5000)),
+    (["classify", "--system", "y99999999999''=0"],
+     "error: expected 99999999999 equations for variables "
+     "y1..y99999999999, got 1"),
     # the scalar tests belong to second-order equations
     (["classify", "--system", "y'''=0"], CLASSIFY_NEEDS),
     (["classify", "--system", "y'=y^5"], CLASSIFY_NEEDS),

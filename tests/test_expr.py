@@ -470,6 +470,13 @@ def test_parse_errors():
         parse("x ** 2", ctx)
     with pytest.raises(ParseError):
         parse("q(x) + q(x, y)", ctx)
+    # integers and the digits in names are ASCII digits only
+    for text in ("\u0663*y", "a\u0663"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse(text, ctx)
+    assert parse("a_1", ctx) == sym(param("a_1"))
+    with pytest.raises(ParseError, match="name too long"):
+        parse("y" * 1001, ctx)
 
 
 def test_parse_refuses_expansions_past_the_budget():
